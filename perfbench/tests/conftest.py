@@ -1,0 +1,7 @@
+"""Puts the program (`src/`) and the benchmark's modules on the path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parents[1] / "src"), str(HERE.parent)]
