@@ -9,7 +9,6 @@ that does not parse as a number).
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 import numpy as np
 
@@ -100,9 +99,3 @@ def load_mask_csv(path) -> np.ndarray:
     if not np.all((data == 0.0) | (data == 1.0)):
         raise ValueError(f"{path}: mask must be binary (0/1)")
     return data
-
-
-def sha256_file(path) -> str:
-    import hashlib
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

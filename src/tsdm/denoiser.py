@@ -161,12 +161,12 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
 
 
 def _resblock(p: DenoiserParams, name: str, x: Tensor, emb: Tensor,
-              cin: int, cout: int) -> Tensor:
+              column, cin: int, cout: int) -> Tensor:
     h = tc.group_norm(x, p[f"{name}.gn1.g"], p[f"{name}.gn1.b"], _norm_groups(cin))
     h = tc.silu(h)
     h = tc.conv1d(h, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
     tv = tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb), p[f"{name}.temb.b"])
-    h = tc.add_time(h, tv)
+    h = tc.add_time(h, tv, column)
     h = tc.group_norm(h, p[f"{name}.gn2.g"], p[f"{name}.gn2.b"], _norm_groups(cout))
     h = tc.silu(h)
     h = tc.conv1d(h, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
@@ -175,10 +175,19 @@ def _resblock(p: DenoiserParams, name: str, x: Tensor, emb: Tensor,
     return tc.add(h, x)
 
 
-def _forward(p: DenoiserParams, x: Tensor, n_vec: np.ndarray) -> Tensor:
+def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
+             column=None) -> Tensor:
+    """Noise prediction for the (B, M, T) stack x.
+
+    The step embedding is projected once per entry of `levels`, and
+    sample b takes level `column[b]` (default: level b). A projection
+    over several columns runs as a matrix product whose bits can differ
+    from the one-column product, so predict_noise projects each distinct
+    step once: a window then gets the same bits in a stack as alone.
+    """
     cfg = p.config
-    B = x.data.shape[0]
-    se = np.stack([time_embed(int(n), cfg.time_embed_dim) for n in n_vec], axis=1)
+    se = np.stack([time_embed(int(n), cfg.time_embed_dim) for n in levels],
+                  axis=1)
     emb = tc.add_bias(tc.matmul(p["temb.fc1.w"], Tensor(se)), p["temb.fc1.b"])
     emb = tc.silu(emb)
     emb = tc.add_bias(tc.matmul(p["temb.fc2.w"], emb), p["temb.fc2.b"])
@@ -187,21 +196,21 @@ def _forward(p: DenoiserParams, x: Tensor, n_vec: np.ndarray) -> Tensor:
     h = tc.conv1d(x, p["stem.w"], p["stem.b"])
     skips = []
     for j in range(cfg.depth):
-        h = _resblock(p, f"enc{j}.rb0", h, emb, widths[j], widths[j])
-        h = _resblock(p, f"enc{j}.rb1", h, emb, widths[j], widths[j])
+        h = _resblock(p, f"enc{j}.rb0", h, emb, column, widths[j], widths[j])
+        h = _resblock(p, f"enc{j}.rb1", h, emb, column, widths[j], widths[j])
         skips.append(h)
         h = tc.conv1d(h, p[f"down{j}.w"], p[f"down{j}.b"], stride=2)
     wm = widths[cfg.depth]
-    h = _resblock(p, "mid.rb0", h, emb, wm, wm)
+    h = _resblock(p, "mid.rb0", h, emb, column, wm, wm)
     h = tc.add(h, tc.self_attention(h, p["mid.attn.wq"], p["mid.attn.wk"],
                                     p["mid.attn.wv"]))
-    h = _resblock(p, "mid.rb1", h, emb, wm, wm)
+    h = _resblock(p, "mid.rb1", h, emb, column, wm, wm)
     for j in reversed(range(cfg.depth)):
         h = tc.upsample2(h)
         h = tc.conv1d(h, p[f"up{j}.w"], p[f"up{j}.b"])
         h = tc.concat_channels(h, skips[j])
-        h = _resblock(p, f"dec{j}.rb0", h, emb, 2 * widths[j], widths[j])
-        h = _resblock(p, f"dec{j}.rb1", h, emb, widths[j], widths[j])
+        h = _resblock(p, f"dec{j}.rb0", h, emb, column, 2 * widths[j], widths[j])
+        h = _resblock(p, f"dec{j}.rb1", h, emb, column, widths[j], widths[j])
     h = tc.group_norm(h, p["head.gn.g"], p["head.gn.b"], _norm_groups(widths[0]))
     h = tc.silu(h)
     return tc.conv1d(h, p["head.conv.w"], p["head.conv.b"])
@@ -220,7 +229,8 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     n_vec = np.full(xb.shape[0], int(n)) if np.ndim(n) == 0 else np.asarray(n)
     if n_vec.shape != (xb.shape[0],):
         raise ValueError("step index must be scalar or one per batch item")
-    out = _forward(params, Tensor(xb), n_vec).data
+    levels, column = np.unique(n_vec, return_inverse=True)
+    out = _forward(params, Tensor(xb), levels, column).data
     return out[0] if squeeze else out
 
 

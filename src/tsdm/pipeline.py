@@ -3,8 +3,13 @@
 Stage 1 produces a guided estimate and flags untrusted entries via the
 3-sigma test; externally known missing entries (NaNs or an explicit
 mask) are force-flagged on top. If the untrusted fraction stays below
-the branch threshold the stage-1 estimate is returned; otherwise stage 2
-re-imputes the flagged entries with the trusted ones pinned.
+the branch threshold and no entry is known missing, the stage-1
+estimate is returned; otherwise stage 2 re-imputes the flagged entries
+with the trusted ones pinned.
+
+A batch runs in lockstep: one denoiser call per reverse step for every
+window still running, each result bit-identical to the window's
+one-window recovery. `recover` is a batch of one.
 
 All model arithmetic runs in normalized units (per-channel mean/std from
 the training checkpoint); outputs are denormalized.
@@ -13,7 +18,6 @@ the training checkpoint); outputs are denormalized.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +69,41 @@ class WindowFailure:
 
 def recover(params: DenoiserParams, y0: np.ndarray, known_mask,
             cfg: TsdmConfig, norm_mean=None, norm_std=None) -> RecoveryResult:
-    """Run the two-stage recovery on one measurement window."""
+    """Run the two-stage recovery on one measurement window: a batch of
+    one, whose failure is raised."""
+    out = _recover_windows(params, [y0], [known_mask], cfg, norm_mean,
+                           norm_std)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig,
+                  parallelism: int = 1, norm_mean=None, norm_std=None):
+    """Recover many windows; order-preserving, seeds derived seed^index.
+
+    The windows run in lockstep: each reverse step makes one denoiser
+    call on the stack of every window still running, first through
+    stage 1 and then through stage 2 for the windows that branch. Each
+    result is bit-identical to `recover` of that window alone with seeds
+    seed^index. Failures are reported per index as WindowFailure entries
+    without aborting the remaining windows. `parallelism` is checked
+    (at least 1) but no longer changes how the windows run.
+    """
+    windows = [np.asarray(w, dtype=np.float64) for w in windows]
+    if windows and any(w.shape != windows[0].shape for w in windows):
+        raise ValueError("windows must share one shape")
+    if parallelism < 1:
+        raise ValueError("parallelism must be at least 1")
+    outs = _recover_windows(params, windows, [None] * len(windows), cfg,
+                            norm_mean, norm_std)
+    return [WindowFailure(index=k, error=str(out))
+            if isinstance(out, Exception) else out
+            for k, out in enumerate(outs)]
+
+
+def _normalize(y0, known_mask, norm_mean, norm_std):
+    """(normalized window, known mask, mean, std) of one input window."""
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2:
         raise ValueError(f"expected a channels x time matrix, got {y0.shape}")
@@ -89,62 +127,66 @@ def recover(params: DenoiserParams, y0: np.ndarray, known_mask,
     known[~np.isfinite(y0)] = 0.0  # NaN sentinels count as missing
     yn = (y0 - mean[:, None]) / std[:, None]
     yn = np.where(known == 1.0, yn, 0.0)  # placeholder = channel mean
-
-    sched = cfg.schedule()
-    try:
-        x0p, trace1 = stage1_recover(params, yn, cfg.guidance, sched)
-    except (RuntimeError, FloatingPointError) as e:
-        raise RuntimeError(f"stage1: {e}") from e
-    report = detect_outliers(x0p, yn)
-    mask = report.mask * known  # force-flag externally missing entries
-    fraction = float(1.0 - mask.mean())
-
-    if fraction < cfg.outlier_branch_threshold:
-        out_n = x0p
-        stage = STAGE1_ONLY
-    else:
-        try:
-            out_n = stage2_impute(params, yn, mask, cfg.impute, sched)
-        except (RuntimeError, FloatingPointError) as e:
-            raise RuntimeError(f"stage2: {e}") from e
-        stage = STAGE1_PLUS_STAGE2
-    x_tilde = out_n * std[:, None] + mean[:, None]
-    return RecoveryResult(x_tilde=x_tilde, outlier_mask=mask,
-                          stage_taken=stage, outlier_fraction=fraction,
-                          traces={"stage1": trace1})
+    return yn, known, mean, std
 
 
-def _with_seed(cfg: TsdmConfig, index: int) -> TsdmConfig:
-    return dataclasses.replace(
-        cfg,
-        guidance=dataclasses.replace(cfg.guidance,
-                                     seed=cfg.guidance.seed ^ index),
-        impute=dataclasses.replace(cfg.impute, seed=cfg.impute.seed ^ index),
-    )
+def _tagged(stage: str, error: Exception) -> Exception:
+    if not isinstance(error, (RuntimeError, FloatingPointError)):
+        return error
+    tagged = RuntimeError(f"{stage}: {error}")
+    tagged.__cause__ = error
+    return tagged
 
 
-def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig,
-                  parallelism: int = 1, norm_mean=None, norm_std=None):
-    """Recover many windows; order-preserving, seeds derived seed^index.
+def _recover_windows(params, windows, known_masks, cfg, norm_mean,
+                     norm_std) -> list:
+    """Per window k, its RecoveryResult or the exception it failed with.
 
-    Failures are reported per index as WindowFailure entries without
-    aborting the remaining windows.
+    Window k runs with seeds seed^k; all windows step in lockstep.
     """
-    windows = [np.asarray(w, dtype=np.float64) for w in windows]
-    if windows and any(w.shape != windows[0].shape for w in windows):
-        raise ValueError("windows must share one shape")
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
-
-    def run(idx_window):
-        idx, window = idx_window
+    outs = [None] * len(windows)
+    ready = {}
+    for k, (y0, known_mask) in enumerate(zip(windows, known_masks)):
         try:
-            return recover(params, window, None, _with_seed(cfg, idx),
-                           norm_mean=norm_mean, norm_std=norm_std)
-        except Exception as e:  # noqa: BLE001 - reported per index
-            return WindowFailure(index=idx, error=str(e))
-
-    if parallelism == 1:
-        return [run(iw) for iw in enumerate(windows)]
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        return list(pool.map(run, enumerate(windows)))
+            ready[k] = _normalize(y0, known_mask, norm_mean, norm_std)
+        except Exception as e:  # noqa: BLE001 - reported per window
+            outs[k] = e
+    if not ready:
+        return outs
+    sched = cfg.schedule()
+    ids = list(ready)
+    stage1 = stage1_recover(
+        params, np.stack([ready[k][0] for k in ids]), cfg.guidance, sched,
+        seeds=[cfg.guidance.seed ^ k for k in ids])
+    branch = []
+    for k, out in zip(ids, stage1):
+        if isinstance(out, Exception):
+            outs[k] = _tagged("stage1", out)
+            continue
+        x0p, trace1 = out
+        yn, known, mean, std = ready[k]
+        mask = detect_outliers(x0p, yn).mask * known  # force-flag missing
+        fraction = float(1.0 - mask.mean())
+        outs[k] = RecoveryResult(
+            x_tilde=x0p * std[:, None] + mean[:, None], outlier_mask=mask,
+            stage_taken=STAGE1_ONLY, outlier_fraction=fraction,
+            traces={"stage1": trace1})
+        # stage 1 pulls the placeholders of known-missing entries toward
+        # the channel mean; only stage 2 imputes them
+        if fraction >= cfg.outlier_branch_threshold or not known.all():
+            branch.append(k)
+    if not branch:
+        return outs
+    stage2 = stage2_impute(
+        params, np.stack([ready[k][0] for k in branch]),
+        np.stack([outs[k].outlier_mask for k in branch]), cfg.impute, sched,
+        seeds=[cfg.impute.seed ^ k for k in branch])
+    for k, out in zip(branch, stage2):
+        if isinstance(out, Exception):
+            outs[k] = _tagged("stage2", out)
+            continue
+        _, _, mean, std = ready[k]
+        outs[k] = dataclasses.replace(
+            outs[k], x_tilde=out * std[:, None] + mean[:, None],
+            stage_taken=STAGE1_PLUS_STAGE2)
+    return outs

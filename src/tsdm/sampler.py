@@ -47,7 +47,6 @@ class StepCoefficients:
 @dataclass(frozen=True)
 class TraceRecord:
     tau: int
-    mean_norm: float
     sigma_bar: float
     elapsed_ms: float
 
@@ -56,10 +55,9 @@ class TraceRecord:
 class SamplerTrace:
     records: list = field(default_factory=list)
 
-    def add(self, tau: int, mean_norm: float, sigma_bar: float,
-            elapsed_ms: float) -> None:
-        self.records.append(TraceRecord(int(tau), float(mean_norm),
-                                        float(sigma_bar), float(elapsed_ms)))
+    def add(self, tau: int, sigma_bar: float, elapsed_ms: float) -> None:
+        self.records.append(TraceRecord(int(tau), float(sigma_bar),
+                                        float(elapsed_ms)))
 
     def to_csv(self) -> str:
         lines = ["step,sigma_bar,elapsed_ms"]
@@ -167,10 +165,8 @@ def unconditional_sample(params: DenoiserParams, shape: tuple,
         if not np.all(np.isfinite(x)):
             raise RuntimeError(f"non-finite latent at step tau={t_cur}")
         if rec is not None:
-            mu = estimate_x0(x, eps_pred, t_cur, sched)
             sb = math.sqrt(optimal_variance(eps_pred, t_cur, sched))
-            rec.add(t_cur, float(np.linalg.norm(mu)), sb,
-                    (time.perf_counter() - t0) * 1e3)
+            rec.add(t_cur, sb, (time.perf_counter() - t0) * 1e3)
     t0 = time.perf_counter()
     t1 = int(tau.tau[0])
     eps_pred = predict_noise(params, x, t1)
@@ -178,7 +174,67 @@ def unconditional_sample(params: DenoiserParams, shape: tuple,
     if not np.all(np.isfinite(x0)):
         raise RuntimeError(f"non-finite latent at step tau={t1}")
     if rec is not None:
-        rec.add(t1, float(np.linalg.norm(x0)), 0.0,
-                (time.perf_counter() - t0) * 1e3)
+        rec.add(t1, 0.0, (time.perf_counter() - t0) * 1e3)
         return x0, rec
     return x0
+
+
+class Lockstep:
+    """A (B, M, T) stack of latents stepped through the reverse process
+    together, one predict_noise call per step for the whole stack.
+
+    Each window keeps its own step math (its own noise draws, its own
+    sigma_bar), and predict_noise gives a window the same bits in a
+    stack as alone, so every window ends bit-identical to a one-window
+    run. A window whose update raises leaves the stack, and the
+    exception becomes its outcome. If the stacked denoiser call raises,
+    it is rerun one window at a time, so only the windows that fail
+    alone leave.
+    """
+
+    def __init__(self, x: np.ndarray):
+        self.count = len(x)
+        self.rows = list(range(len(x)))  # window index of each stack row
+        self.x = x
+        self.failed = {}  # window index -> exception
+
+    def drop(self, b: int, error: Exception) -> None:
+        """Take window b out of the stack with `error` as its outcome."""
+        k = self.rows.index(b)
+        del self.rows[k]
+        self.x = np.delete(self.x, k, axis=0)
+        self.failed[b] = error
+
+    def step(self, params: DenoiserParams, n: int, update) -> None:
+        """x[b] = update(b, x[b], eps[b]) for every window b still in the
+        stack, where eps = predict_noise(params, x, n)."""
+        if not self.rows:
+            return
+        try:
+            eps = predict_noise(params, self.x, n)
+        except Exception:  # noqa: BLE001 - find the windows that fail alone
+            eps = [self._alone(params, k, n) for k in range(len(self.rows))]
+        rows, xs = [], []
+        for k, b in enumerate(self.rows):
+            if b in self.failed:
+                continue
+            try:
+                xs.append(update(b, self.x[k], eps[k]))
+                rows.append(b)
+            except Exception as e:  # noqa: BLE001 - isolated per window
+                self.failed[b] = e
+        self.rows = rows
+        self.x = np.stack(xs) if xs else self.x[:0]
+
+    def _alone(self, params, k, n):
+        try:
+            return predict_noise(params, self.x[k], n)
+        except Exception as e:  # noqa: BLE001 - isolated per window
+            self.failed[self.rows[k]] = e
+            return None
+
+    def outcomes(self) -> list:
+        """Per window: its final x or the exception it failed with."""
+        final = dict(zip(self.rows, self.x))
+        return [self.failed[b] if b in self.failed else final[b]
+                for b in range(self.count)]

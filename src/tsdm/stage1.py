@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserParams, predict_noise
-from .sampler import SamplerTrace, estimate_x0, improved_step, optimal_variance
+from .denoiser import DenoiserParams
+from .sampler import (Lockstep, SamplerTrace, estimate_x0, improved_step,
+                      optimal_variance)
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -76,39 +77,63 @@ def corrected_noise(eps_pred: np.ndarray, y_noisy: np.ndarray,
 
 
 def stage1_recover(params: DenoiserParams, y0: np.ndarray,
-                   cfg: GuidanceConfig, sched: VarianceSchedule):
-    """Guided reverse process from pure noise; returns (x0', trace)."""
+                   cfg: GuidanceConfig, sched: VarianceSchedule,
+                   seeds=None):
+    """Guided reverse process from pure noise; returns (x0', trace).
+
+    y0 is one (M, T) window or a (B, M, T) stack. A stack runs in
+    lockstep (sampler.Lockstep); window b draws from its own
+    default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
+    one-window call draws, so its result is bit-identical to recovering
+    it alone with that seed. For a stack the result is a list holding,
+    per window, (x0', trace) or the exception that window failed with.
+    """
     y0 = np.asarray(y0, dtype=np.float64)
+    if y0.ndim not in (2, 3):
+        raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
+    if y0.ndim == 2:
+        out = _stage1_stack(params, y0[None], cfg, sched, [cfg.seed])[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+    if seeds is None:
+        seeds = [cfg.seed ^ b for b in range(len(y0))]
+    return _stage1_stack(params, y0, cfg, sched, seeds)
+
+
+def _stage1_stack(params, y0, cfg, sched, seeds):
     tau = cfg.tau
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(y0.shape)
-    trace = SamplerTrace()
-    for i in range(tau.s, 1, -1):
+    shape = y0.shape[1:]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    traces = [SamplerTrace() for _ in rngs]
+    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
+    for i in range(tau.s, 0, -1):
         t0 = time.perf_counter()
         t_cur = int(tau.tau[i - 1])
-        eps_pred = predict_noise(params, x, t_cur)
-        y_noisy = condition_noisy(y0, eps_pred, i, sched, tau)
-        eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega,
-                                  sched, tau)
-        eps_draw = rng.standard_normal(y0.shape)
-        x = improved_step(x, eps_hat, i, sched, tau, eps_draw)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite latent at step tau={t_cur}")
-        mu = estimate_x0(x, eps_hat, t_cur, sched)
-        sb = math.sqrt(optimal_variance(eps_hat, t_cur, sched))
-        trace.add(t_cur, float(np.linalg.norm(mu)), sb,
-                  (time.perf_counter() - t0) * 1e3)
-    t0 = time.perf_counter()
-    t1 = int(tau.tau[0])
-    eps_pred = predict_noise(params, x, t1)
-    y_noisy = condition_noisy(y0, eps_pred, 1, sched, tau)
-    eps_hat = corrected_noise(eps_pred, y_noisy, x, 1, cfg.omega, sched, tau)
-    x0p = estimate_x0(x, eps_hat, t1, sched)
-    if not np.all(np.isfinite(x0p)):
-        raise RuntimeError(f"non-finite latent at step tau={t1}")
-    trace.add(t1, float(np.linalg.norm(x0p)), 0.0,
-              (time.perf_counter() - t0) * 1e3)
-    return x0p, trace
+        sigma_bar = {}
+
+        def update(b, x, eps_pred):
+            y_noisy = condition_noisy(y0[b], eps_pred, i, sched, tau)
+            eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega,
+                                      sched, tau)
+            if i == 1:
+                x = estimate_x0(x, eps_hat, t_cur, sched)
+                sigma_bar[b] = 0.0
+            else:
+                eps_draw = rngs[b].standard_normal(shape)
+                x = improved_step(x, eps_hat, i, sched, tau, eps_draw)
+                sigma_bar[b] = math.sqrt(
+                    optimal_variance(eps_hat, t_cur, sched))
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+            return x
+
+        stack.step(params, t_cur, update)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        for b in stack.rows:
+            traces[b].add(t_cur, sigma_bar[b], elapsed_ms)
+    return [out if isinstance(out, Exception) else (out, traces[b])
+            for b, out in enumerate(stack.outcomes())]
 
 
 def detect_outliers(x0_prime: np.ndarray, y0: np.ndarray) -> OutlierReport:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import DenoiserParams, predict_noise
-from .sampler import detailed_step, estimate_x0
+from .denoiser import DenoiserParams
+from .sampler import Lockstep, detailed_step, estimate_x0
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -104,44 +104,77 @@ def renoise_to_level(x_prev: np.ndarray, i: int, sched: VarianceSchedule,
 
 
 def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
-                  cfg: ImputeConfig, sched: VarianceSchedule) -> np.ndarray:
-    """Impute mask=0 entries of y0 by masked reverse diffusion."""
+                  cfg: ImputeConfig, sched: VarianceSchedule, seeds=None):
+    """Impute mask=0 entries of y0 by masked reverse diffusion.
+
+    y0 and mask are one (M, T) window or a (B, M, T) stack. A stack runs
+    in lockstep (sampler.Lockstep); window b draws from its own
+    default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
+    one-window call draws, so its result is bit-identical to imputing it
+    alone with that seed. For a stack the result is a list holding, per
+    window, the imputed window or the exception that window failed with.
+    """
     y0 = np.asarray(y0, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
     if y0.shape != mask.shape:
         raise ValueError(f"shape mismatch {y0.shape} vs {mask.shape}")
     if not np.all((mask == 0.0) | (mask == 1.0)):
         raise ValueError("mask must be binary (0/1)")
+    if y0.ndim not in (2, 3):
+        raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
+    if y0.ndim == 2:
+        out = _stage2_stack(params, y0[None], mask[None], cfg, sched,
+                            [cfg.seed])[0]
+        if isinstance(out, Exception):
+            raise out
+        return out
+    if seeds is None:
+        seeds = [cfg.seed ^ b for b in range(len(y0))]
+    return _stage2_stack(params, y0, mask, cfg, sched, seeds)
+
+
+def _stage2_stack(params, y0, mask, cfg, sched, seeds):
     # Missing entries are never read; zero-fill keeps arithmetic finite
     # even when they arrive as NaN sentinels.
     y0 = np.where(mask == 1.0, y0, 0.0)
-    if not np.all(np.isfinite(y0)):
-        raise ValueError("observed entries must be finite")
     tau = cfg.tau
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.standard_normal(y0.shape)
+    shape = y0.shape[1:]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
+    for b in range(len(y0)):
+        if not np.all(np.isfinite(y0[b])):
+            stack.drop(b, ValueError("observed entries must be finite"))
     for i in range(tau.s, 1, -1):
         t_cur = int(tau.tau[i - 1])
         for r in range(1, cfg.R + 1):
-            eps1 = rng.standard_normal(y0.shape)
-            known = diffuse_known(y0, i, sched, tau, eps1)
-            eps_pred = predict_noise(params, x, t_cur)
-            eps_draw = rng.standard_normal(y0.shape)
-            generated = detailed_step(x, eps_pred, i, sched, tau, eps_draw)
-            x = combine_masked(known, generated, mask)
-            if not np.all(np.isfinite(x)):
-                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
-            if r < cfg.R:
-                eps2 = rng.standard_normal(y0.shape)
-                x = renoise_to_level(x, i, sched, tau, eps2)
+
+            def update(b, x, eps_pred):
+                rng = rngs[b]
+                known = diffuse_known(y0[b], i, sched, tau,
+                                      rng.standard_normal(shape))
+                eps_draw = rng.standard_normal(shape)
+                generated = detailed_step(x, eps_pred, i, sched, tau,
+                                          eps_draw)
+                x = combine_masked(known, generated, mask[b])
+                if not np.all(np.isfinite(x)):
+                    raise RuntimeError(
+                        f"non-finite latent at step tau={t_cur}")
+                if r < cfg.R:
+                    x = renoise_to_level(x, i, sched, tau,
+                                         rng.standard_normal(shape))
+                return x
+
+            stack.step(params, t_cur, update)
     t1 = int(tau.tau[0])
-    eps_pred = predict_noise(params, x, t1)
-    mu = estimate_x0(x, eps_pred, t1, sched)
     a1 = sched.alpha_bar_at(t1)
-    known_final = np.sqrt(a1) * y0
-    if cfg.rescale_observed:
-        known_final = y0
-    out = np.where(mask == 1.0, known_final, mu)
-    if not np.all(np.isfinite(out)):
-        raise RuntimeError(f"non-finite latent at step tau={t1}")
-    return out
+
+    def close(b, x, eps_pred):
+        mu = estimate_x0(x, eps_pred, t1, sched)
+        known_final = y0[b] if cfg.rescale_observed else np.sqrt(a1) * y0[b]
+        out = np.where(mask[b] == 1.0, known_final, mu)
+        if not np.all(np.isfinite(out)):
+            raise RuntimeError(f"non-finite latent at step tau={t1}")
+        return out
+
+    stack.step(params, t1, close)
+    return stack.outcomes()

@@ -232,13 +232,37 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_time(x: Tensor, v: Tensor) -> Tensor:
-    """Add a per-sample channel vector: x (B,C,T) + v (C,B) broadcast over T."""
-    if x.data.ndim != 3 or v.data.shape != (x.data.shape[1], x.data.shape[0]):
+def add_time(x: Tensor, v: Tensor, column=None) -> Tensor:
+    """Add a per-sample channel vector: x (B,C,T) + v (C,U) broadcast over T.
+
+    Sample b takes column `column[b]` of v; by default U = B and sample b
+    takes column b.
+    """
+    if x.data.ndim != 3 or v.data.ndim != 2 or v.data.shape[0] != x.data.shape[1]:
         raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-    out = Tensor(x.data + v.data.T[:, :, None])
+    B, C, _ = x.data.shape
+    U = v.data.shape[1]
+    if column is None:
+        if U != B:
+            raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
+        per_sample = v.data.T
+    else:
+        column = np.asarray(column)
+        if column.shape != (B,):
+            raise ValueError(f"add_time: {B} samples vs columns {column.shape}")
+        per_sample = v.data.T[column]
+    out = Tensor(x.data + per_sample[:, :, None])
     _guard(out.data, "add_time")
-    _record(out, (x, v), lambda g: (g, g.sum(axis=-1).T))
+
+    def bw(g):
+        gv = g.sum(axis=-1)
+        if column is None:
+            return g, gv.T
+        dv = np.zeros((U, C))
+        np.add.at(dv, column, gv)
+        return g, dv.T
+
+    _record(out, (x, v), bw)
     return out
 
 
@@ -269,8 +293,22 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     xp = np.pad(xd, ((0, 0), (0, 0), (P, P)))
     win = sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]  # (B,Cin,T',K)
     Tp = win.shape[2]
-    cols = np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(Cin * K, B * Tp)
     W2 = w.data.reshape(Cout, Cin * K)
+    inputs = (x, w) if b is None else (x, w, b)
+    if not (_TAPES and any(t.requires_grad for t in inputs)):
+        # Inference: one product per sample, since the bits of a single
+        # product over all B*T' columns can depend on B and a sample must
+        # get the same bits in a batch as alone. On a tape the single
+        # product stays: backward reuses its columns, and training keeps
+        # its bits.
+        cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2))
+        od = np.matmul(W2, cols.reshape(B, Cin * K, Tp))
+        if b is not None:
+            od = od + b.data[:, None]
+        out = Tensor(od[0] if squeeze else od)
+        _guard(out.data, "conv1d")
+        return out
+    cols = np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(Cin * K, B * Tp)
     o2 = W2 @ cols
     od = np.ascontiguousarray(o2.reshape(Cout, B, Tp).transpose(1, 0, 2))
     if b is not None:
@@ -292,7 +330,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         db = None if b is None else gd.sum(axis=(0, 2))
         return (dx, dW, db) if b is not None else (dx, dW)
 
-    _record(out, (x, w) if b is None else (x, w, b), bw)
+    _record(out, inputs, bw)
     return out
 
 

@@ -101,6 +101,17 @@ def test_batched_predict_matches_single():
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("B", [2, 3, 5, 8])
+def test_stacked_predict_is_bit_identical_to_single(toy_model, B):
+    # One step index for the whole stack, as in lockstep recovery: every
+    # row must carry exactly the bits of its one-window call.
+    xb = np.random.default_rng(B).standard_normal((B, 4, 16))
+    for n in (1, 37, 100):
+        stacked = predict_noise(toy_model, xb, n)
+        for b in range(B):
+            assert np.array_equal(stacked[b], predict_noise(toy_model, xb[b], n))
+
+
 # -------------------------------------------------------------- objective
 
 def test_objective_matches_manual_composition():

@@ -123,6 +123,17 @@ def test_observed_entries_scaled_passthrough_after_stage2(toy_model, sched100):
                                rtol=0, atol=1e-12)
 
 
+def test_known_missing_entry_routes_to_stage2(toy_model):
+    # One NaN is far below the branch threshold, but only stage 2
+    # imputes a known-missing entry.
+    y0 = toy_window(9)
+    y0[2, 7] = np.nan
+    res = recover(toy_model, y0, None, make_cfg(threshold=1.0))
+    assert res.outlier_fraction < 1.0
+    assert res.stage_taken == STAGE1_PLUS_STAGE2
+    assert np.all(np.isfinite(res.x_tilde))
+
+
 def test_recover_is_deterministic(toy_model):
     y0 = toy_window(7)
     r1 = recover(toy_model, y0, None, make_cfg(seed=9))
@@ -202,3 +213,36 @@ def test_batch_validates_inputs(toy_model):
     with pytest.raises(ValueError):
         recover_batch(toy_model, [toy_window(1)], make_cfg(), parallelism=0)
     assert recover_batch(toy_model, [], make_cfg()) == []
+
+
+def _mixed_windows():
+    """Six toy windows; every other one carries a NaN block, so the batch
+    splits between the two branches."""
+    windows = [toy_window(40 + k) for k in range(6)]
+    for w in windows[::2]:
+        w[1, 3:11] = np.nan
+    return windows
+
+
+def test_batch_is_bitwise_one_window_recovery(toy_model):
+    windows = _mixed_windows()
+    batch = recover_batch(toy_model, windows, make_cfg(seed=12))
+    for k, (window, res) in enumerate(zip(windows, batch)):
+        alone = recover(toy_model, window, None, make_cfg(seed=12 ^ k))
+        assert np.array_equal(res.x_tilde, alone.x_tilde)
+        assert np.array_equal(res.outlier_mask, alone.outlier_mask)
+        assert res.stage_taken == alone.stage_taken
+        assert res.outlier_fraction == alone.outlier_fraction
+    assert {r.stage_taken for r in batch} == {STAGE1_ONLY, STAGE1_PLUS_STAGE2}
+
+
+def test_bad_window_leaves_batch_bitwise(toy_model):
+    windows = _mixed_windows()
+    ref = recover_batch(toy_model, windows, make_cfg(seed=12))
+    windows[3] = np.full((4, 16), 1e308)
+    hit = recover_batch(toy_model, windows, make_cfg(seed=12))
+    assert isinstance(hit[3], WindowFailure) and hit[3].index == 3
+    assert "stage1" in hit[3].error
+    for k in (0, 1, 2, 4, 5):
+        assert np.array_equal(hit[k].x_tilde, ref[k].x_tilde)
+        assert hit[k].stage_taken == ref[k].stage_taken

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsdm.denoiser import predict_noise
 from tsdm.sampler import (
+    Lockstep,
     SamplerTrace,
     StepCoefficients,
     capital_gamma,
@@ -275,3 +277,41 @@ def test_unconditional_sample_aborts_on_nonfinite(zeros_model, sched100):
     tau = make_subsequence(100, 5)
     with pytest.raises((RuntimeError, FloatingPointError)):
         unconditional_sample(bad, (4, 16), sched100, tau, np.random.default_rng(0))
+
+
+def test_lockstep_isolates_a_failing_denoiser_call(toy_model):
+    # The middle window overflows inside the network, so the stacked call
+    # raises; the rerun alone drops that window and keeps the others'
+    # one-window bits.
+    rng = np.random.default_rng(4)
+    x = np.stack([rng.standard_normal((4, 16)), np.full((4, 16), 1e300),
+                  rng.standard_normal((4, 16))])
+    stack = Lockstep(x.copy())
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError):
+            predict_noise(toy_model, x, 50)
+        stack.step(toy_model, 50, lambda b, xb, eps: eps)
+    out = stack.outcomes()
+    assert isinstance(out[1], FloatingPointError)
+    for b in (0, 2):
+        assert np.array_equal(out[b], predict_noise(toy_model, x[b], 50))
+
+
+def test_lockstep_drops_a_window_whose_update_raises(toy_model):
+    x = np.random.default_rng(5).standard_normal((3, 4, 16))
+
+    def update(b, xb, eps):
+        if b == 0:
+            raise RuntimeError("bad window")
+        return xb + eps
+
+    stack = Lockstep(x.copy())
+    stack.step(toy_model, 10, update)
+    stack.step(toy_model, 5, update)
+    assert stack.rows == [1, 2]
+    out = stack.outcomes()
+    assert str(out[0]) == "bad window"
+    for b in (1, 2):
+        ref = x[b] + predict_noise(toy_model, x[b], 10)
+        ref = ref + predict_noise(toy_model, ref, 5)
+        assert np.array_equal(out[b], ref)

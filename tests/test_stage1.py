@@ -168,6 +168,19 @@ def test_stage1_deterministic_under_seed(toy_model):
     assert np.array_equal(a, b)
 
 
+def test_stage1_stack_is_bitwise_one_window_runs(toy_model):
+    y0 = np.random.default_rng(14).standard_normal((3, 4, 16))
+    cfg = GuidanceConfig(tau=TAU, omega=1.0, seed=5)
+    stacked = stage1_recover(toy_model, y0, cfg, SCHED, seeds=[5, 8, 13])
+    for b, seed in enumerate((5, 8, 13)):
+        alone, trace = stage1_recover(
+            toy_model, y0[b], GuidanceConfig(tau=TAU, omega=1.0, seed=seed),
+            SCHED)
+        assert np.array_equal(stacked[b][0], alone)
+        assert ([r.sigma_bar for r in stacked[b][1].records]
+                == [r.sigma_bar for r in trace.records])
+
+
 def test_stage1_aborts_on_nonfinite(zeros_model):
     import copy
 

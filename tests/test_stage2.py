@@ -262,6 +262,21 @@ def test_stage2_shape_mismatch_raises(toy_model):
                       cfg, SCHED)
 
 
+def test_stage2_stack_is_bitwise_one_window_runs(toy_model):
+    rng = np.random.default_rng(15)
+    y0 = rng.standard_normal((3, 4, 16))
+    mask = (rng.random((3, 4, 16)) < 0.6).astype(np.float64)
+    y0[2, 0, 0] = np.inf  # an observed entry that is not finite
+    mask[2, 0, 0] = 1.0
+    cfg = ImputeConfig(tau=TAU, R=2, seed=6)
+    stacked = stage2_impute(toy_model, y0, mask, cfg, SCHED)
+    for b in range(2):
+        alone = stage2_impute(toy_model, y0[b], mask[b],
+                              ImputeConfig(tau=TAU, R=2, seed=6 ^ b), SCHED)
+        assert np.array_equal(stacked[b], alone)
+    assert isinstance(stacked[2], ValueError)
+
+
 def test_stage2_aborts_on_nonfinite(zeros_model):
     bad = copy.deepcopy(zeros_model)
     bad["head.conv.b"].data += 1e200

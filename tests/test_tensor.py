@@ -233,6 +233,8 @@ def test_structural_grads_vs_fd():
     _check_against_fd(lambda a: tc.upsample2(a), x)
     _check_against_fd(lambda a, b: tc.add_bias(a, b), x, bias)
     _check_against_fd(lambda a, b: tc.add_time(a, b), x, tv)
+    shared = rng.uniform(-1, 1, (4, 1))
+    _check_against_fd(lambda a, b: tc.add_time(a, b, [0, 0]), x, shared)
     _check_against_fd(lambda a: tc.mean_all(a), x)
 
 
