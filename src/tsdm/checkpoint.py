@@ -4,6 +4,8 @@ Layout: magic "TSDM", little-endian u32 version, little-endian u64 header
 length, UTF-8 JSON header (network config, per-channel normalization
 stats, tensor table with name/shape/byte offset), then the concatenated
 tensor payload as raw little-endian float64. Round-trips are bit-exact.
+Loading checks the tensor table against the layout the header's config
+builds, so a missing, extra or misshapen tensor fails at load.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .denoiser import DenoiserConfig, DenoiserParams
+from .denoiser import DenoiserConfig, DenoiserParams, param_layout
 from .tensor import Tensor
 
 MAGIC = b"TSDM"
@@ -64,6 +66,7 @@ def load_checkpoint(path):
         raise ValueError("truncated checkpoint header")
     header = json.loads(blob[hstart:hend].decode("utf-8"))
     cfg = DenoiserConfig(**header["config"])
+    _check_layout(header["tensors"], cfg)
     payload = blob[hend:]
     tensors = {}
     for entry in header["tensors"]:
@@ -79,3 +82,25 @@ def load_checkpoint(path):
     return (params,
             np.asarray(header["norm_mean"], dtype=np.float64),
             np.asarray(header["norm_std"], dtype=np.float64))
+
+
+def _check_layout(table, cfg: DenoiserConfig) -> None:
+    """Raise a one-line ValueError naming the first tensor of the table that
+    is extra, repeated or misshapen, or the first one missing from it,
+    against the layout that init_params(cfg) builds."""
+    layout = param_layout(cfg)
+    seen = set()
+    for entry in table:
+        name, shape = entry["name"], tuple(entry["shape"])
+        if name not in layout:
+            raise ValueError(f"checkpoint tensor {name} is not in the "
+                             f"network layout of its config")
+        if name in seen:
+            raise ValueError(f"checkpoint tensor {name} appears twice")
+        if shape != layout[name]:
+            raise ValueError(f"checkpoint tensor {name} has shape {shape}, "
+                             f"the config's layout has {layout[name]}")
+        seen.add(name)
+    for name in layout:
+        if name not in seen:
+            raise ValueError(f"checkpoint is missing tensor {name}")

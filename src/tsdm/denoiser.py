@@ -108,24 +108,33 @@ def _norm_groups(channels: int) -> int:
     return g
 
 
-def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
-    rng = np.random.default_rng(seed)
-    ten = {}
+def _param_specs(cfg: DenoiserConfig) -> list:
+    """(name, shape, init) of every parameter, in creation order.
+
+    `init(rng)` makes the initial values; only weights draw from rng, so
+    calling the inits in this order fixes the draws of init_params.
+    """
+    specs = []
 
     def conv(name, cout, cin, k, zero=False):
         scale = 0.0 if zero else 1.0 / math.sqrt(cin * k)
-        ten[f"{name}.w"] = Tensor(rng.normal(0.0, 1.0, (cout, cin, k)) * scale,
-                                  requires_grad=True)
-        ten[f"{name}.b"] = Tensor(np.zeros(cout), requires_grad=True)
+        shape = (cout, cin, k)
+        specs.append((f"{name}.w", shape,
+                      lambda rng: rng.normal(0.0, 1.0, shape) * scale))
+        specs.append((f"{name}.b", (cout,), lambda rng: np.zeros(cout)))
+
+    def weight(name, cout, cin):
+        shape = (cout, cin)
+        specs.append((name, shape,
+                      lambda rng: rng.normal(0.0, 1.0, shape) / math.sqrt(cin)))
 
     def dense(name, cout, cin):
-        ten[f"{name}.w"] = Tensor(rng.normal(0.0, 1.0, (cout, cin)) / math.sqrt(cin),
-                                  requires_grad=True)
-        ten[f"{name}.b"] = Tensor(np.zeros(cout), requires_grad=True)
+        weight(f"{name}.w", cout, cin)
+        specs.append((f"{name}.b", (cout,), lambda rng: np.zeros(cout)))
 
     def norm(name, c):
-        ten[f"{name}.g"] = Tensor(np.ones(c), requires_grad=True)
-        ten[f"{name}.b"] = Tensor(np.zeros(c), requires_grad=True)
+        specs.append((f"{name}.g", (c,), lambda rng: np.ones(c)))
+        specs.append((f"{name}.b", (c,), lambda rng: np.zeros(c)))
 
     def resblock(name, cin, cout):
         norm(f"{name}.gn1", cin)
@@ -148,8 +157,7 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
     wm = widths[cfg.depth]
     resblock("mid.rb0", wm, wm)
     for p in ("wq", "wk", "wv"):
-        ten[f"mid.attn.{p}"] = Tensor(rng.normal(0.0, 1.0, (wm, wm)) / math.sqrt(wm),
-                                      requires_grad=True)
+        weight(f"mid.attn.{p}", wm, wm)
     resblock("mid.rb1", wm, wm)
     for j in reversed(range(cfg.depth)):
         conv(f"up{j}", widths[j], widths[j + 1], cfg.kernel)
@@ -157,7 +165,19 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
         resblock(f"dec{j}.rb1", widths[j], widths[j])
     norm("head.gn", widths[0])
     conv("head.conv", cfg.channels_in, widths[0], cfg.kernel, zero=True)
-    return DenoiserParams(cfg, ten)
+    return specs
+
+
+def param_layout(cfg: DenoiserConfig) -> dict:
+    """Name -> shape of every tensor init_params(cfg) makes, in its order,
+    without drawing any weights."""
+    return {name: shape for name, shape, _ in _param_specs(cfg)}
+
+
+def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
+    rng = np.random.default_rng(seed)
+    return DenoiserParams(cfg, {name: Tensor(init(rng), requires_grad=True)
+                                for name, _, init in _param_specs(cfg)})
 
 
 def _resblock(p: DenoiserParams, name: str, x: Tensor, emb: Tensor,

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 GN_EPS = 1e-5
 
@@ -104,7 +103,7 @@ class GradTape:
 
 
 def _guard(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op}: non-finite values in result")
 
 
@@ -170,12 +169,13 @@ def sqrt(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # numerically stable in both tails
-    pos = x >= 0
-    s = np.empty_like(x)
-    s[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    s[~pos] = e / (1.0 + e)
+    # numerically stable in both tails: 1/(1+e^-x) for x >= 0 and
+    # e^x/(1+e^x) below, both from e = e^-|x|; the in-place steps keep
+    # training's peak memory where the masked form had it
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    s /= e
     return s
 
 
@@ -290,9 +290,11 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     if b is not None and b.data.shape != (Cout,):
         raise ValueError(f"conv1d: bias shape {b.data.shape}")
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (P, P)))
-    win = sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]  # (B,Cin,T',K)
-    Tp = win.shape[2]
+    Tp = (T - 1) // stride + 1
+    # im2col: K strided slice copies of the padded input, each written
+    # straight into the layout the product below reads
+    xp = np.zeros((B, Cin, T + 2 * P))
+    xp[:, :, P : P + T] = xd
     W2 = w.data.reshape(Cout, Cin * K)
     inputs = (x, w) if b is None else (x, w, b)
     if not (_TAPES and any(t.requires_grad for t in inputs)):
@@ -301,14 +303,19 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         # get the same bits in a batch as alone. On a tape the single
         # product stays: backward reuses its columns, and training keeps
         # its bits.
-        cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2))
+        cols = np.empty((B, Cin, K, Tp))
+        for k in range(K):
+            cols[:, :, k] = xp[:, :, k : k + stride * Tp : stride]
         od = np.matmul(W2, cols.reshape(B, Cin * K, Tp))
         if b is not None:
             od = od + b.data[:, None]
         out = Tensor(od[0] if squeeze else od)
         _guard(out.data, "conv1d")
         return out
-    cols = np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(Cin * K, B * Tp)
+    cols = np.empty((Cin, K, B, Tp))
+    for k in range(K):
+        cols[:, k] = xp[:, :, k : k + stride * Tp : stride].transpose(1, 0, 2)
+    cols = cols.reshape(Cin * K, B * Tp)
     o2 = W2 @ cols
     od = np.ascontiguousarray(o2.reshape(Cout, B, Tp).transpose(1, 0, 2))
     if b is not None:
@@ -346,10 +353,13 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise ValueError("group_norm: affine shape mismatch")
     x4 = xd.reshape(B, groups, C // groups, T)
-    m = x4.mean(axis=(2, 3), keepdims=True)
-    v = x4.var(axis=(2, 3), keepdims=True)
+    # the arithmetic of np.mean and np.var, with one mean pass, not two;
+    # xh4 holds the deviations, then (in place) their standardized values
+    n = x4.shape[2] * x4.shape[3]
+    xh4 = x4 - x4.sum(axis=(2, 3), keepdims=True) / n
+    v = (xh4 * xh4).sum(axis=(2, 3), keepdims=True) / n
     inv = 1.0 / np.sqrt(v + GN_EPS)
-    xh4 = (x4 - m) * inv
+    xh4 *= inv
     xh = xh4.reshape(B, C, T)
     od = xh * gamma.data[:, None] + beta.data[:, None]
     out = Tensor(od[0] if squeeze else od)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsdm.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
-from tsdm.denoiser import DenoiserConfig, init_params
+from tsdm.denoiser import DenoiserConfig, init_params, param_layout
 
 
 @pytest.fixture()
@@ -77,3 +77,35 @@ def test_truncated_payload_rejected(tmp_path, small_params):
 def test_magic_constant():
     assert MAGIC == b"TSDM"
     assert VERSION == 1
+
+
+def test_dropped_tensor_rejected_at_load(tmp_path, small_params):
+    del small_params.tensors["mid.rb0.conv1.b"]
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"missing tensor mid\.rb0\.conv1\.b$"):
+        load_checkpoint(path)
+
+
+def test_reshaped_tensor_rejected_at_load(tmp_path, small_params):
+    t = small_params.tensors["stem.w"]
+    t.data = t.data.reshape(t.data.shape[0], 1, -1)
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"tensor stem\.w has shape"):
+        load_checkpoint(path)
+
+
+def test_extra_tensor_rejected_at_load(tmp_path, small_params):
+    small_params.tensors["head.extra"] = small_params.tensors["head.gn.g"]
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    with pytest.raises(ValueError, match=r"tensor head\.extra is not in"):
+        load_checkpoint(path)
+
+
+def test_param_layout_matches_init_params(small_params):
+    layout = param_layout(small_params.config)
+    assert list(layout) == list(small_params.tensors)
+    for name, t in small_params.items():
+        assert layout[name] == t.data.shape

@@ -4,6 +4,7 @@ algebraic identity and purity contracts."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tsdm import tensor as tc
 from tsdm.tensor import GradTape, Tensor
@@ -336,3 +337,127 @@ def test_property_fd_agreement(seed, kind):
         x = rng.uniform(-2, 2, (2, 6))
         k = rng.uniform(-1, 1, (2, 2, 3))
         _check_against_fd(lambda xx, kk: tc.conv1d(xx, kk), x, k)
+
+
+# ------------------------------------------------- reference kernels (bits)
+# The forward kernels as first written: np.pad + sliding_window_view for
+# conv1d, boolean-mask indexing for the sigmoid, np.mean + np.var for
+# group_norm. The ops must give the same bits forward, off and on a tape,
+# and the same tape gradients. Each reference returns (out, grads) for
+# the upstream gradient g.
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _ref_conv1d(xd, wd, bd, stride, g, on_tape):
+    B, Cin, T = xd.shape
+    Cout, _, K = wd.shape
+    P = (K - 1) // 2
+    xp = np.pad(xd, ((0, 0), (0, 0), (P, P)))
+    win = sliding_window_view(xp, K, axis=2)[:, :, ::stride, :]
+    Tp = win.shape[2]
+    W2 = wd.reshape(Cout, Cin * K)
+    if not on_tape:
+        cols = np.ascontiguousarray(win.transpose(0, 1, 3, 2))
+        return np.matmul(W2, cols.reshape(B, Cin * K, Tp)) + bd[:, None], None
+    cols = np.ascontiguousarray(win.transpose(1, 3, 0, 2)).reshape(Cin * K, B * Tp)
+    o2 = W2 @ cols
+    od = np.ascontiguousarray(o2.reshape(Cout, B, Tp).transpose(1, 0, 2))
+    g2 = np.ascontiguousarray(g.transpose(1, 0, 2)).reshape(Cout, B * Tp)
+    dW = (g2 @ cols.T).reshape(wd.shape)
+    dcols = (W2.T @ g2).reshape(Cin, K, B, Tp)
+    dxp = np.zeros((B, Cin, T + 2 * P))
+    for k in range(K):
+        dxp[:, :, k : k + stride * Tp : stride] += dcols[:, k].transpose(1, 0, 2)
+    return od + bd[:, None], (dxp[:, :, P : P + T], dW, g.sum(axis=(0, 2)))
+
+
+def _ref_silu(xd, g):
+    pos = xd >= 0
+    s = np.empty_like(xd)
+    s[pos] = 1.0 / (1.0 + np.exp(-xd[pos]))
+    e = np.exp(xd[~pos])
+    s[~pos] = e / (1.0 + e)
+    if g is None:
+        return xd * s, None
+    return xd * s, (g * (s * (1.0 + xd * (1.0 - s))),)
+
+
+def _ref_group_norm(xd, gd_, bd, groups, g):
+    B, C, T = xd.shape
+    x4 = xd.reshape(B, groups, C // groups, T)
+    m = x4.mean(axis=(2, 3), keepdims=True)
+    v = x4.var(axis=(2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(v + tc.GN_EPS)
+    xh4 = (x4 - m) * inv
+    xh = xh4.reshape(B, C, T)
+    out = xh * gd_[:, None] + bd[:, None]
+    if g is None:
+        return out, None
+    dxh4 = (g * gd_[:, None]).reshape(B, groups, C // groups, T)
+    mean_d = dxh4.mean(axis=(2, 3), keepdims=True)
+    mean_dx = (dxh4 * xh4).mean(axis=(2, 3), keepdims=True)
+    dx = ((dxh4 - mean_d - xh4 * mean_dx) * inv).reshape(B, C, T)
+    return out, (dx, (g * xh).sum(axis=(0, 2)), g.sum(axis=(0, 2)))
+
+
+def _against_reference(op, ref, arrays, rng):
+    """Op output off a tape, then output and gradients on a tape (upstream
+    gradient g), bit for bit against the reference."""
+    _assert_same_bits(op(*[Tensor(a) for a in arrays]).data,
+                      ref(*arrays, g=None, on_tape=False)[0])
+    leaves = [_leaf(a) for a in arrays]
+    with GradTape() as tape:
+        out = op(*leaves)
+        g = rng.standard_normal(out.data.shape)
+        loss = tc.sum_all(tc.mul(out, Tensor(g)))
+    grads = tape.backward(loss)
+    want, want_grads = ref(*arrays, g=g, on_tape=True)
+    _assert_same_bits(out.data, want)
+    for leaf, wg in zip(leaves, want_grads):
+        _assert_same_bits(grads[id(leaf)], wg)
+
+
+@pytest.mark.parametrize("K", [1, 3, 5])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("T", [9, 10])
+@pytest.mark.parametrize("B", [1, 3])
+def test_conv1d_matches_reference_bits(K, stride, T, B):
+    rng = np.random.default_rng([K, stride, T, B])
+    x = rng.uniform(-2, 2, (B, 4, T))
+    w = rng.uniform(-1, 1, (5, 4, K))
+    b = rng.uniform(-1, 1, 5)
+    _against_reference(
+        lambda xx, ww, bb: tc.conv1d(xx, ww, bb, stride=stride),
+        lambda xx, ww, bb, g, on_tape: _ref_conv1d(xx, ww, bb, stride, g,
+                                                   on_tape),
+        (x, w, b), rng)
+
+
+def test_silu_matches_reference_bits_in_the_tails():
+    rng = np.random.default_rng(13)
+    x = np.concatenate([[1e300, -1e300, 800.0, -800.0, 0.0, -0.0, 1e-300],
+                        rng.uniform(-30, 30, 25)]).reshape(4, 8)
+    _against_reference(tc.silu, lambda xx, g, on_tape: _ref_silu(xx, g),
+                       (x,), rng)
+
+
+def test_silu_nan_input_still_trips():
+    with pytest.raises(FloatingPointError):
+        tc.silu(Tensor(np.array([0.5, np.nan, -0.5])))
+
+
+@pytest.mark.parametrize("offset,spread", [(0.0, 1.0), (1e6, 1e-3),
+                                           (-3e8, 1e2), (0.0, 1e-6),
+                                           (5.0, 1e7)])
+def test_group_norm_matches_reference_bits(offset, spread):
+    rng = np.random.default_rng(14)
+    x = offset + spread * rng.standard_normal((3, 6, 16))
+    gamma = rng.uniform(0.5, 1.5, 6)
+    beta = rng.uniform(-1, 1, 6)
+    _against_reference(
+        lambda xx, gg, bb: tc.group_norm(xx, gg, bb, groups=3),
+        lambda xx, gg, bb, g, on_tape: _ref_group_norm(xx, gg, bb, 3, g),
+        (x, gamma, beta), rng)
