@@ -2,14 +2,18 @@
 
 Layout: magic "TSDM", little-endian u32 version, little-endian u64 header
 length, UTF-8 JSON header (network config, per-channel normalization
-stats, tensor table with name/shape/byte offset), then the concatenated
-tensor payload as raw little-endian float64. Round-trips are bit-exact.
-Loading checks the tensor table against the layout the header's config
-builds, so a missing, extra or misshapen tensor fails at load.
+stats, tensor table with name/shape/byte offset and, from version 2, the
+payload's SHA-256), then the concatenated tensor payload as raw
+little-endian float64. Round-trips are bit-exact. Loading checks the
+tensor table against the layout the header's config builds, so a
+missing, extra or misshapen tensor fails at load, and checks a version 2
+payload against its hash; version 1 files, which carry no hash, still
+load.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 from dataclasses import asdict
@@ -20,7 +24,7 @@ from .denoiser import DenoiserConfig, DenoiserParams, param_layout
 from .tensor import Tensor
 
 MAGIC = b"TSDM"
-VERSION = 1
+VERSION = 2  # the version save_checkpoint writes; load also reads 1
 
 
 def save_checkpoint(path, params: DenoiserParams,
@@ -39,6 +43,7 @@ def save_checkpoint(path, params: DenoiserParams,
         "config": asdict(params.config),
         "norm_mean": norm_mean.tolist(),
         "norm_std": norm_std.tolist(),
+        "payload_sha256": hashlib.sha256(b"".join(chunks)).hexdigest(),
         "tensors": table,
     }
     hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -58,7 +63,7 @@ def load_checkpoint(path):
     if blob[:4] != MAGIC:
         raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
     (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
+    if version not in (1, VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
     (hlen,) = struct.unpack_from("<Q", blob, 8)
     hstart, hend = 16, 16 + hlen
@@ -78,6 +83,10 @@ def load_checkpoint(path):
             raise ValueError(f"truncated payload for tensor {entry['name']}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         tensors[entry["name"]] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+    if version > 1 and (hashlib.sha256(payload).hexdigest()
+                        != header.get("payload_sha256")):
+        raise ValueError("checkpoint payload does not match its SHA-256 "
+                         "(corrupt file)")
     params = DenoiserParams(cfg, tensors)
     return (params,
             np.asarray(header["norm_mean"], dtype=np.float64),

@@ -87,8 +87,11 @@ def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig,
     stage 1 and then through stage 2 for the windows that branch. Each
     result is bit-identical to `recover` of that window alone with seeds
     seed^index. Failures are reported per index as WindowFailure entries
-    without aborting the remaining windows. `parallelism` is checked
-    (at least 1) but no longer changes how the windows run.
+    without aborting the remaining windows. `parallelism` is only
+    checked (at least 1): it does not change how the windows run. A
+    stacked denoiser call is split across the usable cores, a count
+    taken from the process's CPU affinity (see denoiser.predict_noise),
+    with the same bits.
     """
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
     if windows and any(w.shape != windows[0].shape for w in windows):

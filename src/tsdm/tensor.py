@@ -102,6 +102,11 @@ class GradTape:
         return result
 
 
+def taping() -> bool:
+    """Whether a GradTape is recording."""
+    return bool(_TAPES)
+
+
 def _guard(arr: np.ndarray, op: str) -> None:
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op}: non-finite values in result")
@@ -195,7 +200,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul: 2-D operands required")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims {a.data.shape} vs {b.data.shape}")
-    out = Tensor(a.data @ b.data)
+    if b.data.shape[1] > 1 and not (_TAPES and (a.requires_grad
+                                                or b.requires_grad)):
+        # Inference: one product per column of b, since the bits of one
+        # product over several columns can differ from a one-column
+        # product's, and a column must get the same bits with others as
+        # alone. On a tape the single product stays: training keeps its
+        # bits.
+        out = Tensor(np.matmul(a.data, b.data.T[:, :, None])[:, :, 0].T)
+    else:
+        out = Tensor(a.data @ b.data)
     _guard(out.data, "matmul")
     ad, bd = a.data, b.data
     _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))

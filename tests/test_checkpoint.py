@@ -1,3 +1,5 @@
+import hashlib
+import json
 import struct
 
 import numpy as np
@@ -76,7 +78,7 @@ def test_truncated_payload_rejected(tmp_path, small_params):
 
 def test_magic_constant():
     assert MAGIC == b"TSDM"
-    assert VERSION == 1
+    assert VERSION == 2
 
 
 def test_dropped_tensor_rejected_at_load(tmp_path, small_params):
@@ -109,3 +111,44 @@ def test_param_layout_matches_init_params(small_params):
     assert list(layout) == list(small_params.tensors)
     for name, t in small_params.items():
         assert layout[name] == t.data.shape
+
+
+def _header(blob):
+    (hlen,) = struct.unpack_from("<Q", blob, 8)
+    return json.loads(blob[16 : 16 + hlen]), 16 + hlen
+
+
+def test_saved_header_carries_payload_sha256(tmp_path, small_params):
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    blob = path.read_bytes()
+    header, hend = _header(blob)
+    assert struct.unpack_from("<I", blob, 4) == (2,)
+    assert header["payload_sha256"] == hashlib.sha256(blob[hend:]).hexdigest()
+
+
+def test_flipped_payload_byte_is_one_line_error(tmp_path, small_params):
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    blob = bytearray(path.read_bytes())
+    _, hend = _header(blob)
+    blob[hend + 100] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="SHA-256") as info:
+        load_checkpoint(path)
+    assert "\n" not in str(info.value)
+
+
+def test_version1_file_without_hash_still_loads(tmp_path, small_params):
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    blob = path.read_bytes()
+    header, hend = _header(blob)
+    del header["payload_sha256"]
+    hbytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    v1 = (MAGIC + struct.pack("<I", 1) + struct.pack("<Q", len(hbytes))
+          + hbytes + blob[hend:])
+    path.write_bytes(v1)
+    loaded, _, _ = load_checkpoint(path)
+    for name, t in small_params.items():
+        assert np.array_equal(loaded[name].data, t.data)

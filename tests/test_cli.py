@@ -212,6 +212,18 @@ def test_missing_input_is_runtime_failure(cli_env):
     assert "error:" in r.stderr
 
 
+def test_corrupt_checkpoint_is_runtime_failure(cli_env):
+    blob = bytearray((cli_env / "base/model.tsdm").read_bytes())
+    blob[-1] ^= 0x01  # a payload byte
+    (cli_env / "corrupt.tsdm").write_bytes(bytes(blob))
+    cfg = write_config(cli_env / "corrupt.cfg",
+                       checkpoint=cli_env / "corrupt.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x3", "recover",
+                "base/windows/00004.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "SHA-256" in r.stderr
+
+
 def test_unknown_config_key_is_runtime_failure(cli_env, tmp_path):
     bad = cli_env / "bad.cfg"
     bad.write_text("not_a_real_key = 3\n")

@@ -1,0 +1,200 @@
+"""Stacked predict_noise split across cores: same bits, same failures.
+
+A stack of at least 2 * SHARD_ROWS rows is cut into one shard per usable
+core; the caller runs the first and a thread pool the others. These
+tests pin that the split changes nothing a caller can see.
+"""
+
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import tsdm.denoiser as dn
+from tsdm.pipeline import TsdmConfig, recover, recover_batch
+from tsdm.schedule import make_subsequence
+from tsdm.stage1 import GuidanceConfig
+from tsdm.stage2 import ImputeConfig
+from tsdm.tensor import GradTape
+
+pytestmark = pytest.mark.skipif(
+    dn._usable_cores() < 2,
+    reason="one usable core: predict_noise never splits a stack")
+
+TAU = make_subsequence(100, 10)
+
+
+@pytest.fixture()
+def shards(monkeypatch):
+    """Record every _forward call: (thread name, rows, errstate, ended)."""
+    calls = []
+    forward = dn._forward
+
+    def spy(params, x, levels, column=None):
+        entry = {"thread": threading.current_thread().name,
+                 "rows": x.shape[0], "err": np.geterr(), "ended": False}
+        calls.append(entry)
+        try:
+            return forward(params, x, levels, column)
+        finally:
+            entry["ended"] = True
+
+    monkeypatch.setattr(dn, "_forward", spy)
+    return calls
+
+
+def _unsharded(monkeypatch, fn):
+    with monkeypatch.context() as m:
+        m.setattr(dn, "_usable_cores", lambda: 1)
+        return fn()
+
+
+@pytest.mark.parametrize("B", [32, 33, 47])
+@pytest.mark.parametrize("model", ["toy", "steady"])
+def test_sharded_predict_is_bit_identical_to_single(
+        toy_model, steady_fixture, shards, model, B):
+    params = toy_model if model == "toy" else steady_fixture[0]
+    M, T = (4, 16) if model == "toy" else (8, 64)
+    rng = np.random.default_rng(B)
+    xb = rng.standard_normal((B, M, T))
+    for n in (37, rng.integers(1, 101, size=B)):
+        shards.clear()
+        stacked = dn.predict_noise(params, xb, n)
+        assert len(shards) == 2
+        assert sum(c["rows"] for c in shards) == B
+        assert {c["thread"] for c in shards} != {"MainThread"}
+        steps = np.broadcast_to(n, (B,))
+        for b in range(B):
+            alone = dn.predict_noise(params, xb[b], int(steps[b]))
+            assert stacked[b].tobytes() == alone.tobytes()
+
+
+def test_sharded_recover_batch_is_bitwise_one_window_recovery(toy_model,
+                                                              shards):
+    cfg = TsdmConfig(guidance=GuidanceConfig(tau=TAU, seed=5),
+                     impute=ImputeConfig(tau=TAU, R=2, seed=5))
+    windows = [np.random.default_rng(60 + k).standard_normal((4, 16))
+               for k in range(40)]
+    for w in windows[:32]:  # 32 windows take stage 2, so it shards too
+        w[2, 4:12] = np.nan
+    batch = recover_batch(toy_model, windows, cfg)
+    assert any(c["thread"] != "MainThread" and c["rows"] >= 16
+               for c in shards)
+    for k, (window, res) in enumerate(zip(windows, batch)):
+        seed = 5 ^ k
+        alone = recover(toy_model, window, None, TsdmConfig(
+            guidance=GuidanceConfig(tau=TAU, seed=seed),
+            impute=ImputeConfig(tau=TAU, R=2, seed=seed)))
+        assert res.x_tilde.tobytes() == alone.x_tilde.tobytes()
+        assert res.outlier_mask.tobytes() == alone.outlier_mask.tobytes()
+        assert res.stage_taken == alone.stage_taken
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad_row", [0, 40])
+def test_failing_shard_raises_after_every_shard_returns(
+        toy_model, shards, monkeypatch, bad_row):
+    xb = np.random.default_rng(3).standard_normal((48, 4, 16))
+    xb[bad_row] = 1e300
+    forward = dn._forward
+
+    def slow_workers(*args):
+        if threading.current_thread().name != "MainThread":
+            time.sleep(0.2)  # the caller's shard fails long before this
+        return forward(*args)
+
+    monkeypatch.setattr(dn, "_forward", slow_workers)
+    with pytest.raises(Exception) as sharded:
+        dn.predict_noise(toy_model, xb, 50)
+    assert len(shards) == 2 and all(c["ended"] for c in shards)
+    with pytest.raises(Exception) as alone:
+        _unsharded(monkeypatch, lambda: dn.predict_noise(toy_model, xb, 50))
+    assert type(sharded.value) is type(alone.value) is FloatingPointError
+    assert str(sharded.value) == str(alone.value)
+
+
+def test_workers_run_under_the_callers_errstate(toy_model, shards,
+                                                monkeypatch):
+    xb = np.random.default_rng(4).standard_normal((32, 4, 16))
+    xb[-1] = 1e300  # in the worker's shard
+    with np.errstate(over="raise", under="ignore", invalid="warn",
+                     divide="ignore"):
+        caller = np.geterr()
+        with pytest.raises(FloatingPointError) as sharded:
+            dn.predict_noise(toy_model, xb, 50)
+        with pytest.raises(FloatingPointError) as alone:
+            _unsharded(monkeypatch,
+                       lambda: dn.predict_noise(toy_model, xb, 50))
+    assert len(shards) == 3 and all(c["err"] == caller for c in shards)
+    assert "overflow" in str(alone.value)
+    assert str(sharded.value) == str(alone.value)
+
+
+def test_nothing_shards_on_a_grad_tape(toy_model, shards):
+    xb = np.random.default_rng(5).standard_normal((64, 4, 16))
+    with GradTape():
+        taped = dn.predict_noise(toy_model, xb, 50)
+    assert [(c["thread"], c["rows"]) for c in shards] == [("MainThread", 64)]
+    assert np.all(np.isfinite(taped))
+
+
+def test_concurrent_callers_share_one_pool(toy_model, monkeypatch):
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(None)
+        return ThreadPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(dn, "_pool", None)
+    monkeypatch.setattr(dn, "ThreadPoolExecutor", counted)
+    stacks = [np.random.default_rng(70 + k).standard_normal((32, 4, 16))
+              for k in range(6)]
+    want = [[dn.predict_noise(toy_model, xb[b], 50).tobytes()
+             for b in range(32)] for xb in stacks]
+    got = [None] * len(stacks)
+
+    def call(k):
+        got[k] = [row.tobytes()
+                  for row in dn.predict_noise(toy_model, stacks[k], 50)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=call, args=(k,))
+                   for k in range(len(stacks))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == want
+    assert len(made) == 1
+
+
+def _predict_in_child(params, xb, conn):
+    conn.send(dn.predict_noise(params, xb, 50).tobytes())
+
+
+def test_forked_child_makes_sharded_calls(toy_model):
+    xb = np.random.default_rng(6).standard_normal((32, 4, 16))
+    want = dn.predict_noise(toy_model, xb, 50)  # the pool has a live worker
+    assert dn._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_predict_in_child, args=(toy_model, xb, send))
+    child.start()
+    try:
+        assert recv.poll(60), "sharded call in a forked child never returned"
+        assert recv.recv() == want.tobytes()
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert child.exitcode == 0
