@@ -359,9 +359,23 @@ class Adam:
             if g is None:
                 continue
             g = g * factor
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            t.data -= self.lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            # m = beta1 m + (1 - beta1) g and v = beta2 v + (1 - beta2) g g,
+            # in place and in that order
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            d = (1 - self.beta2) * g
+            d *= g
+            v += d
+            # lr (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, out=d)
+            d *= self.lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            d /= den
+            t.data -= d
 
 
 def training_step(params: DenoiserParams, batch: np.ndarray,

@@ -177,7 +177,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     # numerically stable in both tails: 1/(1+e^-x) for x >= 0 and
     # e^x/(1+e^x) below, both from e = e^-|x|; the in-place steps keep
     # training's peak memory where the masked form had it
-    e = np.exp(-np.abs(x))
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
     s = np.where(x >= 0, 1.0, e)
     e += 1.0
     s /= e
@@ -189,7 +191,17 @@ def silu(a: Tensor) -> Tensor:
     out = Tensor(a.data * s)
     _guard(out.data, "silu")
     ad = a.data
-    _record(out, (a,), lambda g: (g * (s * (1.0 + ad * (1.0 - s))),))
+
+    def bw(g):
+        # g * (s * (1 + x * (1 - s))), in one buffer and in that order
+        d = np.subtract(1.0, s)
+        d *= ad
+        d += 1.0
+        d *= s
+        d *= g
+        return (d,)
+
+    _record(out, (a,), bw)
     return out
 
 
@@ -216,20 +228,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _channel_major(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """einsum("oc,...ct->...ot", w, x), bit for bit, as one contraction
+    over a channel-major (C, B*T) copy of x: einsum's inner loop then
+    runs over B*T entries instead of T."""
+    *lead, C, T = x.shape
+    xc = x.reshape(-1, C, T).transpose(1, 0, 2).reshape(C, -1)
+    oc = np.einsum("oc,cn->on", w, xc).reshape(len(w), -1, T)
+    return np.ascontiguousarray(oc.transpose(1, 0, 2)).reshape(*lead, len(w), T)
+
+
 def channel_linear(w: Tensor, x: Tensor) -> Tensor:
     """Per-position linear map over the channel axis: (...,C,T) -> (...,Co,T)."""
     if w.data.ndim != 2 or w.data.shape[1] != x.data.shape[-2]:
         raise ValueError(f"channel_linear: {w.data.shape} vs {x.data.shape}")
-    out = Tensor(np.einsum("oc,...ct->...ot", w.data, x.data))
+    out = Tensor(_channel_major(w.data, x.data))
     _guard(out.data, "channel_linear")
     wd, xd = w.data, x.data
 
     def bw(g):
         gb = g.reshape((-1,) + g.shape[-2:])
         xb = xd.reshape((-1,) + xd.shape[-2:])
+        # the channel-major form of this contraction gives other bits
         dw = np.einsum("bot,bct->oc", gb, xb)
-        dx = np.einsum("oc,...ot->...ct", wd, g)
-        return dw, dx
+        return dw, _channel_major(wd.T, g)
 
     _record(out, (w, x), bw)
     return out
@@ -322,7 +344,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
             cols[:, :, k] = xp[:, :, k : k + stride * Tp : stride]
         od = np.matmul(W2, cols.reshape(B, Cin * K, Tp))
         if b is not None:
-            od = od + b.data[:, None]
+            od += b.data[:, None]
         out = Tensor(od[0] if squeeze else od)
         _guard(out.data, "conv1d")
         return out
@@ -333,7 +355,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     o2 = W2 @ cols
     od = np.ascontiguousarray(o2.reshape(Cout, B, Tp).transpose(1, 0, 2))
     if b is not None:
-        od = od + b.data[:, None]
+        od += b.data[:, None]
     out = Tensor(od[0] if squeeze else od)
     _guard(out.data, "conv1d")
 
@@ -341,13 +363,15 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         gd = g[None] if squeeze else g
         g2 = np.ascontiguousarray(gd.transpose(1, 0, 2)).reshape(Cout, B * Tp)
         dW = (g2 @ cols.T).reshape(w.data.shape)
-        dcols = (W2.T @ g2).reshape(Cin, K, B, Tp)
-        dxp = np.zeros((B, Cin, T + 2 * P))
-        for k in range(K):
-            dxp[:, :, k : k + stride * Tp : stride] += dcols[:, k].transpose(1, 0, 2)
-        dx = dxp[:, :, P : P + T] if P else dxp
-        if squeeze:
-            dx = dx[0]
+        dx = None  # the stem's input, x_n, takes no gradient
+        if x.requires_grad:
+            dcols = (W2.T @ g2).reshape(Cin, K, B, Tp)
+            dxp = np.zeros((B, Cin, T + 2 * P))
+            for k in range(K):
+                dxp[:, :, k : k + stride * Tp : stride] += dcols[:, k].transpose(1, 0, 2)
+            dx = dxp[:, :, P : P + T] if P else dxp
+            if squeeze:
+                dx = dx[0]
         db = None if b is None else gd.sum(axis=(0, 2))
         return (dx, dW, db) if b is not None else (dx, dW)
 
@@ -375,7 +399,8 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     inv = 1.0 / np.sqrt(v + GN_EPS)
     xh4 *= inv
     xh = xh4.reshape(B, C, T)
-    od = xh * gamma.data[:, None] + beta.data[:, None]
+    od = xh * gamma.data[:, None]
+    od += beta.data[:, None]
     out = Tensor(od[0] if squeeze else od)
     _guard(out.data, "group_norm")
 
@@ -386,7 +411,11 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
         dxh4 = (gd * gamma.data[:, None]).reshape(B, groups, C // groups, T)
         mean_d = dxh4.mean(axis=(2, 3), keepdims=True)
         mean_dx = (dxh4 * xh4).mean(axis=(2, 3), keepdims=True)
-        dx = ((dxh4 - mean_d - xh4 * mean_dx) * inv).reshape(B, C, T)
+        # ((dxh4 - mean_d - xh4 * mean_dx) * inv), in place in dxh4
+        dxh4 -= mean_d
+        dxh4 -= xh4 * mean_dx
+        dxh4 *= inv
+        dx = dxh4.reshape(B, C, T)
         if squeeze:
             dx = dx[0]
         return dx, dgamma, dbeta
@@ -398,9 +427,9 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
 # ----------------------------------------------------------------- attention
 
 def softmax_last(z: Tensor) -> Tensor:
-    zd = z.data - z.data.max(axis=-1, keepdims=True)
-    e = np.exp(zd)
-    yd = e / e.sum(axis=-1, keepdims=True)
+    yd = z.data - z.data.max(axis=-1, keepdims=True)
+    np.exp(yd, out=yd)
+    yd /= yd.sum(axis=-1, keepdims=True)
     out = Tensor(yd)
     _guard(out.data, "softmax")
     _record(out, (z,), lambda g: (yd * (g - (g * yd).sum(axis=-1, keepdims=True)),))

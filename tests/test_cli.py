@@ -14,7 +14,7 @@ import pytest
 
 from clirun import run_cli
 
-from tsdm.dataio import load_mask_csv, load_matrix_csv
+from tsdm.dataio import load_mask_csv, load_matrix_csv, save_matrix_csv
 from tsdm.metrics import detection_metrics
 
 TINY = {
@@ -222,6 +222,30 @@ def test_corrupt_checkpoint_is_runtime_failure(cli_env):
                 "base/windows/00004.csv", cwd=cli_env)
     assert r.returncode == 2
     assert r.stderr.count("\n") == 1 and "SHA-256" in r.stderr
+
+
+def test_channel_count_mismatch_is_runtime_failure(cli_env):
+    x, _ = load_matrix_csv(cli_env / "base/windows/00004.csv")
+    save_matrix_csv(cli_env / "three.csv", x[:3])
+    cfg = write_config(cli_env / "three.cfg",
+                       checkpoint=cli_env / "base/model.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x4", "recover", "three.csv",
+                cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert "3 channels but the model takes 4" in r.stderr
+
+
+def test_all_missing_window_is_runtime_failure(cli_env):
+    x, _ = load_matrix_csv(cli_env / "base/windows/00004.csv")
+    save_matrix_csv(cli_env / "void.csv", np.full_like(x, np.nan))
+    cfg = write_config(cli_env / "void.cfg",
+                       checkpoint=cli_env / "base/model.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x5", "recover", "void.csv",
+                cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "no observed entries" in r.stderr
+    assert not (cli_env / "x5" / "recovered.csv").exists()
 
 
 def test_unknown_config_key_is_runtime_failure(cli_env, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,61 @@ def test_trained_toy_approaches_analytic_predictor(toy_model, sched100):
         x_n = np.sqrt(a) * x0 + np.sqrt(1 - a) * eps
         pred = predict_noise(toy_model, x_n, np.full(64, n))
         assert np.mean((pred - np.sqrt(1 - a) * x_n) ** 2) < 0.05
+
+
+# ---------------------------------------------- Adam before in place (bits)
+
+def _prior_adam_steps(values, grad_steps, lr, clip):
+    """Adam.step as first written, with new m and v arrays every step, on
+    copies of the parameter values; returns (values, m, v) per step."""
+    values = {k: a.copy() for k, a in values.items()}
+    m = {k: np.zeros_like(a) for k, a in values.items()}
+    v = {k: np.zeros_like(a) for k, a in values.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    states = []
+    for t, gs in enumerate(grad_steps, start=1):
+        total = math.sqrt(sum(float(np.sum(g * g)) for g in gs.values()
+                              if g is not None))
+        factor = clip / total if total > clip else 1.0
+        c1 = 1.0 - beta1**t
+        c2 = 1.0 - beta2**t
+        for k in values:
+            g = gs[k]
+            if g is None:
+                continue
+            g = g * factor
+            m[k] = beta1 * m[k] + (1 - beta1) * g
+            v[k] = beta2 * v[k] + (1 - beta2) * g * g
+            values[k] -= lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+        states.append(({k: a.copy() for k, a in values.items()},
+                       {k: a.copy() for k, a in m.items()},
+                       {k: a.copy() for k, a in v.items()}))
+    return states
+
+
+@pytest.mark.parametrize("clip", [1e-2, 1e6])  # clipping active, inactive
+def test_adam_step_matches_prior_bits(clip):
+    params = init_params(DenoiserConfig(channels_in=2, base_width=4, depth=1,
+                                        time_embed_dim=4), seed=8)
+    start = {k: t.data.copy() for k, t in params.items()}
+    rng = np.random.default_rng(9)
+    skipped = "head.conv.b"  # a parameter the loss did not reach
+    grad_steps = [{k: None if k == skipped else
+                   rng.standard_normal(a.shape) * 10.0 ** rng.integers(-4, 2)
+                   for k, a in start.items()} for _ in range(5)]
+    total = math.sqrt(sum(float(np.sum(g * g)) for g in grad_steps[0].values()
+                          if g is not None))
+    assert (total > clip) == (clip < 1.0)
+    opt = Adam(params, lr=3e-3, grad_clip=clip)
+    want = _prior_adam_steps(start, grad_steps, 3e-3, clip)
+    for gs, (w_values, w_m, w_v) in zip(grad_steps, want):
+        grads = {id(t): gs[k] for k, t in params.items()}
+        kept = {k: None if g is None else g.copy() for k, g in gs.items()}
+        opt.step(grads)
+        for k, t in params.items():
+            assert t.data.tobytes() == w_values[k].tobytes(), k
+            assert opt.m[k].tobytes() == w_m[k].tobytes(), k
+            assert opt.v[k].tobytes() == w_v[k].tobytes(), k
+            if gs[k] is not None:  # the gradients are left as they were
+                assert gs[k].tobytes() == kept[k].tobytes(), k
+    assert params[skipped].data.tobytes() == start[skipped].tobytes()

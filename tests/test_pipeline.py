@@ -246,3 +246,37 @@ def test_bad_window_leaves_batch_bitwise(toy_model):
     for k in (0, 1, 2, 4, 5):
         assert np.array_equal(hit[k].x_tilde, ref[k].x_tilde)
         assert hit[k].stage_taken == ref[k].stage_taken
+
+
+# ------------------------------------------------------------- bad windows
+
+
+def test_channel_count_mismatch_names_both_counts(toy_model):
+    y0 = np.random.default_rng(50).standard_normal((3, 16))
+    with pytest.raises(ValueError, match="3 channels but the model takes 4"):
+        recover(toy_model, y0, None, make_cfg())
+    # checked before the normalization stats, which are the model's size
+    with pytest.raises(ValueError, match="3 channels but the model takes 4"):
+        recover(toy_model, y0, None, make_cfg(), norm_mean=np.zeros(4),
+                norm_std=np.ones(4))
+
+
+def test_all_missing_window_is_an_error(toy_model):
+    with pytest.raises(ValueError, match="no observed entries") as info:
+        recover(toy_model, np.full((4, 16), np.nan), None, make_cfg())
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError, match="no observed entries"):
+        recover(toy_model, toy_window(51), np.zeros((4, 16)), make_cfg())
+
+
+def test_all_missing_window_fails_alone_in_a_batch(toy_model):
+    windows = _mixed_windows()
+    windows[2] = np.full((4, 16), np.nan)
+    batch = recover_batch(toy_model, windows, make_cfg(seed=12))
+    assert isinstance(batch[2], WindowFailure) and batch[2].index == 2
+    assert "no observed entries" in batch[2].error
+    for k in (0, 1, 3, 4, 5):
+        alone = recover(toy_model, windows[k], None, make_cfg(seed=12 ^ k))
+        assert np.array_equal(batch[k].x_tilde, alone.x_tilde)
+        assert np.array_equal(batch[k].outlier_mask, alone.outlier_mask)
+        assert batch[k].stage_taken == alone.stage_taken

@@ -461,3 +461,182 @@ def test_group_norm_matches_reference_bits(offset, spread):
         lambda xx, gg, bb: tc.group_norm(xx, gg, bb, groups=3),
         lambda xx, gg, bb, g, on_tape: _ref_group_norm(xx, gg, bb, 3, g),
         (x, gamma, beta), rng)
+
+
+# ------------------------------------------ tape kernels before in place (bits)
+# The tape-path kernels as they were before their temporaries went in
+# place and channel_linear went channel-major: silu's sigmoid chain and
+# backward factor, group_norm's affine step and backward, conv1d's
+# on-tape product, bias add and col2im backward, softmax's exp and
+# normalization, and channel_linear's einsum over T. Each returns (out, grads or None) for the upstream
+# gradient g; an op must match it bit for bit off and on a tape.
+
+def _prior_silu(xd, g):
+    e = np.exp(-np.abs(xd))
+    s = np.where(xd >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    if g is None:
+        return xd * s, None
+    return xd * s, (g * (s * (1.0 + xd * (1.0 - s))),)
+
+
+def _prior_group_norm(xd, gd_, bd, groups, g):
+    squeeze = xd.ndim == 2
+    x3 = xd[None] if squeeze else xd
+    B, C, T = x3.shape
+    x4 = x3.reshape(B, groups, C // groups, T)
+    n = x4.shape[2] * x4.shape[3]
+    xh4 = x4 - x4.sum(axis=(2, 3), keepdims=True) / n
+    v = (xh4 * xh4).sum(axis=(2, 3), keepdims=True) / n
+    inv = 1.0 / np.sqrt(v + tc.GN_EPS)
+    xh4 *= inv
+    xh = xh4.reshape(B, C, T)
+    od = xh * gd_[:, None] + bd[:, None]
+    out = od[0] if squeeze else od
+    if g is None:
+        return out, None
+    g3 = g[None] if squeeze else g
+    dxh4 = (g3 * gd_[:, None]).reshape(B, groups, C // groups, T)
+    mean_d = dxh4.mean(axis=(2, 3), keepdims=True)
+    mean_dx = (dxh4 * xh4).mean(axis=(2, 3), keepdims=True)
+    dx = ((dxh4 - mean_d - xh4 * mean_dx) * inv).reshape(B, C, T)
+    return out, (dx[0] if squeeze else dx, (g3 * xh).sum(axis=(0, 2)),
+                 g3.sum(axis=(0, 2)))
+
+
+def _prior_conv1d_on_tape(xd, wd, bd, stride, g):
+    squeeze = xd.ndim == 2
+    x3 = xd[None] if squeeze else xd
+    B, Cin, T = x3.shape
+    Cout, _, K = wd.shape
+    P = (K - 1) // 2
+    Tp = (T - 1) // stride + 1
+    xp = np.zeros((B, Cin, T + 2 * P))
+    xp[:, :, P : P + T] = x3
+    W2 = wd.reshape(Cout, Cin * K)
+    cols = np.empty((Cin, K, B, Tp))
+    for k in range(K):
+        cols[:, k] = xp[:, :, k : k + stride * Tp : stride].transpose(1, 0, 2)
+    cols = cols.reshape(Cin * K, B * Tp)
+    od = np.ascontiguousarray((W2 @ cols).reshape(Cout, B, Tp).transpose(1, 0, 2))
+    od = od + bd[:, None]
+    g3 = g[None] if squeeze else g
+    g2 = np.ascontiguousarray(g3.transpose(1, 0, 2)).reshape(Cout, B * Tp)
+    dW = (g2 @ cols.T).reshape(wd.shape)
+    dcols = (W2.T @ g2).reshape(Cin, K, B, Tp)
+    dxp = np.zeros((B, Cin, T + 2 * P))
+    for k in range(K):
+        dxp[:, :, k : k + stride * Tp : stride] += dcols[:, k].transpose(1, 0, 2)
+    dx = dxp[:, :, P : P + T]
+    return (od[0] if squeeze else od), (dx[0] if squeeze else dx, dW,
+                                        g3.sum(axis=(0, 2)))
+
+
+def _prior_channel_linear(wd, xd, g):
+    out = np.einsum("oc,...ct->...ot", wd, xd)
+    if g is None:
+        return out, None
+    gb = g.reshape((-1,) + g.shape[-2:])
+    xb = xd.reshape((-1,) + xd.shape[-2:])
+    return out, (np.einsum("bot,bct->oc", gb, xb),
+                 np.einsum("oc,...ot->...ct", wd, g))
+
+
+def _prior_softmax_last(zd, g):
+    zd = zd - zd.max(axis=-1, keepdims=True)
+    e = np.exp(zd)
+    yd = e / e.sum(axis=-1, keepdims=True)
+    if g is None:
+        return yd, None
+    return yd, (yd * (g - (g * yd).sum(axis=-1, keepdims=True)),)
+
+
+def _against_prior(op, ref, arrays, needs_grad, rng, off_tape=True):
+    """Op output off a tape (unless off_tape is False), then output and
+    the gradients of the inputs flagged in needs_grad on a tape, bit for
+    bit against the reference."""
+    if off_tape:
+        _assert_same_bits(op(*[Tensor(a) for a in arrays]).data,
+                          ref(*arrays, g=None)[0])
+    ins = [Tensor(a, requires_grad=r) for a, r in zip(arrays, needs_grad)]
+    with GradTape() as tape:
+        out = op(*ins)
+        g = rng.standard_normal(out.data.shape)
+        loss = tc.sum_all(tc.mul(out, Tensor(g)))
+    grads = tape.backward(loss)
+    want, want_grads = ref(*arrays, g=g)
+    _assert_same_bits(out.data, want)
+    assert set(grads) == {id(t) for t in ins if t.requires_grad}
+    for t, wg in zip(ins, want_grads):
+        if t.requires_grad:
+            _assert_same_bits(grads[id(t)], wg)
+
+
+@pytest.mark.parametrize("shape,K,stride,x_grad", [
+    ((1, 4, 10), 3, 1, True),   # B = 1
+    ((4, 10), 3, 1, True),      # one (C, T) matrix
+    ((4, 9), 5, 2, True),
+    ((3, 4, 9), 3, 2, True),    # stride 2
+    ((2, 4, 8), 1, 1, True),    # K = 1
+    ((2, 4, 8), 1, 2, True),
+    ((3, 4, 10), 3, 1, False),  # input without grad, as the stem's x_n
+    ((4, 9), 5, 2, False),
+])
+def test_conv1d_tape_matches_prior_bits(shape, K, stride, x_grad):
+    rng = np.random.default_rng([len(shape), shape[-1], K, stride, x_grad])
+    x = rng.uniform(-2, 2, shape)
+    w = rng.uniform(-1, 1, (5, 4, K))
+    b = rng.uniform(-1, 1, 5)
+    _against_prior(
+        lambda xx, ww, bb: tc.conv1d(xx, ww, bb, stride=stride),
+        lambda xx, ww, bb, g: _prior_conv1d_on_tape(xx, ww, bb, stride, g),
+        (x, w, b), (x_grad, True, True), rng, off_tape=False)
+
+
+@pytest.mark.parametrize("shape", [(1, 5, 7), (5, 7), (3, 6, 8), (2, 3, 4, 5)])
+def test_silu_tape_matches_prior_bits(shape):
+    rng = np.random.default_rng(list(shape))
+    x = rng.uniform(-30, 30, shape)
+    x.flat[:4] = (1e300, -800.0, -0.0, 1e-300)
+    _against_prior(tc.silu, _prior_silu, (x,), (True,), rng)
+
+
+@pytest.mark.parametrize("shape,x_grad", [((1, 6, 16), True), ((6, 16), True),
+                                          ((3, 6, 10), True),
+                                          ((3, 6, 10), False),
+                                          ((6, 16), False)])
+def test_group_norm_tape_matches_prior_bits(shape, x_grad):
+    rng = np.random.default_rng([len(shape), shape[-1], x_grad])
+    x = 5.0 + 3.0 * rng.standard_normal(shape)
+    gamma = rng.uniform(0.5, 1.5, 6)
+    beta = rng.uniform(-1, 1, 6)
+    _against_prior(
+        lambda xx, gg, bb: tc.group_norm(xx, gg, bb, groups=3),
+        lambda xx, gg, bb, g: _prior_group_norm(xx, gg, bb, 3, g),
+        (x, gamma, beta), (x_grad, True, True), rng)
+
+
+@pytest.mark.parametrize("shape,grad", [
+    ((32, 48, 16), (True, True)),   # the steady fixture's bottleneck
+    ((1, 48, 16), (True, True)),    # B = 1
+    ((48, 16), (True, True)),       # one (C, T) matrix
+    ((3, 32, 4), (True, True)),     # the toy fixture's bottleneck
+    ((2, 3, 7, 9), (True, True)),
+    ((5, 12, 16), (True, False)),   # input without grad
+    ((5, 12, 16), (False, True)),
+])
+def test_channel_linear_matches_prior_bits(shape, grad):
+    rng = np.random.default_rng(list(shape))
+    C = shape[-2]
+    w = rng.standard_normal((C, C)) / np.sqrt(C)
+    x = rng.standard_normal(shape)
+    _against_prior(tc.channel_linear, _prior_channel_linear, (w, x), grad, rng)
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 16), (3, 5, 7), (4, 9), (2, 64, 64)])
+def test_softmax_matches_prior_bits(shape):
+    rng = np.random.default_rng(list(shape))
+    z = rng.standard_normal(shape) * 30.0
+    z.flat[:3] = (700.0, -700.0, 0.0)
+    _against_prior(tc.softmax_last, _prior_softmax_last, (z,), (True,), rng)
