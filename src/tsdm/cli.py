@@ -151,7 +151,19 @@ def _write_manifest(out: Path, args, cfg: RunConfig) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    (path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n")
+
+
+def _load_truth(path, shape=None) -> np.ndarray:
+    """The clean reference at `path`: finite, and of `shape` if given."""
+    truth, _ = load_matrix_csv(path)
+    if shape is not None and truth.shape != shape:
+        raise ValueError(f"truth file {path} has shape {truth.shape} but "
+                         f"the input has {shape}")
+    if not np.all(np.isfinite(truth)):
+        raise ValueError(f"truth file {path} has a non-finite entry")
+    return truth
 
 
 # ------------------------------------------------------------- subcommands
@@ -199,6 +211,7 @@ def cmd_train(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
     y0, header = load_matrix_csv(args.input)
+    truth = _load_truth(args.truth, y0.shape) if args.truth else None
     known = load_mask_csv(args.mask) if args.mask else None
     params, mean, std = load_checkpoint(_checkpoint_path(cfg, out))
     t0 = time.perf_counter()
@@ -211,8 +224,7 @@ def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
         "stage_taken": res.stage_taken,
         "outlier_fraction": res.outlier_fraction,
     }
-    if args.truth:
-        truth, _ = load_matrix_csv(args.truth)
+    if truth is not None:
         missing = np.ones_like(y0) if known is None else known.copy()
         missing[~np.isfinite(y0)] = 0.0
         # Empty missing set: nothing was imputed, so the error there is 0.
@@ -239,8 +251,8 @@ def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, args, out: Path) -> None:
-    truth, _ = load_matrix_csv(args.truth)
     recovered, _ = load_matrix_csv(args.recovered)
+    truth = _load_truth(args.truth, recovered.shape)
     metrics = {"weighted_rmse": weighted_rmse(
         truth, recovered, make_weights(cfg, truth.shape[0]))}
     if args.loss_mask:
@@ -275,7 +287,7 @@ def _ratio_attack(cfg: RunConfig, ratio: float, M: int, T: int) -> AttackSpec:
 
 
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
-    truth, _ = load_matrix_csv(args.truth)
+    truth = _load_truth(args.truth)
     M, T = truth.shape
     params, mean, std = load_checkpoint(_checkpoint_path(cfg, out))
     axis = cfg.sweep_axis

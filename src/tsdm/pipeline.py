@@ -88,9 +88,9 @@ def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig,
     stage 1 and then through stage 2 for the windows that branch. Each
     result is bit-identical to `recover` of that window alone with seeds
     seed^index. Failures are reported per index as WindowFailure entries
-    without aborting the remaining windows. `parallelism` is only
-    checked (at least 1): it does not change how the windows run. A
-    stacked denoiser call is split across the usable cores, a count
+    without aborting the remaining windows. `parallelism` is deprecated:
+    it is only checked (at least 1) and does not change how the windows
+    run. A stacked denoiser call is split across the usable cores, a count
     taken from the process's CPU affinity (see denoiser.predict_noise),
     with the same bits.
     """

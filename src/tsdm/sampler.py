@@ -14,6 +14,10 @@ The expectation is estimated per call from the provided prediction
 expanded in (x, eps_pred, eps_draw); the two agree to rounding error.
 
 The final step to tau_1 is closed by estimate_x0, not another update.
+
+reverse_lockstep is the one reverse loop: unconditional sampling, stage
+1 and stage 2 each run it with their own per-step update, a stack of
+windows in lockstep with one predict_noise call per pass.
 """
 
 from __future__ import annotations
@@ -150,33 +154,89 @@ def detailed_step(x_cur: np.ndarray, eps_pred: np.ndarray, i: int,
     return x_coef * x_cur + c.gamma * c.sigma_bar * eps_draw + e_coef * eps_pred
 
 
+def reverse_step(x: np.ndarray, eps: np.ndarray, i: int,
+                 sched: VarianceSchedule, tau: Subsequence,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Step from position i with the noise estimate eps: improved_step
+    with a fresh draw from rng, or at i = 1 the closing estimate_x0."""
+    if i == 1:
+        return estimate_x0(x, eps, int(tau.tau[0]), sched)
+    return improved_step(x, eps, i, sched, tau, rng.standard_normal(x.shape))
+
+
 def unconditional_sample(params: DenoiserParams, shape: tuple,
                          sched: VarianceSchedule, tau: Subsequence,
                          rng: np.random.Generator, trace: bool = False):
-    """Generate from pure noise down the subsequence; close with estimate_x0."""
-    x = rng.standard_normal(shape)
-    rec = SamplerTrace() if trace else None
-    for i in range(tau.s, 1, -1):
-        t0 = time.perf_counter()
+    """Generate an (M, T) window from pure noise down the subsequence;
+    close with estimate_x0. With trace, returns (x0, SamplerTrace)."""
+    def update(b, rng, x, eps_pred, i, r):
+        return reverse_step(x, eps_pred, i, sched, tau, rng), eps_pred
+
+    return reverse_lockstep(params, rng, shape, sched, tau, update,
+                            trace=trace)
+
+
+def window_rngs(y0: np.ndarray, seed: int, seeds=None):
+    """The generator of an (M, T) window, default_rng(seed), or the list
+    of a (B, M, T) stack's, default_rng(seeds[b]) with seed ^ b by
+    default."""
+    if y0.ndim == 2:
+        return np.random.default_rng(seed)
+    if seeds is None:
+        seeds = [seed ^ b for b in range(len(y0))]
+    return [np.random.default_rng(s) for s in seeds]
+
+
+def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
+                     sched: VarianceSchedule, tau: Subsequence, update,
+                     R: int = 1, trace: bool = False, failed=None):
+    """Run the reverse process down tau for one window per generator in
+    rngs, all windows in lockstep: one predict_noise call per pass.
+
+    Window b starts from rngs[b].standard_normal(shape). It takes R
+    passes at each position i = s..2 and one closing pass at i = 1,
+    each x, eps = update(b, rngs[b], x, eps_pred, i, r) for r = 1..R,
+    where eps_pred is the prediction at tau_i and eps the noise estimate
+    the update stepped with. A latent that turns non-finite fails its
+    window; so does failed[b], before the first pass. With trace, a
+    window's result is (x0, SamplerTrace), whose sigma_bar is taken
+    from eps (0 at the close).
+
+    Returns per window its result or the exception it failed with. A
+    lone Generator for rngs is a one-window call: it returns that
+    window's result and raises its failure.
+    """
+    one = isinstance(rngs, np.random.Generator)
+    rngs = [rngs] if one else rngs
+    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
+    for b, error in (failed or {}).items():
+        stack.drop(b, error)
+    traces = [SamplerTrace() for _ in rngs]
+    for i in range(tau.s, 0, -1):
         t_cur = int(tau.tau[i - 1])
-        eps_pred = predict_noise(params, x, t_cur)
-        eps_draw = rng.standard_normal(shape)
-        x = improved_step(x, eps_pred, i, sched, tau, eps_draw)
-        if not np.all(np.isfinite(x)):
-            raise RuntimeError(f"non-finite latent at step tau={t_cur}")
-        if rec is not None:
-            sb = math.sqrt(optimal_variance(eps_pred, t_cur, sched))
-            rec.add(t_cur, sb, (time.perf_counter() - t0) * 1e3)
-    t0 = time.perf_counter()
-    t1 = int(tau.tau[0])
-    eps_pred = predict_noise(params, x, t1)
-    x0 = estimate_x0(x, eps_pred, t1, sched)
-    if not np.all(np.isfinite(x0)):
-        raise RuntimeError(f"non-finite latent at step tau={t1}")
-    if rec is not None:
-        rec.add(t1, 0.0, (time.perf_counter() - t0) * 1e3)
-        return x0, rec
-    return x0
+        for r in range(1, (R if i > 1 else 1) + 1):
+            t0 = time.perf_counter()
+            sigma_bar = {}
+
+            def step(b, x, eps_pred):
+                x, eps = update(b, rngs[b], x, eps_pred, i, r)
+                if trace:
+                    sigma_bar[b] = 0.0 if i == 1 else math.sqrt(
+                        optimal_variance(eps, t_cur, sched))
+                if not np.all(np.isfinite(x)):
+                    raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+                return x
+
+            stack.step(params, t_cur, step)
+            if trace:
+                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                for b in stack.rows:
+                    traces[b].add(t_cur, sigma_bar[b], elapsed_ms)
+    outs = [out if isinstance(out, Exception) or not trace
+            else (out, traces[b]) for b, out in enumerate(stack.outcomes())]
+    if one and isinstance(outs[0], Exception):
+        raise outs[0]
+    return outs[0] if one else outs
 
 
 class Lockstep:

@@ -14,15 +14,13 @@ per-channel standard deviations of y0 are flagged as untrusted.
 
 from __future__ import annotations
 
-import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .denoiser import DenoiserParams
-from .sampler import (Lockstep, SamplerTrace, estimate_x0, improved_step,
-                      optimal_variance)
+from .sampler import (forward_diffuse, reverse_lockstep, reverse_step,
+                      window_rngs)
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -53,12 +51,8 @@ def _alpha_at(i: int, sched: VarianceSchedule, tau: Subsequence) -> float:
 def condition_noisy(y0: np.ndarray, eps_pred: np.ndarray, i: int,
                     sched: VarianceSchedule, tau: Subsequence) -> np.ndarray:
     """Diffuse the conditioner to level tau_i reusing the predicted noise."""
-    y0 = np.asarray(y0, dtype=np.float64)
-    eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    if y0.shape != eps_pred.shape:
-        raise ValueError(f"shape mismatch {y0.shape} vs {eps_pred.shape}")
-    a = _alpha_at(i, sched, tau)
-    return np.sqrt(a) * y0 + np.sqrt(1.0 - a) * eps_pred
+    _alpha_at(i, sched, tau)  # checks the position
+    return forward_diffuse(y0, int(tau.tau[i - 1]), eps_pred, sched)
 
 
 def corrected_noise(eps_pred: np.ndarray, y_noisy: np.ndarray,
@@ -82,7 +76,7 @@ def stage1_recover(params: DenoiserParams, y0: np.ndarray,
     """Guided reverse process from pure noise; returns (x0', trace).
 
     y0 is one (M, T) window or a (B, M, T) stack. A stack runs in
-    lockstep (sampler.Lockstep); window b draws from its own
+    lockstep (sampler.reverse_lockstep); window b draws from its own
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to recovering
     it alone with that seed. For a stack the result is a list holding,
@@ -91,49 +85,17 @@ def stage1_recover(params: DenoiserParams, y0: np.ndarray,
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim not in (2, 3):
         raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
-    if y0.ndim == 2:
-        out = _stage1_stack(params, y0[None], cfg, sched, [cfg.seed])[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
-    if seeds is None:
-        seeds = [cfg.seed ^ b for b in range(len(y0))]
-    return _stage1_stack(params, y0, cfg, sched, seeds)
+    rngs = window_rngs(y0, cfg.seed, seeds)
+    windows, tau = y0.reshape((-1,) + y0.shape[-2:]), cfg.tau
 
+    def update(b, rng, x, eps_pred, i, r):
+        y_noisy = condition_noisy(windows[b], eps_pred, i, sched, tau)
+        eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega, sched,
+                                  tau)
+        return reverse_step(x, eps_hat, i, sched, tau, rng), eps_hat
 
-def _stage1_stack(params, y0, cfg, sched, seeds):
-    tau = cfg.tau
-    shape = y0.shape[1:]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    traces = [SamplerTrace() for _ in rngs]
-    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
-    for i in range(tau.s, 0, -1):
-        t0 = time.perf_counter()
-        t_cur = int(tau.tau[i - 1])
-        sigma_bar = {}
-
-        def update(b, x, eps_pred):
-            y_noisy = condition_noisy(y0[b], eps_pred, i, sched, tau)
-            eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega,
-                                      sched, tau)
-            if i == 1:
-                x = estimate_x0(x, eps_hat, t_cur, sched)
-                sigma_bar[b] = 0.0
-            else:
-                eps_draw = rngs[b].standard_normal(shape)
-                x = improved_step(x, eps_hat, i, sched, tau, eps_draw)
-                sigma_bar[b] = math.sqrt(
-                    optimal_variance(eps_hat, t_cur, sched))
-            if not np.all(np.isfinite(x)):
-                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
-            return x
-
-        stack.step(params, t_cur, update)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        for b in stack.rows:
-            traces[b].add(t_cur, sigma_bar[b], elapsed_ms)
-    return [out if isinstance(out, Exception) else (out, traces[b])
-            for b, out in enumerate(stack.outcomes())]
+    return reverse_lockstep(params, rngs, y0.shape[-2:], sched, tau, update,
+                            trace=True)
 
 
 def detect_outliers(x0_prime: np.ndarray, y0: np.ndarray) -> OutlierReport:

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import DenoiserParams
-from .sampler import Lockstep, detailed_step, estimate_x0
+from .sampler import (detailed_step, estimate_x0, forward_diffuse,
+                      reverse_lockstep, window_rngs)
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -47,12 +48,7 @@ def diffuse_known(y0: np.ndarray, i: int, sched: VarianceSchedule,
     """Forward-diffuse the trusted data to level tau_{i-1}."""
     if not 2 <= i <= tau.s:
         raise ValueError(f"subsequence position {i} outside 2..{tau.s}")
-    y0 = np.asarray(y0, dtype=np.float64)
-    eps1 = np.asarray(eps1, dtype=np.float64)
-    if y0.shape != eps1.shape:
-        raise ValueError(f"shape mismatch {y0.shape} vs {eps1.shape}")
-    a_prev = sched.alpha_bar_at(int(tau.tau[i - 2]))
-    return np.sqrt(a_prev) * y0 + np.sqrt(1.0 - a_prev) * eps1
+    return forward_diffuse(y0, int(tau.tau[i - 2]), eps1, sched)
 
 
 def combine_masked(known: np.ndarray, generated: np.ndarray,
@@ -108,7 +104,7 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
     """Impute mask=0 entries of y0 by masked reverse diffusion.
 
     y0 and mask are one (M, T) window or a (B, M, T) stack. A stack runs
-    in lockstep (sampler.Lockstep); window b draws from its own
+    in lockstep (sampler.reverse_lockstep); window b draws from its own
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to imputing it
     alone with that seed. For a stack the result is a list holding, per
@@ -122,59 +118,28 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
         raise ValueError("mask must be binary (0/1)")
     if y0.ndim not in (2, 3):
         raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
-    if y0.ndim == 2:
-        out = _stage2_stack(params, y0[None], mask[None], cfg, sched,
-                            [cfg.seed])[0]
-        if isinstance(out, Exception):
-            raise out
-        return out
-    if seeds is None:
-        seeds = [cfg.seed ^ b for b in range(len(y0))]
-    return _stage2_stack(params, y0, mask, cfg, sched, seeds)
-
-
-def _stage2_stack(params, y0, mask, cfg, sched, seeds):
+    rngs = window_rngs(y0, cfg.seed, seeds)
+    shape, tau = y0.shape[-2:], cfg.tau
+    mask = mask.reshape((-1,) + shape)
     # Missing entries are never read; zero-fill keeps arithmetic finite
     # even when they arrive as NaN sentinels.
-    y0 = np.where(mask == 1.0, y0, 0.0)
-    tau = cfg.tau
-    shape = y0.shape[1:]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
-    for b in range(len(y0)):
-        if not np.all(np.isfinite(y0[b])):
-            stack.drop(b, ValueError("observed entries must be finite"))
-    for i in range(tau.s, 1, -1):
-        t_cur = int(tau.tau[i - 1])
-        for r in range(1, cfg.R + 1):
+    y0 = np.where(mask == 1.0, y0.reshape(mask.shape), 0.0)
+    a1 = sched.alpha_bar_at(int(tau.tau[0]))
 
-            def update(b, x, eps_pred):
-                rng = rngs[b]
-                known = diffuse_known(y0[b], i, sched, tau,
-                                      rng.standard_normal(shape))
-                eps_draw = rng.standard_normal(shape)
-                generated = detailed_step(x, eps_pred, i, sched, tau,
-                                          eps_draw)
-                x = combine_masked(known, generated, mask[b])
-                if not np.all(np.isfinite(x)):
-                    raise RuntimeError(
-                        f"non-finite latent at step tau={t_cur}")
-                if r < cfg.R:
-                    x = renoise_to_level(x, i, sched, tau,
-                                         rng.standard_normal(shape))
-                return x
+    def update(b, rng, x, eps_pred, i, r):
+        if i == 1:
+            mu = estimate_x0(x, eps_pred, int(tau.tau[0]), sched)
+            known = y0[b] if cfg.rescale_observed else np.sqrt(a1) * y0[b]
+            return np.where(mask[b] == 1.0, known, mu), eps_pred
+        known = diffuse_known(y0[b], i, sched, tau, rng.standard_normal(shape))
+        generated = detailed_step(x, eps_pred, i, sched, tau,
+                                  rng.standard_normal(shape))
+        x = combine_masked(known, generated, mask[b])
+        if r < cfg.R:  # keeps a non-finite x non-finite for the check
+            x = renoise_to_level(x, i, sched, tau, rng.standard_normal(shape))
+        return x, eps_pred
 
-            stack.step(params, t_cur, update)
-    t1 = int(tau.tau[0])
-    a1 = sched.alpha_bar_at(t1)
-
-    def close(b, x, eps_pred):
-        mu = estimate_x0(x, eps_pred, t1, sched)
-        known_final = y0[b] if cfg.rescale_observed else np.sqrt(a1) * y0[b]
-        out = np.where(mask[b] == 1.0, known_final, mu)
-        if not np.all(np.isfinite(out)):
-            raise RuntimeError(f"non-finite latent at step tau={t1}")
-        return out
-
-    stack.step(params, t1, close)
-    return stack.outcomes()
+    failed = {b: ValueError("observed entries must be finite")
+              for b in range(len(y0)) if not np.all(np.isfinite(y0[b]))}
+    return reverse_lockstep(params, rngs, shape, sched, tau, update,
+                            R=cfg.R, failed=failed)

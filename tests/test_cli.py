@@ -248,6 +248,54 @@ def test_all_missing_window_is_runtime_failure(cli_env):
     assert not (cli_env / "x5" / "recovered.csv").exists()
 
 
+def _nan_truth(cli_env):
+    """A copy of window 00003 with one NaN entry, as a truth file."""
+    x, _ = load_matrix_csv(cli_env / "base/windows/00003.csv")
+    x[1, 4] = np.nan
+    save_matrix_csv(cli_env / "nan_truth.csv", x)
+    return "nan_truth.csv"
+
+
+def _assert_truth_refused(r, out_dir, artifact):
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "truth file" in r.stderr
+    assert not (out_dir / artifact).exists()
+
+
+def test_eval_refuses_nonfinite_truth(cli_env):
+    r = run_cli("--config", "tiny.cfg", "--out", "x6", "eval",
+                _nan_truth(cli_env), "base/windows/00004.csv", cwd=cli_env)
+    _assert_truth_refused(r, cli_env / "x6", "metrics.json")
+    assert "nan_truth.csv has a non-finite entry" in r.stderr
+
+
+def test_sweep_refuses_nonfinite_truth(cli_env):
+    cfg = write_config(cli_env / "sw3.cfg",
+                       checkpoint=cli_env / "base/model.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x7", "sweep",
+                _nan_truth(cli_env), cwd=cli_env)
+    _assert_truth_refused(r, cli_env / "x7", "sweep.csv")
+    assert "nan_truth.csv has a non-finite entry" in r.stderr
+
+
+def test_recover_checks_truth_before_recovering(cli_env):
+    cfg = write_config(cli_env / "tr.cfg",
+                       checkpoint=cli_env / "base/model.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x8", "recover",
+                "atk/attacked.csv", "--truth", _nan_truth(cli_env),
+                cwd=cli_env)
+    _assert_truth_refused(r, cli_env / "x8", "recovered.csv")
+    assert "nan_truth.csv has a non-finite entry" in r.stderr
+    x, _ = load_matrix_csv(cli_env / "base/windows/00003.csv")
+    save_matrix_csv(cli_env / "short_truth.csv", x[:, :-1])
+    r = run_cli("--config", cfg.name, "--out", "x9", "recover",
+                "atk/attacked.csv", "--truth", "short_truth.csv",
+                cwd=cli_env)
+    _assert_truth_refused(r, cli_env / "x9", "recovered.csv")
+    assert "short_truth.csv has shape (4, 15) but the input has (4, 16)" \
+        in r.stderr
+
+
 def test_unknown_config_key_is_runtime_failure(cli_env, tmp_path):
     bad = cli_env / "bad.cfg"
     bad.write_text("not_a_real_key = 3\n")

@@ -1,3 +1,7 @@
+import copy
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +27,10 @@ from tsdm.schedule import (
     linear_schedule,
     make_subsequence,
 )
+from tsdm.stage1 import (GuidanceConfig, condition_noisy, corrected_noise,
+                         stage1_recover)
+from tsdm.stage2 import (ImputeConfig, combine_masked, diffuse_known,
+                         renoise_to_level, stage2_impute)
 
 SCHED = linear_schedule(100)
 TAU = make_subsequence(100, 10)
@@ -315,3 +323,217 @@ def test_lockstep_drops_a_window_whose_update_raises(toy_model):
         ref = x[b] + predict_noise(toy_model, x[b], 10)
         ref = ref + predict_noise(toy_model, ref, 5)
         assert np.array_equal(out[b], ref)
+
+
+# ------------------------------------------- reverse loops against the prior
+# The three loops as they were before they became updates over
+# reverse_lockstep, kept as references: one reverse driver must give every
+# window the same bits, the same trace and the same failure as these.
+
+
+def _prior_unconditional_sample(params, shape, sched, tau, rng, trace=False):
+    x = rng.standard_normal(shape)
+    rec = SamplerTrace() if trace else None
+    for i in range(tau.s, 1, -1):
+        t0 = time.perf_counter()
+        t_cur = int(tau.tau[i - 1])
+        eps_pred = predict_noise(params, x, t_cur)
+        eps_draw = rng.standard_normal(shape)
+        x = improved_step(x, eps_pred, i, sched, tau, eps_draw)
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+        if rec is not None:
+            sb = math.sqrt(optimal_variance(eps_pred, t_cur, sched))
+            rec.add(t_cur, sb, (time.perf_counter() - t0) * 1e3)
+    t0 = time.perf_counter()
+    t1 = int(tau.tau[0])
+    eps_pred = predict_noise(params, x, t1)
+    x0 = estimate_x0(x, eps_pred, t1, sched)
+    if not np.all(np.isfinite(x0)):
+        raise RuntimeError(f"non-finite latent at step tau={t1}")
+    if rec is not None:
+        rec.add(t1, 0.0, (time.perf_counter() - t0) * 1e3)
+        return x0, rec
+    return x0
+
+
+def _prior_stage1_stack(params, y0, cfg, sched, seeds):
+    tau = cfg.tau
+    shape = y0.shape[1:]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    traces = [SamplerTrace() for _ in rngs]
+    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
+    for i in range(tau.s, 0, -1):
+        t0 = time.perf_counter()
+        t_cur = int(tau.tau[i - 1])
+        sigma_bar = {}
+
+        def update(b, x, eps_pred):
+            y_noisy = condition_noisy(y0[b], eps_pred, i, sched, tau)
+            eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega,
+                                      sched, tau)
+            if i == 1:
+                x = estimate_x0(x, eps_hat, t_cur, sched)
+                sigma_bar[b] = 0.0
+            else:
+                eps_draw = rngs[b].standard_normal(shape)
+                x = improved_step(x, eps_hat, i, sched, tau, eps_draw)
+                sigma_bar[b] = math.sqrt(
+                    optimal_variance(eps_hat, t_cur, sched))
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+            return x
+
+        stack.step(params, t_cur, update)
+        elapsed_ms = (time.perf_counter() - t0) * 1e3
+        for b in stack.rows:
+            traces[b].add(t_cur, sigma_bar[b], elapsed_ms)
+    return [out if isinstance(out, Exception) else (out, traces[b])
+            for b, out in enumerate(stack.outcomes())]
+
+
+def _prior_stage2_stack(params, y0, mask, cfg, sched, seeds):
+    y0 = np.where(mask == 1.0, y0, 0.0)
+    tau = cfg.tau
+    shape = y0.shape[1:]
+    rngs = [np.random.default_rng(s) for s in seeds]
+    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
+    for b in range(len(y0)):
+        if not np.all(np.isfinite(y0[b])):
+            stack.drop(b, ValueError("observed entries must be finite"))
+    for i in range(tau.s, 1, -1):
+        t_cur = int(tau.tau[i - 1])
+        for r in range(1, cfg.R + 1):
+
+            def update(b, x, eps_pred):
+                rng = rngs[b]
+                known = diffuse_known(y0[b], i, sched, tau,
+                                      rng.standard_normal(shape))
+                eps_draw = rng.standard_normal(shape)
+                generated = detailed_step(x, eps_pred, i, sched, tau,
+                                          eps_draw)
+                x = combine_masked(known, generated, mask[b])
+                if not np.all(np.isfinite(x)):
+                    raise RuntimeError(
+                        f"non-finite latent at step tau={t_cur}")
+                if r < cfg.R:
+                    x = renoise_to_level(x, i, sched, tau,
+                                         rng.standard_normal(shape))
+                return x
+
+            stack.step(params, t_cur, update)
+    t1 = int(tau.tau[0])
+    a1 = sched.alpha_bar_at(t1)
+
+    def close(b, x, eps_pred):
+        mu = estimate_x0(x, eps_pred, t1, sched)
+        known_final = y0[b] if cfg.rescale_observed else np.sqrt(a1) * y0[b]
+        out = np.where(mask[b] == 1.0, known_final, mu)
+        if not np.all(np.isfinite(out)):
+            raise RuntimeError(f"non-finite latent at step tau={t1}")
+        return out
+
+    stack.step(params, t1, close)
+    return stack.outcomes()
+
+
+def _outcome(call):
+    """What a one-window call gives: its result or the exception it raised."""
+    try:
+        return call()
+    except Exception as e:  # noqa: BLE001 - the failure is the outcome
+        return e
+
+
+def _assert_same_outcome(got, want):
+    """Equal bits, traces (tau and sigma_bar) and failures (type, text)."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+        return
+    assert not isinstance(got, Exception), got
+    if isinstance(want, tuple):
+        (got, got_trace), (want, want_trace) = got, want
+        assert ([(r.tau, r.sigma_bar) for r in got_trace.records]
+                == [(r.tau, r.sigma_bar) for r in want_trace.records])
+    assert got.tobytes() == want.tobytes()
+
+
+def _loop_windows(B, seed):
+    """B windows of the toy shape; for B > 1 window 2 holds a 1e308
+    entry (stage 1 overflows) and window 3 a NaN (stage 2 refuses it),
+    each among observed entries, and window 4 a 40% missing mask."""
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal((B, 4, 16))
+    mask = (rng.random((B, 4, 16)) > 0.3).astype(np.float64)
+    if B > 1:
+        mask[2:4, 1, 5] = 1.0
+        y0[2, 1, 5], y0[3, 1, 5] = 1e308, np.nan
+        mask[4] = (rng.random((4, 16)) > 0.4)
+    return y0, mask
+
+
+@pytest.mark.parametrize("s", [1, 2, 10])
+@pytest.mark.parametrize("trace", [False, True])
+def test_unconditional_sample_matches_prior_bits(toy_model, sched100, s,
+                                                 trace):
+    tau = make_subsequence(100, s)
+    got = unconditional_sample(toy_model, (4, 16), sched100, tau,
+                               np.random.default_rng(s), trace=trace)
+    want = _prior_unconditional_sample(toy_model, (4, 16), sched100, tau,
+                                       np.random.default_rng(s), trace=trace)
+    _assert_same_outcome(got, want)
+
+
+def test_unconditional_sample_failure_matches_prior(zeros_model, sched100):
+    bad = copy.deepcopy(zeros_model)
+    bad["head.conv.b"].data += 1e200
+    tau = make_subsequence(100, 5)
+    _assert_same_outcome(
+        _outcome(lambda: unconditional_sample(bad, (4, 16), sched100, tau,
+                                              np.random.default_rng(0))),
+        _outcome(lambda: _prior_unconditional_sample(
+            bad, (4, 16), sched100, tau, np.random.default_rng(0))))
+
+
+@pytest.mark.parametrize("s", [1, 2, 10])
+@pytest.mark.parametrize("omega", [0.0, 1.0])
+@pytest.mark.parametrize("B", [1, 5])
+def test_stage1_matches_prior_bits(toy_model, sched100, s, omega, B):
+    y0, _ = _loop_windows(B, 30 + s)
+    cfg = GuidanceConfig(tau=make_subsequence(100, s), omega=omega, seed=9)
+    seeds = [9 ^ b for b in range(B)]
+    want = _prior_stage1_stack(toy_model, y0, cfg, sched100, seeds)
+    got = stage1_recover(toy_model, y0, cfg, sched100)
+    assert len(got) == B
+    for b in range(B):
+        _assert_same_outcome(got[b], want[b])
+        alone = GuidanceConfig(tau=cfg.tau, omega=omega, seed=seeds[b])
+        _assert_same_outcome(
+            _outcome(lambda: stage1_recover(toy_model, y0[b], alone,
+                                            sched100)), want[b])
+    if B > 1 and omega > 0 and s > 1:  # guidance carries the 1e308 in
+        assert isinstance(got[2], FloatingPointError)
+
+
+@pytest.mark.parametrize("s", [1, 2, 10])
+@pytest.mark.parametrize("R", [1, 3])
+@pytest.mark.parametrize("rescale", [False, True])
+@pytest.mark.parametrize("B", [1, 5])
+def test_stage2_matches_prior_bits(toy_model, sched100, s, R, rescale, B):
+    y0, mask = _loop_windows(B, 40 + s)
+    y0 = np.where(mask == 1.0, y0, np.nan)  # missing entries are never read
+    cfg = ImputeConfig(tau=make_subsequence(100, s), R=R, seed=4,
+                       rescale_observed=rescale)
+    seeds = [4 ^ b for b in range(B)]
+    want = _prior_stage2_stack(toy_model, y0, mask, cfg, sched100, seeds)
+    got = stage2_impute(toy_model, y0, mask, cfg, sched100)
+    assert len(got) == B
+    for b in range(B):
+        _assert_same_outcome(got[b], want[b])
+        alone = ImputeConfig(tau=cfg.tau, R=R, seed=seeds[b],
+                             rescale_observed=rescale)
+        _assert_same_outcome(
+            _outcome(lambda: stage2_impute(toy_model, y0[b], mask[b], alone,
+                                           sched100)), want[b])
+    if B > 1:
+        assert isinstance(got[3], ValueError)
