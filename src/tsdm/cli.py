@@ -155,15 +155,16 @@ def _write_json(path: Path, payload: dict) -> None:
                                allow_nan=False) + "\n")
 
 
-def _load_truth(path, shape=None) -> np.ndarray:
-    """The clean reference at `path`: finite, and of `shape` if given."""
-    truth, _ = load_matrix_csv(path)
-    if shape is not None and truth.shape != shape:
-        raise ValueError(f"truth file {path} has shape {truth.shape} but "
+def _load_finite(path, what: str, shape=None) -> np.ndarray:
+    """The `what` matrix at `path` (the clean "truth" or a "recovered"
+    one): finite, and of `shape` if given. An error names the file."""
+    x, _ = load_matrix_csv(path)
+    if shape is not None and x.shape != shape:
+        raise ValueError(f"{what} file {path} has shape {x.shape} but "
                          f"the input has {shape}")
-    if not np.all(np.isfinite(truth)):
-        raise ValueError(f"truth file {path} has a non-finite entry")
-    return truth
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} file {path} has a non-finite entry")
+    return x
 
 
 # ------------------------------------------------------------- subcommands
@@ -211,7 +212,7 @@ def cmd_train(cfg: RunConfig, args, out: Path) -> None:
 
 def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
     y0, header = load_matrix_csv(args.input)
-    truth = _load_truth(args.truth, y0.shape) if args.truth else None
+    truth = _load_finite(args.truth, "truth", y0.shape) if args.truth else None
     known = load_mask_csv(args.mask) if args.mask else None
     params, mean, std = load_checkpoint(_checkpoint_path(cfg, out))
     t0 = time.perf_counter()
@@ -251,8 +252,8 @@ def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, args, out: Path) -> None:
-    recovered, _ = load_matrix_csv(args.recovered)
-    truth = _load_truth(args.truth, recovered.shape)
+    recovered = _load_finite(args.recovered, "recovered")
+    truth = _load_finite(args.truth, "truth", recovered.shape)
     metrics = {"weighted_rmse": weighted_rmse(
         truth, recovered, make_weights(cfg, truth.shape[0]))}
     if args.loss_mask:
@@ -287,7 +288,7 @@ def _ratio_attack(cfg: RunConfig, ratio: float, M: int, T: int) -> AttackSpec:
 
 
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
-    truth = _load_truth(args.truth)
+    truth = _load_finite(args.truth, "truth")
     M, T = truth.shape
     params, mean, std = load_checkpoint(_checkpoint_path(cfg, out))
     axis = cfg.sweep_axis

@@ -185,14 +185,14 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
 
 def _resblock(p: DenoiserParams, name: str, x: Tensor, emb: Tensor,
               column, cin: int, cout: int) -> Tensor:
-    h = tc.group_norm(x, p[f"{name}.gn1.g"], p[f"{name}.gn1.b"], _norm_groups(cin))
-    h = tc.silu(h)
-    h = tc.conv1d(h, p[f"{name}.conv1.w"], p[f"{name}.conv1.b"])
+    h = tc.norm_silu_conv(x, p[f"{name}.gn1.g"], p[f"{name}.gn1.b"],
+                          _norm_groups(cin), p[f"{name}.conv1.w"],
+                          p[f"{name}.conv1.b"])
     tv = tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb), p[f"{name}.temb.b"])
     h = tc.add_time(h, tv, column)
-    h = tc.group_norm(h, p[f"{name}.gn2.g"], p[f"{name}.gn2.b"], _norm_groups(cout))
-    h = tc.silu(h)
-    h = tc.conv1d(h, p[f"{name}.conv2.w"], p[f"{name}.conv2.b"])
+    h = tc.norm_silu_conv(h, p[f"{name}.gn2.g"], p[f"{name}.gn2.b"],
+                          _norm_groups(cout), p[f"{name}.conv2.w"],
+                          p[f"{name}.conv2.b"])
     if cin != cout:
         x = tc.conv1d(x, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
     return tc.add(h, x)
@@ -234,9 +234,9 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
         h = tc.concat_channels(h, skips[j])
         h = _resblock(p, f"dec{j}.rb0", h, emb, column, 2 * widths[j], widths[j])
         h = _resblock(p, f"dec{j}.rb1", h, emb, column, widths[j], widths[j])
-    h = tc.group_norm(h, p["head.gn.g"], p["head.gn.b"], _norm_groups(widths[0]))
-    h = tc.silu(h)
-    return tc.conv1d(h, p["head.conv.w"], p["head.conv.b"])
+    return tc.norm_silu_conv(h, p["head.gn.g"], p["head.gn.b"],
+                             _norm_groups(widths[0]), p["head.conv.w"],
+                             p["head.conv.b"])
 
 
 # Rows a shard of a stacked predict_noise call needs before the stack is
@@ -280,7 +280,10 @@ def _predict_rows(params: DenoiserParams, x: np.ndarray, n_vec: np.ndarray,
                   err=None) -> np.ndarray:
     """_forward over the rows x, projecting each distinct step once, under
     the np.errstate `err` (a worker thread does not inherit the caller's)."""
-    levels, column = np.unique(n_vec, return_inverse=True)
+    if (n_vec == n_vec[:1]).all():  # one step for every row, as a sampler's
+        levels, column = n_vec[:1], np.zeros(len(n_vec), dtype=np.intp)
+    else:
+        levels, column = np.unique(n_vec, return_inverse=True)
     with np.errstate(**(err or {})):
         return _forward(params, Tensor(x), levels, column).data
 

@@ -168,7 +168,11 @@ def unconditional_sample(params: DenoiserParams, shape: tuple,
                          sched: VarianceSchedule, tau: Subsequence,
                          rng: np.random.Generator, trace: bool = False):
     """Generate an (M, T) window from pure noise down the subsequence;
-    close with estimate_x0. With trace, returns (x0, SamplerTrace)."""
+    close with estimate_x0. With trace, returns (x0, SamplerTrace). Any
+    other shape is a ValueError, before the first denoiser call."""
+    if len(shape) != 2:
+        raise ValueError(f"shape must be (M, T), got {tuple(shape)}")
+
     def update(b, rng, x, eps_pred, i, r):
         return reverse_step(x, eps_pred, i, sched, tau, rng), eps_pred
 

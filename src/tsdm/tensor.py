@@ -2,11 +2,17 @@
 
 The op surface is exactly what the denoising network needs: elementwise
 arithmetic, matmul, 1-D convolution, group normalization, single-head
-self-attention, and a few structural helpers. Ops are pure functions over
-immutable values; when a GradTape is active and an input requires
-gradients, the op appends a record to the tape. GradTape.backward replays
-the records in reverse creation order, which is a valid topological order
-because every input of a node was created before the node itself.
+self-attention, the fused norm_silu_conv (group_norm, silu, conv1d), and
+a few structural helpers. Ops are pure functions over immutable values;
+when a GradTape is active and an input requires gradients, the op
+appends a record to the tape. GradTape.backward replays the records in
+reverse creation order, which is a valid topological order because every
+input of a node was created before the node itself.
+
+Off a tape, kernels cut their numpy calls with the same bits: a result
+is written into the buffer the next op reads (silu into conv1d's
+zero-bordered input, attention's scale and softmax into the score
+array), and affine steps run in place.
 
 All results are checked finite; NaN/Inf raise FloatingPointError.
 """
@@ -112,8 +118,13 @@ def _guard(arr: np.ndarray, op: str) -> None:
         raise FloatingPointError(f"{op}: non-finite values in result")
 
 
+def _taped(*inputs) -> bool:
+    """Whether an op over these inputs records on the tape."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def _record(out: Tensor, inputs: tuple, bw) -> None:
-    if _TAPES and any(t.requires_grad for t in inputs):
+    if _taped(*inputs):
         out.requires_grad = True
         _TAPES[-1]._nodes.append((out, inputs, bw))
 
@@ -176,11 +187,13 @@ def sqrt(a: Tensor) -> Tensor:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # numerically stable in both tails: 1/(1+e^-x) for x >= 0 and
     # e^x/(1+e^x) below, both from e = e^-|x|; the in-place steps keep
-    # training's peak memory where the masked form had it
+    # training's peak memory where the masked form had it. The numerator
+    # max(e, [x >= 0]) is 1 or e, as a select gives, since 0 <= e <= 1,
+    # and NaN stays NaN
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    s = np.where(x >= 0, 1.0, e)
+    s = np.maximum(e, x >= 0)
     e += 1.0
     s /= e
     return s
@@ -212,8 +225,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul: 2-D operands required")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims {a.data.shape} vs {b.data.shape}")
-    if b.data.shape[1] > 1 and not (_TAPES and (a.requires_grad
-                                                or b.requires_grad)):
+    if b.data.shape[1] > 1 and not _taped(a, b):
         # Inference: one product per column of b, since the bits of one
         # product over several columns can differ from a one-column
         # product's, and a column must get the same bits with others as
@@ -304,16 +316,12 @@ def add_time(x: Tensor, v: Tensor, column=None) -> Tensor:
 
 # -------------------------------------------------------------------- conv1d
 
-def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
-    """Same-padded 1-D convolution, (B,)C_in x T -> (B,)C_out x T'.
-
-    Kernel length K must be odd; padding is fixed at (K-1)/2 so stride 1
-    preserves T. Accepts a single matrix (C,T) or a batch (B,C,T).
-    """
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
+def _conv_shape(x: np.ndarray, w: Tensor, b, stride: int):
+    """(B, Cin, T) view of conv1d's input and the output length T', or
+    conv1d's ValueError for the shapes."""
+    xd = x[None] if x.ndim == 2 else x
     if xd.ndim != 3 or w.data.ndim != 3:
-        raise ValueError(f"conv1d: bad ranks {x.data.shape}, {w.data.shape}")
+        raise ValueError(f"conv1d: bad ranks {x.shape}, {w.data.shape}")
     B, Cin, T = xd.shape
     Cout, Cin_w, K = w.data.shape
     if Cin_w != Cin:
@@ -322,35 +330,65 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
         raise ValueError("conv1d: kernel length must be odd")
     if K > T:
         raise ValueError("conv1d: kernel wider than input")
-    P = (K - 1) // 2
     if b is not None and b.data.shape != (Cout,):
         raise ValueError(f"conv1d: bias shape {b.data.shape}")
+    return xd, (T - 1) // stride + 1
 
-    Tp = (T - 1) // stride + 1
-    # im2col: K strided slice copies of the padded input, each written
-    # straight into the layout the product below reads
+
+def _windows(xp: np.ndarray, K: int, stride: int, Tp: int) -> np.ndarray:
+    """The im2col columns of the zero-bordered input xp as a (B, Cin, K,
+    T') view, without a copy: [b, c, k, t] is xp[b, c, k + stride * t].
+
+    The view is sliding_window_view(xp, K, axis=2)[:, :, ::stride] with
+    its last two axes swapped, built by one constructor call, which costs
+    a twentieth of sliding_window_view's. The constructor takes xp's
+    buffer, so numpy itself raises ValueError for an xp that is not
+    contiguous or for a view that would read past xp's end.
+    """
+    B, Cin, _ = xp.shape
+    s0, s1, s2 = xp.strides
+    return np.ndarray((B, Cin, K, Tp), xp.dtype, xp, 0,
+                      (s0, s1, s2, stride * s2))
+
+
+def _conv_rows(xp: np.ndarray, w: Tensor, b, stride: int, Tp: int) -> np.ndarray:
+    """Off-tape conv1d of the zero-bordered input xp, checked finite.
+
+    One product per sample, since the bits of a single product over all
+    B*T' columns can depend on B and a sample must get the same bits in a
+    batch as alone.
+    """
+    B, Cin, _ = xp.shape
+    Cout, _, K = w.data.shape
+    cols = _windows(xp, K, stride, Tp).copy()
+    od = np.matmul(w.data.reshape(Cout, Cin * K), cols.reshape(B, Cin * K, Tp))
+    if b is not None:
+        od += b.data[:, None]
+    _guard(od, "conv1d")
+    return od
+
+
+def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
+    """Same-padded 1-D convolution, (B,)C_in x T -> (B,)C_out x T'.
+
+    Kernel length K must be odd; padding is fixed at (K-1)/2 so stride 1
+    preserves T. Accepts a single matrix (C,T) or a batch (B,C,T).
+    """
+    squeeze = x.data.ndim == 2
+    xd, Tp = _conv_shape(x.data, w, b, stride)
+    B, Cin, T = xd.shape
+    Cout, _, K = w.data.shape
+    P = (K - 1) // 2
     xp = np.zeros((B, Cin, T + 2 * P))
     xp[:, :, P : P + T] = xd
-    W2 = w.data.reshape(Cout, Cin * K)
     inputs = (x, w) if b is None else (x, w, b)
-    if not (_TAPES and any(t.requires_grad for t in inputs)):
-        # Inference: one product per sample, since the bits of a single
-        # product over all B*T' columns can depend on B and a sample must
-        # get the same bits in a batch as alone. On a tape the single
-        # product stays: backward reuses its columns, and training keeps
-        # its bits.
-        cols = np.empty((B, Cin, K, Tp))
-        for k in range(K):
-            cols[:, :, k] = xp[:, :, k : k + stride * Tp : stride]
-        od = np.matmul(W2, cols.reshape(B, Cin * K, Tp))
-        if b is not None:
-            od += b.data[:, None]
-        out = Tensor(od[0] if squeeze else od)
-        _guard(out.data, "conv1d")
-        return out
-    cols = np.empty((Cin, K, B, Tp))
-    for k in range(K):
-        cols[:, k] = xp[:, :, k : k + stride * Tp : stride].transpose(1, 0, 2)
+    if not _taped(*inputs):
+        od = _conv_rows(xp, w, b, stride, Tp)
+        return Tensor(od[0] if squeeze else od)
+    # On a tape one product over all B*T' columns: backward reuses its
+    # columns, and training keeps its bits.
+    W2 = w.data.reshape(Cout, Cin * K)
+    cols = np.ascontiguousarray(_windows(xp, K, stride, Tp).transpose(1, 2, 0, 3))
     cols = cols.reshape(Cin * K, B * Tp)
     o2 = W2 @ cols
     od = np.ascontiguousarray(o2.reshape(Cout, B, Tp).transpose(1, 0, 2))
@@ -381,28 +419,58 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 
 # ---------------------------------------------------------------- group_norm
 
-def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
-    """Per-(sample,group) standardization with affine, eps added to variance."""
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    B, C, T = xd.shape
+def _group_shape(x: np.ndarray, gamma: Tensor, beta: Tensor, groups: int):
+    """(B, C, T) view of group_norm's input, or its ValueError."""
+    xd = x[None] if x.ndim == 2 else x
+    _, C, _ = xd.shape
     if C % groups:
         raise ValueError(f"group_norm: {C} channels not divisible by {groups} groups")
     if gamma.data.shape != (C,) or beta.data.shape != (C,):
         raise ValueError("group_norm: affine shape mismatch")
-    x4 = xd.reshape(B, groups, C // groups, T)
-    # the arithmetic of np.mean and np.var, with one mean pass, not two;
-    # xh4 holds the deviations, then (in place) their standardized values
-    n = x4.shape[2] * x4.shape[3]
-    xh4 = x4 - x4.sum(axis=(2, 3), keepdims=True) / n
-    v = (xh4 * xh4).sum(axis=(2, 3), keepdims=True) / n
+    return xd
+
+
+def _standardize(xd: np.ndarray, groups: int):
+    """Per-(sample, group) standardized copy of the (B, C, T) xd, and the
+    (B*groups, 1) factors 1/sqrt(var + eps).
+
+    The arithmetic of np.mean and np.var with one mean pass, not two. The
+    reductions run over a (B*groups, C/groups*T) view: the same bits as
+    reducing axes (2, 3) of (B, groups, C/groups, T), in fewer calls.
+    """
+    B, C, T = xd.shape
+    x2 = xd.reshape(B * groups, -1)
+    n = x2.shape[1]
+    xh = x2 - np.add.reduce(x2, axis=1, keepdims=True) / n
+    v = np.add.reduce(xh * xh, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(v + GN_EPS)
-    xh4 *= inv
-    xh = xh4.reshape(B, C, T)
+    xh *= inv
+    return xh.reshape(B, C, T), inv
+
+
+def _normalized(xd: np.ndarray, gamma: Tensor, beta: Tensor,
+                groups: int) -> np.ndarray:
+    """Off-tape group_norm of the (B, C, T) xd, checked finite; nothing
+    keeps the standardized values, so the affine step runs in place."""
+    h, _ = _standardize(xd, groups)
+    h *= gamma.data[:, None]
+    h += beta.data[:, None]
+    _guard(h, "group_norm")
+    return h
+
+
+def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
+    """Per-(sample,group) standardization with affine, eps added to variance."""
+    squeeze = x.data.ndim == 2
+    xd = _group_shape(x.data, gamma, beta, groups)
+    xh, inv = _standardize(xd, groups)
     od = xh * gamma.data[:, None]
     od += beta.data[:, None]
     out = Tensor(od[0] if squeeze else od)
     _guard(out.data, "group_norm")
+    B, C, T = xd.shape
+    xh4 = xh.reshape(B, groups, C // groups, T)
+    inv = inv.reshape(B, groups, 1, 1)
 
     def bw(g):
         gd = g[None] if squeeze else g
@@ -424,12 +492,44 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     return out
 
 
+def norm_silu_conv(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
+                   w: Tensor, b: Tensor) -> Tensor:
+    """conv1d(silu(group_norm(x, gamma, beta, groups)), w, b), stride 1.
+
+    On a tape it is that chain of ops. Off a tape it gives the same bits
+    and raises the same errors, but group_norm's affine step runs in
+    place and silu writes straight into conv1d's zero-bordered input:
+    one copy and two result arrays fewer.
+    """
+    if _taped(x, gamma, beta, w, b):
+        return conv1d(silu(group_norm(x, gamma, beta, groups)), w, b)
+    squeeze = x.data.ndim == 2
+    h = _normalized(_group_shape(x.data, gamma, beta, groups), gamma, beta,
+                    groups)
+    # silu cannot turn group_norm's finite output non-finite, so checking
+    # conv1d's shapes before silu raises what the chain raises
+    _, Tp = _conv_shape(h, w, b, 1)
+    B, C, T = h.shape
+    P = (w.data.shape[2] - 1) // 2
+    xp = np.zeros((B, C, T + 2 * P))
+    np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
+    _guard(xp, "silu")
+    od = _conv_rows(xp, w, b, 1, Tp)
+    return Tensor(od[0] if squeeze else od)
+
+
 # ----------------------------------------------------------------- attention
 
+def _softmax_rows(z: np.ndarray, out=None) -> np.ndarray:
+    """Softmax over the last axis of z, into out (z itself for in place)."""
+    out = np.subtract(z, z.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
 def softmax_last(z: Tensor) -> Tensor:
-    yd = z.data - z.data.max(axis=-1, keepdims=True)
-    np.exp(yd, out=yd)
-    yd /= yd.sum(axis=-1, keepdims=True)
+    yd = _softmax_rows(z.data)
     out = Tensor(yd)
     _guard(out.data, "softmax")
     _record(out, (z,), lambda g: (yd * (g - (g * yd).sum(axis=-1, keepdims=True)),))
@@ -468,6 +568,20 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     for w in (wq, wk, wv):
         if w.data.shape != (C, C):
             raise ValueError(f"self_attention: projection shape {w.data.shape} vs C={C}")
+    if not _taped(x, wq, wk, wv):
+        # the chain's kernels and checks, with the T x T temporaries in
+        # one buffer: the scale and the softmax run in place on the scores
+        q, k, v = (_channel_major(w.data, x.data) for w in (wq, wk, wv))
+        for t in (q, k, v):
+            _guard(t, "channel_linear")
+        a = np.einsum("bct,bcu->btu", q, k)
+        _guard(a, "attn_scores")
+        a *= 1.0 / math.sqrt(C)
+        _guard(a, "scale")
+        _guard(_softmax_rows(a, out=a), "softmax")
+        od = np.einsum("bcu,btu->bct", v, a)
+        _guard(od, "attn_apply")
+        return Tensor(od[0] if squeeze else od)
     q = channel_linear(wq, x)
     k = channel_linear(wk, x)
     v = channel_linear(wv, x)

@@ -269,6 +269,19 @@ def test_eval_refuses_nonfinite_truth(cli_env):
     assert "nan_truth.csv has a non-finite entry" in r.stderr
 
 
+def test_eval_refuses_nonfinite_recovered(cli_env):
+    x, _ = load_matrix_csv(cli_env / "base/windows/00003.csv")
+    x[2, 5] = np.nan
+    save_matrix_csv(cli_env / "nan_recovered.csv", x)
+    r = run_cli("--config", "tiny.cfg", "--out", "x10", "eval",
+                "base/windows/00003.csv", "nan_recovered.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert "recovered file nan_recovered.csv has a non-finite entry" \
+        in r.stderr
+    assert not (cli_env / "x10" / "metrics.json").exists()
+
+
 def test_sweep_refuses_nonfinite_truth(cli_env):
     cfg = write_config(cli_env / "sw3.cfg",
                        checkpoint=cli_env / "base/model.tsdm")

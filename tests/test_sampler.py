@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsdm import sampler
 from tsdm.denoiser import predict_noise
 from tsdm.sampler import (
     Lockstep,
@@ -285,6 +286,18 @@ def test_unconditional_sample_aborts_on_nonfinite(zeros_model, sched100):
     tau = make_subsequence(100, 5)
     with pytest.raises((RuntimeError, FloatingPointError)):
         unconditional_sample(bad, (4, 16), sched100, tau, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 16), (1, 4, 16), (64,), ()])
+def test_unconditional_sample_rejects_other_shapes_up_front(
+        toy_model, sched100, monkeypatch, shape):
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=r"shape must be \(M, T\)"):
+        unconditional_sample(toy_model, shape, sched100, TAU,
+                             np.random.default_rng(0))
+    assert calls == []
 
 
 def test_lockstep_isolates_a_failing_denoiser_call(toy_model):

@@ -640,3 +640,134 @@ def test_softmax_matches_prior_bits(shape):
     z = rng.standard_normal(shape) * 30.0
     z.flat[:3] = (700.0, -700.0, 0.0)
     _against_prior(tc.softmax_last, _prior_softmax_last, (z,), (True,), rng)
+
+
+# ------------------------------------------- fused norm -> silu -> conv (bits)
+# norm_silu_conv must be the chain conv1d(silu(group_norm(.))) bit for bit:
+# off a tape against the reference conv1d over the prior silu and
+# group_norm, on a tape in output and every gradient.
+
+def _prior_sigmoid(x):
+    e = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
+
+
+def test_sigmoid_matches_prior_bits():
+    rng = np.random.default_rng(15)
+    x = np.concatenate([[np.inf, -np.inf, np.nan, 0.0, -0.0, 800.0, -800.0],
+                        rng.standard_normal(57) * 40.0]).reshape(4, 16)
+    _assert_same_bits(tc._sigmoid(x), _prior_sigmoid(x))
+
+
+def _prior_norm_silu_conv(xd, gd_, bd, wd, cb, groups, g):
+    h, _ = _prior_group_norm(xd, gd_, bd, groups, None)
+    a, _ = _prior_silu(h, None)
+    if g is None:
+        return _ref_conv1d(a, wd, cb, 1, None, on_tape=False)[0], None
+    out, (da, dw, dcb) = _prior_conv1d_on_tape(a, wd, cb, 1, g)
+    _, (dh,) = _prior_silu(h, da)
+    _, (dx, dgd, dbd) = _prior_group_norm(xd, gd_, bd, groups, dh)
+    return out, (dx, dgd, dbd, dw, dcb)
+
+
+def _fused_inputs(rng, B, C, T):
+    return (3.0 + 2.0 * rng.standard_normal((B, C, T)),
+            rng.uniform(0.5, 1.5, C), rng.uniform(-1, 1, C),
+            rng.standard_normal((C, C, 3)) / np.sqrt(3 * C),
+            rng.uniform(-1, 1, C))
+
+
+@pytest.mark.parametrize("B", [1, 16, 33])
+@pytest.mark.parametrize("T", [16, 64])
+@pytest.mark.parametrize("C", [16, 24, 48])
+def test_norm_silu_conv_matches_prior_bits(B, T, C):
+    rng = np.random.default_rng([B, T, C])
+    _against_prior(
+        lambda xx, gg, bb, ww, cc: tc.norm_silu_conv(xx, gg, bb, 8, ww, cc),
+        lambda xx, gg, bb, ww, cc, g: _prior_norm_silu_conv(xx, gg, bb, ww,
+                                                            cc, 8, g),
+        _fused_inputs(rng, B, C, T), (True,) * 5, rng)
+
+
+def _outcome(fn):
+    try:
+        with np.errstate(all="ignore"):
+            return fn().data.tobytes()
+    except (FloatingPointError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("case", ["nan", "inf", "huge", "overflow", "affine",
+                                  "kernel"])
+@pytest.mark.parametrize("taped", [False, True])
+def test_norm_silu_conv_fails_as_the_chain(case, taped):
+    rng = np.random.default_rng(16)
+    x, gamma, beta, w, b = _fused_inputs(rng, 2, 16, 16)
+    if case == "nan":
+        x[1, 3, 5] = np.nan
+    elif case == "inf":
+        x[0, 0, 0] = -np.inf
+    elif case == "huge":
+        x[1] *= 1e300
+    elif case == "overflow":  # conv1d's own result overflows
+        w *= 1e308
+    elif case == "affine":
+        gamma = gamma[:-1]
+    else:
+        w = w[:, :-1]
+    ins = [Tensor(a, requires_grad=taped) for a in (x, gamma, beta, w, b)]
+
+    def fused():
+        with GradTape():
+            return tc.norm_silu_conv(ins[0], ins[1], ins[2], 8, ins[3], ins[4])
+
+    def chain():
+        with GradTape():
+            h = tc.silu(tc.group_norm(ins[0], ins[1], ins[2], 8))
+            return tc.conv1d(h, ins[3], ins[4])
+
+    want = _outcome(chain)
+    assert _outcome(fused) == want
+    if case != "huge":
+        assert isinstance(want, tuple)
+
+
+@pytest.mark.parametrize("K, stride", [(1, 1), (3, 1), (3, 2), (5, 2)])
+def test_windows_is_the_sliding_window_view(K, stride):
+    xp = np.random.default_rng(17).standard_normal((3, 4, 16 + K - 1))
+    want = sliding_window_view(xp, K, axis=2)[:, :, ::stride]
+    got = tc._windows(xp, K, stride, (16 - 1) // stride + 1)
+    assert np.shares_memory(got, xp)
+    _assert_same_bits(got.copy(), want.transpose(0, 1, 3, 2).copy())
+
+
+def test_windows_refuses_a_buffer_it_would_misread():
+    xp = np.zeros((2, 4, 34))
+    with pytest.raises(ValueError):  # not contiguous
+        tc._windows(xp[:, :, ::2], 3, 1, 15)
+    with pytest.raises(ValueError):  # the last window reads past the end
+        tc._windows(xp, 3, 1, 33)
+
+
+def _prior_self_attention(xd, wq, wk, wv):
+    q, k, v = (_prior_channel_linear(w, xd, None)[0] for w in (wq, wk, wv))
+    z = np.einsum("...ct,...cu->...tu", q, k) * (1.0 / np.sqrt(xd.shape[-2]))
+    a, _ = _prior_softmax_last(z, None)
+    return np.einsum("...cu,...tu->...ct", v, a)
+
+
+@pytest.mark.parametrize("shape", [(1, 48, 16), (16, 48, 16), (48, 16),
+                                   (2, 16, 256)])
+@pytest.mark.parametrize("taped", [False, True])
+def test_self_attention_matches_prior_bits(shape, taped):
+    rng = np.random.default_rng(list(shape))
+    C = shape[-2]
+    x = rng.standard_normal(shape)
+    ws = [rng.standard_normal((C, C)) / np.sqrt(C) for _ in range(3)]
+    with GradTape():
+        out = tc.self_attention(Tensor(x, requires_grad=taped),
+                                *[Tensor(w, requires_grad=taped) for w in ws])
+    _assert_same_bits(out.data, _prior_self_attention(x, *ws))
