@@ -13,6 +13,7 @@ Channel widths double per stage but are capped at 2x base_width.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -80,6 +81,7 @@ class DenoiserParams:
         for name, t in self.tensors.items():
             if not np.all(np.isfinite(t.data)):
                 raise ValueError(f"parameter {name} contains non-finite values")
+        self._step_memo = None  # (key, memo); see _step_projections
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -183,19 +185,42 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
                                 for name, _, init in _param_specs(cfg)})
 
 
-def _resblock(p: DenoiserParams, name: str, x: Tensor, emb: Tensor,
+def _resblock(p: DenoiserParams, name: str, x: Tensor, time_vec,
               column, cin: int, cout: int) -> Tensor:
     h = tc.norm_silu_conv(x, p[f"{name}.gn1.g"], p[f"{name}.gn1.b"],
                           _norm_groups(cin), p[f"{name}.conv1.w"],
                           p[f"{name}.conv1.b"])
-    tv = tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb), p[f"{name}.temb.b"])
-    h = tc.add_time(h, tv, column)
+    h = tc.add_time(h, time_vec(name), column)
     h = tc.norm_silu_conv(h, p[f"{name}.gn2.g"], p[f"{name}.gn2.b"],
                           _norm_groups(cout), p[f"{name}.conv2.w"],
                           p[f"{name}.conv2.b"])
     if cin != cout:
         x = tc.conv1d(x, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
     return tc.add(h, x)
+
+
+@functools.lru_cache(maxsize=None)
+def _step_tensor_names(cfg: DenoiserConfig) -> tuple:
+    """The tensors a step's time projections are computed from: the
+    embedding MLP's and every residual block's `temb.*`."""
+    return tuple(k for k in param_layout(cfg)
+                 if k.startswith("temb.") or ".temb." in k)
+
+
+def _step_projections(p: DenoiserParams) -> dict:
+    """p's memo of time projections: step index -> {block name: (C, 1)
+    projection}.
+
+    The memo is valid for the exact bytes of the tensors it is computed
+    from, so one comparison per call empties it after any edit of them,
+    in place or not (-0.0 for 0.0 included), and nothing has to empty it
+    by hand. Threads may race to fill an entry; both store the same bits.
+    """
+    key = b"".join([p[k].data.tobytes() for k in _step_tensor_names(p.config)])
+    held = p._step_memo
+    if held is None or held[0] != key:
+        held = p._step_memo = (key, {})
+    return held[1]
 
 
 def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
@@ -207,33 +232,61 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
     over several columns runs as a matrix product whose bits can differ
     from the one-column product, so predict_noise projects each distinct
     step once: a window then gets the same bits in a stack as alone.
+
+    Off a gradient tape each step's block projections are memoized per
+    model (_step_projections), one entry per step index. A call whose
+    steps are all held reads them and skips the embedding; any other
+    call projects all its levels inside the blocks as before, then
+    stores each step's column. Off a tape a column is its own product,
+    so a held column has the bits a projection would give, and a
+    non-finite projection raises where it did and is never stored. On
+    a tape nothing is memoized.
     """
     cfg = p.config
-    se = np.stack([time_embed(int(n), cfg.time_embed_dim) for n in levels],
-                  axis=1)
-    emb = tc.add_bias(tc.matmul(p["temb.fc1.w"], Tensor(se)), p["temb.fc1.b"])
-    emb = tc.silu(emb)
-    emb = tc.add_bias(tc.matmul(p["temb.fc2.w"], emb), p["temb.fc2.b"])
+    memo = None if tc.taping() else _step_projections(p)
+    made = {}
+    if memo is not None and all(n in memo for n in levels):
+        def time_vec(name):
+            cols = [memo[n][name] for n in levels]
+            return Tensor(cols[0] if len(cols) == 1
+                          else np.concatenate(cols, axis=1))
+    else:
+        se = np.stack([time_embed(int(n), cfg.time_embed_dim) for n in levels],
+                      axis=1)
+        emb = tc.add_bias(tc.matmul(p["temb.fc1.w"], Tensor(se)),
+                          p["temb.fc1.b"])
+        emb = tc.silu(emb)
+        emb = tc.add_bias(tc.matmul(p["temb.fc2.w"], emb), p["temb.fc2.b"])
+
+        def time_vec(name):
+            tv = tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb),
+                             p[f"{name}.temb.b"])
+            made[name] = tv.data
+            return tv
 
     widths = cfg.stage_widths()
     h = tc.conv1d(x, p["stem.w"], p["stem.b"])
     skips = []
     for j in range(cfg.depth):
-        h = _resblock(p, f"enc{j}.rb0", h, emb, column, widths[j], widths[j])
-        h = _resblock(p, f"enc{j}.rb1", h, emb, column, widths[j], widths[j])
+        h = _resblock(p, f"enc{j}.rb0", h, time_vec, column, widths[j], widths[j])
+        h = _resblock(p, f"enc{j}.rb1", h, time_vec, column, widths[j], widths[j])
         skips.append(h)
         h = tc.conv1d(h, p[f"down{j}.w"], p[f"down{j}.b"], stride=2)
     wm = widths[cfg.depth]
-    h = _resblock(p, "mid.rb0", h, emb, column, wm, wm)
+    h = _resblock(p, "mid.rb0", h, time_vec, column, wm, wm)
     h = tc.add(h, tc.self_attention(h, p["mid.attn.wq"], p["mid.attn.wk"],
                                     p["mid.attn.wv"]))
-    h = _resblock(p, "mid.rb1", h, emb, column, wm, wm)
+    h = _resblock(p, "mid.rb1", h, time_vec, column, wm, wm)
     for j in reversed(range(cfg.depth)):
         h = tc.upsample2(h)
         h = tc.conv1d(h, p[f"up{j}.w"], p[f"up{j}.b"])
         h = tc.concat_channels(h, skips[j])
-        h = _resblock(p, f"dec{j}.rb0", h, emb, column, 2 * widths[j], widths[j])
-        h = _resblock(p, f"dec{j}.rb1", h, emb, column, widths[j], widths[j])
+        h = _resblock(p, f"dec{j}.rb0", h, time_vec, column, 2 * widths[j],
+                      widths[j])
+        h = _resblock(p, f"dec{j}.rb1", h, time_vec, column, widths[j], widths[j])
+    if memo is not None and made:
+        for j, n in enumerate(levels):
+            memo[int(n)] = {name: tv[:, j : j + 1] for name, tv in made.items()}
     return tc.norm_silu_conv(h, p["head.gn.g"], p["head.gn.b"],
                              _norm_groups(widths[0]), p["head.conv.w"],
                              p["head.conv.b"])
@@ -288,8 +341,32 @@ def _predict_rows(params: DenoiserParams, x: np.ndarray, n_vec: np.ndarray,
         return _forward(params, Tensor(x), levels, column).data
 
 
+def _step_indices(n, B: int) -> np.ndarray:
+    """predict_noise's step n as B integer steps, or a ValueError: a step
+    must be finite and integral (3.0 runs as step 3, 3.7 does not)."""
+    steps = np.asarray(n)
+    if steps.ndim == 0:
+        steps = np.full(B, steps)
+    if steps.shape != (B,):
+        raise ValueError("step index must be scalar or one per batch item")
+    if steps.dtype.kind not in "iu":
+        f = steps.astype(np.float64)
+        integral = np.isfinite(f) & (f == np.trunc(f))
+        if not integral.all():
+            raise ValueError(f"step index must be an integer, got {f[~integral][0]}")
+        steps = f.astype(np.int64)
+    return steps
+
+
 def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     """Predicted noise for x at step n; accepts (M,T) or a (B,M,T) batch.
+
+    n is one step for every row or one per row; a step that is not a
+    finite integer is a ValueError before any work. Off a gradient tape
+    each step's time projections are memoized per model (see _forward):
+    the first call at a step pays for them, later calls at it do not,
+    and an edit of the embedding or projection weights is seen on the
+    next call.
 
     Off a gradient tape, a stack of at least 2 * SHARD_ROWS rows is cut
     into contiguous shards, one per usable core (at most one per
@@ -308,9 +385,7 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
                          f"channels_in={cfg.channels_in}")
     cfg.validate_window(xb.shape[2])
     B = xb.shape[0]
-    n_vec = np.full(B, int(n)) if np.ndim(n) == 0 else np.asarray(n)
-    if n_vec.shape != (B,):
-        raise ValueError("step index must be scalar or one per batch item")
+    n_vec = _step_indices(n, B)
     shards = 1 if tc.taping() else min(B // SHARD_ROWS, _usable_cores())
     if shards < 2:
         out = _predict_rows(params, xb, n_vec)

@@ -14,7 +14,10 @@ is written into the buffer the next op reads (silu into conv1d's
 zero-bordered input, attention's scale and softmax into the score
 array), and affine steps run in place.
 
-All results are checked finite; NaN/Inf raise FloatingPointError.
+All results are checked finite; NaN/Inf raise FloatingPointError. Off a
+tape three results go unchecked because they are finite whenever their
+checked inputs are: silu's inside norm_silu_conv, and attention's scaled
+scores and their softmax.
 """
 
 from __future__ import annotations
@@ -512,8 +515,8 @@ def norm_silu_conv(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     B, C, T = h.shape
     P = (w.data.shape[2] - 1) // 2
     xp = np.zeros((B, C, T + 2 * P))
+    # unguarded: sigmoid lies in [0, 1], so |h * sigmoid(h)| <= |h|, finite
     np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
-    _guard(xp, "silu")
     od = _conv_rows(xp, w, b, 1, Tp)
     return Tensor(od[0] if squeeze else od)
 
@@ -576,9 +579,10 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
             _guard(t, "channel_linear")
         a = np.einsum("bct,bcu->btu", q, k)
         _guard(a, "attn_scores")
+        # unguarded: a factor 1/sqrt(C) <= 1 keeps the checked scores finite
         a *= 1.0 / math.sqrt(C)
-        _guard(a, "scale")
-        _guard(_softmax_rows(a, out=a), "softmax")
+        # unguarded: finite rows give exp(z - max) in [0, 1] and a sum >= 1
+        _softmax_rows(a, out=a)
         od = np.einsum("bcu,btu->bct", v, a)
         _guard(od, "attn_apply")
         return Tensor(od[0] if squeeze else od)

@@ -1,11 +1,15 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+import tsdm.denoiser as dn
+from tsdm import tensor as tc
 from tsdm.denoiser import (
     Adam,
     DenoiserConfig,
+    DenoiserParams,
     TrainConfig,
     diffusion_loss,
     init_params,
@@ -15,6 +19,7 @@ from tsdm.denoiser import (
     training_step,
 )
 from tsdm.schedule import linear_schedule
+from tsdm.tensor import GradTape, Tensor
 
 TOY_CFG = DenoiserConfig(channels_in=4, base_width=8, depth=2,
                          time_embed_dim=8, kernel=3)
@@ -112,6 +117,154 @@ def test_stacked_predict_is_bit_identical_to_single(toy_model, B):
         stacked = predict_noise(toy_model, xb, n)
         for b in range(B):
             assert np.array_equal(stacked[b], predict_noise(toy_model, xb[b], n))
+
+
+@pytest.mark.parametrize("n", [3.7, -0.5, np.nan, np.inf, np.array([3.5]),
+                               np.array([2.0, np.nan])])
+def test_predict_noise_rejects_a_step_that_is_not_an_integer(toy_model, n):
+    model = copy.deepcopy(toy_model)
+    model._step_memo = None
+    x = np.zeros((np.size(n), 4, 16))
+    with pytest.raises(ValueError, match="^step index must be an integer, got "):
+        predict_noise(model, x, n)
+    assert model._step_memo is None  # raised before any work
+
+
+def test_predict_noise_runs_an_integral_float_step(toy_model):
+    x = np.random.default_rng(4).standard_normal((2, 4, 16))
+    want = predict_noise(toy_model, x, 3)
+    assert predict_noise(toy_model, x, 3.0).tobytes() == want.tobytes()
+    assert predict_noise(toy_model, x, np.array([3.0, 3.0])).tobytes() == \
+        want.tobytes()
+
+
+# ------------------------------------------- memoized step projections
+
+def _copied(params):
+    """A fresh model, memo cold, built from copies of params' values."""
+    return DenoiserParams(params.config, {
+        k: Tensor(t.data.copy(), requires_grad=True) for k, t in params.items()})
+
+
+def _same(a, b):
+    return a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("temb.fc1.w", "add"),
+    ("enc1.rb0.temb.b", "add"),
+    ("temb.fc2.b", "negate_zero"),
+    ("dec0.rb1.temb.b", "negate_zero"),
+])
+def test_memo_sees_an_in_place_edit(toy_model, name, edit):
+    model = _copied(toy_model)
+    x = np.random.default_rng(11).standard_normal((4, 16))
+    if edit == "negate_zero":
+        model[name].data[0] = 0.0
+    before = predict_noise(model, x, 25)  # warms the memo
+    held = model._step_memo
+    if edit == "add":
+        model[name].data[0] += 0.25
+    else:  # equal values, other bytes
+        model[name].data[0] = -0.0
+    got = predict_noise(model, x, 25)
+    assert _same(got, predict_noise(_copied(model), x, 25))
+    assert model._step_memo is not held
+    if edit == "add":
+        assert not _same(got, before)
+
+
+def test_memo_sees_an_edit_after_deepcopy(toy_model):
+    model = _copied(toy_model)
+    x = np.random.default_rng(12).standard_normal((4, 16))
+    before = predict_noise(model, x, 60)  # warms the memo
+    dup = copy.deepcopy(model)
+    assert _same(predict_noise(dup, x, 60), before)
+    dup["mid.rb1.temb.w"].data -= 0.125
+    got = predict_noise(dup, x, 60)
+    assert _same(got, predict_noise(_copied(dup), x, 60))
+    assert not _same(got, before)
+    assert _same(predict_noise(model, x, 60), before)  # the original is untouched
+
+
+def test_mixed_steps_get_the_same_bits_cold_and_warm(toy_model):
+    xb = np.random.default_rng(13).standard_normal((6, 4, 16))
+    steps = np.array([9, 3, 50, 9, 77, 3])
+    cold = _copied(toy_model)
+    want = predict_noise(cold, xb, steps)
+    assert _same(predict_noise(cold, xb, steps), want)  # all hits
+    part = _copied(toy_model)
+    predict_noise(part, xb[0], 9)  # some steps held, others not
+    predict_noise(part, xb[:2], np.array([50, 1]))
+    assert _same(predict_noise(part, xb, steps), want)
+    assert _same(predict_noise(part, xb, steps), want)
+    for b, n in enumerate(steps):  # and each row as alone
+        assert _same(predict_noise(part, xb[b], n), want[b])
+
+
+def test_memo_columns_equal_a_multi_column_projection(toy_model):
+    # the memo holds each step's columns from whichever call filled it,
+    # so one step's column must not depend on the others projected with it
+    model = _copied(toy_model)
+    x = np.zeros((4, 16))
+    levels = [3, 9, 50, 100]
+    for n in levels:  # one step a call: one-column products
+        predict_noise(model, x, n)
+    memo = model._step_memo[1]
+    se = np.stack([dn.time_embed(n, model.config.time_embed_dim)
+                   for n in levels], axis=1)
+    emb = tc.add_bias(tc.matmul(model["temb.fc1.w"], Tensor(se)),
+                      model["temb.fc1.b"])
+    emb = tc.silu(emb)
+    emb = tc.add_bias(tc.matmul(model["temb.fc2.w"], emb), model["temb.fc2.b"])
+    blocks = {k[: -len(".temb.w")] for k in model.tensors if k.endswith(".temb.w")}
+    assert len(blocks) == 10 and set(memo) == set(levels)
+    for name in blocks:
+        together = tc.add_bias(tc.matmul(model[f"{name}.temb.w"], emb),
+                               model[f"{name}.temb.b"]).data
+        assembled = np.concatenate([memo[n][name] for n in levels], axis=1)
+        assert _same(assembled, together), name
+
+
+def test_overflowing_projection_raises_on_every_call(toy_model):
+    model = _copied(toy_model)
+    x = np.random.default_rng(14).standard_normal((4, 16))
+    predict_noise(model, x, 30)  # warms the memo
+    w = model["mid.rb1.temb.w"].data
+    w *= 1e300
+    w[0] = 1e308
+    for _ in range(3):
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError,
+                               match="^matmul: non-finite values in result$"):
+                predict_noise(model, x, 30)
+        assert model._step_memo[1] == {}  # never kept
+
+
+def test_training_neither_reads_nor_fills_the_memo(toy_model, sched100):
+    model = _copied(toy_model)
+    ref = _copied(toy_model)
+    x = np.random.default_rng(15).standard_normal((4, 16))
+    predict_noise(model, x, 40)  # warms the memo
+    key, memo = model._step_memo
+    for cols in memo[40].values():  # poison it: a read would show
+        cols[...] = 1e6
+    batch = np.random.default_rng(16).standard_normal((8, 4, 16))
+    n_vec = np.array([40, 40, 7, 7, 93, 1, 40, 2])
+    eps = np.random.default_rng(17).standard_normal(batch.shape)
+    losses = []
+    for p in (model, ref):
+        with GradTape() as tape:
+            loss = diffusion_loss(p, batch, n_vec, eps, sched100)
+            grads = tape.backward(loss)
+        losses.append((loss.data.tobytes(),
+                       [grads[id(t)].tobytes() for _, t in p.items()]))
+    assert losses[0] == losses[1]
+    assert model._step_memo[0] == key and model._step_memo[1] is memo
+    assert list(memo) == [40]
+    rng = np.random.default_rng(18)
+    training_step(model, batch, sched100, rng, Adam(model, 1e-3))
+    assert model._step_memo[0] == key and list(model._step_memo[1]) == [40]
 
 
 # -------------------------------------------------------------- objective

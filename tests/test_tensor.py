@@ -1,6 +1,8 @@
 """Autodiff engine checks: every op against central differences, plus the
 algebraic identity and purity contracts."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -771,3 +773,46 @@ def test_self_attention_matches_prior_bits(shape, taped):
         out = tc.self_attention(Tensor(x, requires_grad=taped),
                                 *[Tensor(w, requires_grad=taped) for w in ws])
     _assert_same_bits(out.data, _prior_self_attention(x, *ws))
+
+
+# ------------------------------------- off-tape results that go unchecked
+
+# the float extremes: the largest finite magnitude, the smallest
+# subnormal and both zeros
+_EXTREMES = [1.79e308, -1.79e308, 5e-324, -5e-324, 0.0, -0.0]
+_finite = st.one_of(st.sampled_from(_EXTREMES),
+                    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_finite, min_size=1, max_size=64))
+def test_silu_of_finite_is_finite_and_no_larger(values):
+    # why norm_silu_conv does not check silu's result off a tape
+    h = np.array(values)
+    y = h * tc._sigmoid(h)
+    assert np.isfinite(y).all()
+    assert (np.abs(y) <= np.abs(h)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_finite, min_size=6, max_size=6), min_size=1,
+                max_size=6))
+def test_softmax_of_finite_rows_is_finite(rows):
+    # why self_attention does not check its softmax off a tape
+    z = np.array(rows)
+    with np.errstate(over="ignore"):  # z - max may round to -inf: exp gives 0
+        y = tc._softmax_rows(z)
+        y_in_place = z.copy()
+        tc._softmax_rows(y_in_place, out=y_in_place)
+    assert np.isfinite(y).all()
+    _assert_same_bits(y_in_place, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_finite, min_size=1, max_size=64),
+       st.integers(min_value=1, max_value=4096))
+def test_scaled_finite_scores_stay_finite(values, C):
+    # why self_attention does not check its scaled scores off a tape
+    a = np.array(values)
+    a *= 1.0 / math.sqrt(C)
+    assert np.isfinite(a).all()
