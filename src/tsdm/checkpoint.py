@@ -4,11 +4,10 @@ Layout: magic "TSDM", little-endian u32 version, little-endian u64 header
 length, UTF-8 JSON header (network config, per-channel normalization
 stats, tensor table with name/shape/byte offset and, from version 2, the
 payload's SHA-256), then the concatenated tensor payload as raw
-little-endian float64. Round-trips are bit-exact. Loading checks the
-tensor table against the layout the header's config builds, so a
-missing, extra or misshapen tensor fails at load, and checks a version 2
-payload against its hash; version 1 files, which carry no hash, still
-load.
+little-endian float64. Round-trips are bit-exact. Loading checks each
+header field's JSON type, the tensor table against the layout the
+config builds and a version 2 payload against its hash (version 1 files
+carry none); any fault is a one-line ValueError naming the file.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -57,59 +56,87 @@ def save_checkpoint(path, params: DenoiserParams,
 
 
 def load_checkpoint(path):
-    """Returns (params, norm_mean, norm_std)."""
+    """Returns (params, norm_mean, norm_std). A malformed file is a
+    one-line ValueError that names it and the cause."""
     with open(path, "rb") as f:
         blob = f.read()
+    try:
+        return _parse(blob)
+    except ValueError as e:
+        raise ValueError(f"checkpoint {path}: {e}") from e
+
+
+def _parse(blob: bytes):
+    """load_checkpoint's result from the file's bytes."""
     if blob[:4] != MAGIC:
-        raise ValueError(f"bad checkpoint magic {blob[:4]!r}")
-    (version,) = struct.unpack_from("<I", blob, 4)
+        raise ValueError(f"bad magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise ValueError(f"{len(blob)} bytes is shorter than the preamble")
+    version, hlen = struct.unpack_from("<IQ", blob, 4)
     if version not in (1, VERSION):
-        raise ValueError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack_from("<Q", blob, 8)
-    hstart, hend = 16, 16 + hlen
+        raise ValueError(f"unsupported version {version}")
+    hend = 16 + hlen
     if hend > len(blob):
-        raise ValueError("truncated checkpoint header")
-    header = json.loads(blob[hstart:hend].decode("utf-8"))
-    cfg = DenoiserConfig(**header["config"])
-    _check_layout(header["tensors"], cfg)
+        raise ValueError("truncated header")
+    try:
+        header = json.loads(blob[16:hend].decode("utf-8"))
+    except ValueError as e:
+        raise ValueError(f"header is not UTF-8 JSON ({e})") from e
+    conf = _field(header, "config", dict)
+    unknown = sorted(set(conf) - {f.name for f in fields(DenoiserConfig)})
+    if unknown:
+        raise ValueError(f"config has unknown keys {unknown}")
+    for key in ("channels_in", *conf):
+        _field(conf, key, int, "config")
+    cfg = DenoiserConfig(**conf)
+    norm = [np.asarray(_field(header, key, list), dtype=np.float64)
+            for key in ("norm_mean", "norm_std")]
+    if not all(n.ndim == 1 and np.isfinite(n).all() for n in norm):
+        raise ValueError("norm_mean and norm_std must list finite numbers")
     payload = blob[hend:]
-    tensors = {}
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        end = start + 8 * count
-        if end > len(payload):
-            raise ValueError(f"truncated payload for tensor {entry['name']}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        tensors[entry["name"]] = Tensor(arr.reshape(shape).copy(), requires_grad=True)
+    tensors = _read_tensors(_field(header, "tensors", list),
+                            param_layout(cfg), payload)
     if version > 1 and (hashlib.sha256(payload).hexdigest()
-                        != header.get("payload_sha256")):
-        raise ValueError("checkpoint payload does not match its SHA-256 "
-                         "(corrupt file)")
-    params = DenoiserParams(cfg, tensors)
-    return (params,
-            np.asarray(header["norm_mean"], dtype=np.float64),
-            np.asarray(header["norm_std"], dtype=np.float64))
+                        != _field(header, "payload_sha256", str)):
+        raise ValueError("payload does not match its SHA-256 (corrupt file)")
+    return (DenoiserParams(cfg, tensors), *norm)
 
 
-def _check_layout(table, cfg: DenoiserConfig) -> None:
-    """Raise a one-line ValueError naming the first tensor of the table that
-    is extra, repeated or misshapen, or the first one missing from it,
-    against the layout that init_params(cfg) builds."""
-    layout = param_layout(cfg)
-    seen = set()
+def _field(obj, key: str, kind: type, where: str = "header"):
+    """obj[key] if obj is a JSON object holding `key` as a `kind` (where
+    true and false are no int), else a one-line ValueError."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+        raise ValueError(f"{where} field {key!r} is not {kind.__name__}")
+    return obj[key]
+
+
+def _read_tensors(table: list, layout: dict, payload: bytes) -> dict:
+    """name -> Tensor for each entry of the header's tensor table, or a
+    ValueError naming the first tensor that is mistyped, extra, repeated,
+    misshapen or truncated, or the first one of `layout` not in it."""
+    tensors = {}
     for entry in table:
-        name, shape = entry["name"], tuple(entry["shape"])
+        name = _field(entry, "name", str, "tensor entry")
+        where = f"tensor {name}"
+        shape = tuple(_field(entry, "shape", list, where))
+        start = _field(entry, "offset", int, where)
         if name not in layout:
-            raise ValueError(f"checkpoint tensor {name} is not in the "
-                             f"network layout of its config")
-        if name in seen:
-            raise ValueError(f"checkpoint tensor {name} appears twice")
+            raise ValueError(f"{where} is not in the network layout of its "
+                             f"config")
+        if name in tensors:
+            raise ValueError(f"{where} appears twice")
         if shape != layout[name]:
-            raise ValueError(f"checkpoint tensor {name} has shape {shape}, "
-                             f"the config's layout has {layout[name]}")
-        seen.add(name)
+            raise ValueError(f"{where} has shape {shape}, the config's "
+                             f"layout has {layout[name]}")
+        count = int(np.prod(layout[name]))
+        if start + 8 * count > len(payload):
+            raise ValueError(f"truncated payload for {where}")
+        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
+        tensors[name] = Tensor(arr.reshape(layout[name]).copy(),
+                               requires_grad=True)
     for name in layout:
-        if name not in seen:
-            raise ValueError(f"checkpoint is missing tensor {name}")
+        if name not in tensors:
+            raise ValueError(f"missing tensor {name}")
+    return tensors

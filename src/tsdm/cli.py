@@ -290,12 +290,16 @@ def _ratio_attack(cfg: RunConfig, ratio: float, M: int, T: int) -> AttackSpec:
 def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
     truth = _load_finite(args.truth, "truth")
     M, T = truth.shape
-    params, mean, std = load_checkpoint(_checkpoint_path(cfg, out))
     axis = cfg.sweep_axis
     if axis not in SWEEP_DEFAULTS:
         raise ValueError(f"unknown sweep_axis {axis!r}; "
                          f"expected one of {sorted(SWEEP_DEFAULTS)}")
     values = cfg.sweep_values or SWEEP_DEFAULTS[axis]
+    fractional = [v for v in values if not float(v).is_integer()]
+    if axis == "repeats" and fractional:
+        raise ValueError(f"sweep_values for repeats must be integers, got "
+                         f"{fractional[0]:.12g}")
+    params, mean, std = load_checkpoint(_checkpoint_path(cfg, out))
     weights = make_weights(cfg, M)
 
     rows = ["axis,value,weighted_rmse,masked_rmse"]

@@ -293,10 +293,10 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
 
 
 # Rows a shard of a stacked predict_noise call needs before the stack is
-# split across cores. Measured break-even on the steady fixture, two-way
-# split against one call: 2.67x the time at 2 rows a shard, 1.61x at 8,
-# 1.06x at 16, 0.68x at 32; below about 16 rows a shard the GIL
-# serialises numpy's per-op overhead and the threads only take turns.
+# split across cores. Two-way split against one call (steady fixture, 2
+# cores, four runs): 1.40-2.10x the time at 2 rows a shard, 0.90-1.04x
+# at 8, 0.60-1.05x at 16, 0.52-0.68x at 32. Below the break-even, near 8
+# rows, the GIL serialises numpy's per-op overhead; 16 keeps a margin.
 SHARD_ROWS = 16
 
 _pool = None  # ThreadPoolExecutor running every shard but the caller's

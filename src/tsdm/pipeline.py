@@ -79,8 +79,8 @@ def recover(params: DenoiserParams, y0: np.ndarray, known_mask,
     return out
 
 
-def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig,
-                  parallelism: int = 1, norm_mean=None, norm_std=None):
+def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig, *,
+                  norm_mean=None, norm_std=None):
     """Recover many windows; order-preserving, seeds derived seed^index.
 
     The windows run in lockstep: each reverse step makes one denoiser
@@ -88,17 +88,13 @@ def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig,
     stage 1 and then through stage 2 for the windows that branch. Each
     result is bit-identical to `recover` of that window alone with seeds
     seed^index. Failures are reported per index as WindowFailure entries
-    without aborting the remaining windows. `parallelism` is deprecated:
-    it is only checked (at least 1) and does not change how the windows
-    run. A stacked denoiser call is split across the usable cores, a count
-    taken from the process's CPU affinity (see denoiser.predict_noise),
-    with the same bits.
+    without aborting the remaining windows. A stacked denoiser call is
+    split across the usable cores, a count taken from the process's CPU
+    affinity (see denoiser.predict_noise), with the same bits.
     """
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
     if windows and any(w.shape != windows[0].shape for w in windows):
         raise ValueError("windows must share one shape")
-    if parallelism < 1:
-        raise ValueError("parallelism must be at least 1")
     outs = _recover_windows(params, windows, [None] * len(windows), cfg,
                             norm_mean, norm_std)
     return [WindowFailure(index=k, error=str(out))

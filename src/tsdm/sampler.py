@@ -63,12 +63,6 @@ class SamplerTrace:
         self.records.append(TraceRecord(int(tau), float(sigma_bar),
                                         float(elapsed_ms)))
 
-    def to_csv(self) -> str:
-        lines = ["step,sigma_bar,elapsed_ms"]
-        for r in self.records:
-            lines.append(f"{r.tau},{r.sigma_bar:.12g},{r.elapsed_ms:.12g}")
-        return "\n".join(lines) + "\n"
-
 
 def forward_diffuse(x0: np.ndarray, n: int, eps: np.ndarray,
                     sched: VarianceSchedule) -> np.ndarray:

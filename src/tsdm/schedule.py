@@ -70,15 +70,6 @@ def linear_schedule(
     return VarianceSchedule.from_betas(np.linspace(beta_start, beta_end, n_steps))
 
 
-def ddpm_sigma(sched: VarianceSchedule, n: int) -> float:
-    """Reverse-step standard deviation that makes the sampler the classic DDPM."""
-    if not 2 <= n <= sched.N:
-        raise ValueError(f"ddpm_sigma defined for 2..{sched.N}, got {n}")
-    a_prev = sched.alpha_bar_at(n - 1)
-    a_cur = sched.alpha_bar_at(n)
-    return float(np.sqrt((1.0 - a_prev) / (1.0 - a_cur)) * np.sqrt(1.0 - a_cur / a_prev))
-
-
 @dataclass(frozen=True)
 class Subsequence:
     """Strictly increasing 1-based step indices ending at N."""

@@ -12,8 +12,8 @@ back to level tau_i so the next pass re-denoises it. The loop renoises
 with the exact forward kernel between the two adjacent subsequence
 levels, x = sqrt(a_i/a_{i-1}) x' + sqrt(1 - a_i/a_{i-1}) eps2, which
 keeps repeated passes level-consistent under subsequence jumps and
-reduces to the single-step form sqrt(1-beta) x' + sqrt(beta) eps2
-(resample_step) when the subsequence stride is 1. The final estimate
+reduces to RePaint's single-step form sqrt(1-beta) x' + sqrt(beta) eps2
+when the subsequence stride is 1. The final estimate
 pins observed entries to sqrt(alpha_bar(tau_1)) y0 and fills the rest
 with the clean-signal estimate. Missing-entry values of y0 are
 zero-filled up front and never read.
@@ -65,27 +65,14 @@ def combine_masked(known: np.ndarray, generated: np.ndarray,
     return np.where(mask == 1.0, known, generated)
 
 
-def resample_step(x_prev: np.ndarray, i: int, sched: VarianceSchedule,
-                  tau: Subsequence, eps2: np.ndarray) -> np.ndarray:
-    """Renoise one single-step level: sqrt(1-beta) x + sqrt(beta) eps."""
-    if not 1 <= i <= tau.s:
-        raise ValueError(f"subsequence position {i} outside 1..{tau.s}")
-    x_prev = np.asarray(x_prev, dtype=np.float64)
-    eps2 = np.asarray(eps2, dtype=np.float64)
-    if x_prev.shape != eps2.shape:
-        raise ValueError(f"shape mismatch {x_prev.shape} vs {eps2.shape}")
-    beta = sched.beta_at(int(tau.tau[i - 1]))
-    return np.sqrt(1.0 - beta) * x_prev + np.sqrt(beta) * eps2
-
-
 def renoise_to_level(x_prev: np.ndarray, i: int, sched: VarianceSchedule,
                      tau: Subsequence, eps2: np.ndarray) -> np.ndarray:
     """Renoise from level tau_{i-1} back to tau_i with the forward kernel.
 
     Uses the compound ratio a_{tau_i}/a_{tau_{i-1}}, so a renoised latent
     sits at exactly the level the next denoising pass expects even when
-    the subsequence jumps several schedule steps. Equals resample_step
-    when tau_i - tau_{i-1} == 1.
+    the subsequence jumps several schedule steps. When tau_i - tau_{i-1}
+    == 1 this is sqrt(1-beta) x + sqrt(beta) eps with beta = beta(tau_i).
     """
     if not 2 <= i <= tau.s:
         raise ValueError(f"subsequence position {i} outside 2..{tau.s}")

@@ -1,13 +1,13 @@
 """Dense float64 tensors with minimal reverse-mode automatic differentiation.
 
-The op surface is exactly what the denoising network needs: elementwise
-arithmetic, matmul, 1-D convolution, group normalization, single-head
-self-attention, the fused norm_silu_conv (group_norm, silu, conv1d), and
-a few structural helpers. Ops are pure functions over immutable values;
-when a GradTape is active and an input requires gradients, the op
-appends a record to the tape. GradTape.backward replays the records in
-reverse creation order, which is a valid topological order because every
-input of a node was created before the node itself.
+The ops are what the denoising network needs (elementwise arithmetic,
+matmul, 1-D convolution, group normalization, single-head self-attention,
+the fused norm_silu_conv and a few structural helpers), plus sqrt and
+sum_all, which serve only acceptance criterion 4's gradient suite. Ops are
+pure functions over immutable values; when a GradTape is active and an input
+requires gradients, the op appends a record to the tape. GradTape.backward
+replays the records in reverse creation order, which is a valid topological
+order because every input of a node was created before the node itself.
 
 Off a tape, kernels cut their numpy calls with the same bits: a result
 is written into the buffer the next op reads (silu into conv1d's

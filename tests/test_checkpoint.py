@@ -76,6 +76,80 @@ def test_truncated_payload_rejected(tmp_path, small_params):
         load_checkpoint(path)
 
 
+def _with_header(path, hbytes):
+    """Rewrite the checkpoint at path with hbytes as its header."""
+    blob = path.read_bytes()
+    path.write_bytes(MAGIC + struct.pack("<IQ", VERSION, len(hbytes)) + hbytes
+                     + blob[_header(blob)[1]:])
+
+
+def _load_error(path):
+    with pytest.raises(ValueError) as info:
+        load_checkpoint(path)
+    message = str(info.value)
+    assert str(path) in message and "\n" not in message
+    return message
+
+
+def test_short_preamble_rejected(tmp_path):
+    path = tmp_path / "model.tsdm"
+    path.write_bytes(b"TSDM\x02\x00")
+    assert "6 bytes is shorter than the preamble" in _load_error(path)
+
+
+@pytest.mark.parametrize("hbytes, cause", [
+    (b"\xff\xfe{}", "header is not UTF-8 JSON"),
+    (b"{not json", "header is not UTF-8 JSON"),
+    (b"", "header is not UTF-8 JSON"),
+    (b"[1, 2]", "header has no field 'config'"),
+])
+def test_header_that_is_not_a_json_object_rejected(tmp_path, small_params,
+                                                   hbytes, cause):
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    _with_header(path, hbytes)
+    assert cause in _load_error(path)
+
+
+def _drop(key):
+    return lambda h: h.pop(key)
+
+
+def _set(key, value, part=lambda h: h):
+    return lambda h: part(h).update({key: value})
+
+
+@pytest.mark.parametrize("edit, cause", [
+    (_drop("config"), "header has no field 'config'"),
+    (_drop("tensors"), "header has no field 'tensors'"),
+    (_drop("norm_std"), "header has no field 'norm_std'"),
+    (_drop("payload_sha256"), "header has no field 'payload_sha256'"),
+    (_set("config", [3]), "header field 'config' is not dict"),
+    (_set("tensors", {}), "header field 'tensors' is not list"),
+    (_set("norm_mean", [0.0, None, 0.0]), "must list finite numbers"),
+    (_set("norm_std", "1,1,1"), "header field 'norm_std' is not list"),
+    (_set("dropout", 0.1, lambda h: h["config"]),
+     "config has unknown keys ['dropout']"),
+    (lambda h: h["config"].pop("channels_in"),
+     "config has no field 'channels_in'"),
+    (_set("depth", "1", lambda h: h["config"]),
+     "config field 'depth' is not int"),
+    (_set("channels_in", True, lambda h: h["config"]),
+     "config field 'channels_in' is not int"),
+    (_set("offset", 0.0, lambda h: h["tensors"][0]),
+     "field 'offset' is not int"),
+    (lambda h: h["tensors"][1].pop("shape"), "has no field 'shape'"),
+    (lambda h: h["tensors"].append(7), "tensor entry has no field 'name'"),
+])
+def test_malformed_header_field_rejected(tmp_path, small_params, edit, cause):
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    header, _ = _header(path.read_bytes())
+    edit(header)
+    _with_header(path, json.dumps(header).encode("utf-8"))
+    assert cause in _load_error(path)
+
+
 def test_magic_constant():
     assert MAGIC == b"TSDM"
     assert VERSION == 2

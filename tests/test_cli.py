@@ -188,6 +188,18 @@ def test_sweep_axis_and_values_follow_config(cli_env):
                                                      ["repeats", "2"]]
 
 
+def test_sweep_refuses_nonintegral_repeats(cli_env):
+    cfg = write_config(cli_env / "sw4.cfg",
+                       checkpoint=cli_env / "base/model.tsdm",
+                       sweep_axis="repeats", sweep_values="2,2.5,2.9")
+    r = run_cli("--config", cfg.name, "--out", "x11", "sweep",
+                "base/windows/00004.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert "repeats must be integers, got 2.5" in r.stderr
+    assert not (cli_env / "x11" / "sweep.csv").exists()
+
+
 def test_unknown_flag_is_usage_error(cli_env):
     r = run_cli("--frobnicate", "synth", cwd=cli_env)
     assert r.returncode == 1
@@ -222,6 +234,17 @@ def test_corrupt_checkpoint_is_runtime_failure(cli_env):
                 "base/windows/00004.csv", cwd=cli_env)
     assert r.returncode == 2
     assert r.stderr.count("\n") == 1 and "SHA-256" in r.stderr
+
+
+def test_short_checkpoint_is_runtime_failure(cli_env):
+    (cli_env / "short.tsdm").write_bytes(b"TSDM\x02\x00")
+    cfg = write_config(cli_env / "short.cfg",
+                       checkpoint=cli_env / "short.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x12", "recover",
+                "base/windows/00004.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1 and "short.tsdm" in r.stderr
+    assert "shorter than the preamble" in r.stderr
 
 
 def test_channel_count_mismatch_is_runtime_failure(cli_env):

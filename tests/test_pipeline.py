@@ -173,22 +173,10 @@ def test_batch_of_one_matches_single_call(toy_model):
     assert batch[0].stage_taken == single.stage_taken
 
 
-def test_batch_parallel_matches_serial(toy_model):
-    windows = [toy_window(20 + k) for k in range(6)]
-    serial = recover_batch(toy_model, windows, make_cfg(seed=3),
-                           parallelism=1)
-    parallel = recover_batch(toy_model, windows, make_cfg(seed=3),
-                             parallelism=4)
-    assert len(serial) == len(parallel) == 6
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.x_tilde, b.x_tilde)
-        assert a.stage_taken == b.stage_taken
-
-
 def test_batch_isolates_per_window_failures(toy_model):
     windows = [toy_window(30), toy_window(31), np.full((4, 16), 1e308),
                toy_window(32)]
-    results = recover_batch(toy_model, windows, make_cfg(), parallelism=2)
+    results = recover_batch(toy_model, windows, make_cfg())
     assert isinstance(results[2], WindowFailure)
     assert results[2].index == 2
     assert "stage1" in results[2].error
@@ -210,8 +198,6 @@ def test_batch_validates_inputs(toy_model):
     with pytest.raises(ValueError):
         recover_batch(toy_model, [toy_window(1), np.zeros((4, 8))],
                       make_cfg())
-    with pytest.raises(ValueError):
-        recover_batch(toy_model, [toy_window(1)], make_cfg(), parallelism=0)
     assert recover_batch(toy_model, [], make_cfg()) == []
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tsdm.schedule import (
     Subsequence,
     VarianceSchedule,
-    ddpm_sigma,
     linear_schedule,
     make_subsequence,
 )
@@ -77,50 +76,6 @@ def test_accessors_are_one_based_and_range_checked():
             sched.beta_at(bad)
 
 
-# -------------------------------------------------------------- ddpm_sigma
-
-def test_ddpm_sigma_two_step_toy():
-    sched = VarianceSchedule.from_betas(np.array([0.1, 0.2]))
-    np.testing.assert_allclose(sched.alpha_bar, [0.9, 0.72])
-    got = ddpm_sigma(sched, 2)
-    assert got == pytest.approx(np.sqrt((0.1 / 0.28) * (1 - 0.8)), rel=1e-12)
-    assert got == pytest.approx(0.2673, abs=5e-4)
-
-
-def test_ddpm_sigma_vanishes_with_tiny_betas():
-    sched = VarianceSchedule.from_betas(np.array([1e-9, 2e-9, 3e-9]))
-    assert ddpm_sigma(sched, 3) < 1e-4
-
-
-def test_ddpm_sigma_rejects_out_of_range():
-    sched = linear_schedule(10)
-    for bad in (0, 1, 11):
-        with pytest.raises(ValueError):
-            ddpm_sigma(sched, bad)
-
-
-def test_ddpm_sigma_below_posterior_bound_everywhere():
-    sched = linear_schedule(100)
-    for n in range(2, 101):
-        sig = ddpm_sigma(sched, n)
-        assert sig >= 0
-        assert sig**2 <= 1.0 - sched.alpha_bar_at(n - 1) + 1e-15
-
-
-def test_ddpm_sigma_reproduces_posterior_mean_coefficient():
-    # With sigma_n plugged into the generalized reverse-mean split
-    #   coeff(x0) = sqrt(a_prev) - sqrt(1 - a_prev - sigma^2) * sqrt(a_cur)/sqrt(1 - a_cur)
-    # the classic posterior coefficient sqrt(a_prev)*beta_n/(1 - a_cur) must come back.
-    sched = linear_schedule(100)
-    for n in range(2, 101):
-        a_prev = sched.alpha_bar_at(n - 1)
-        a_cur = sched.alpha_bar_at(n)
-        sig = ddpm_sigma(sched, n)
-        coeff = np.sqrt(a_prev) - np.sqrt(1 - a_prev - sig**2) * np.sqrt(a_cur) / np.sqrt(1 - a_cur)
-        want = np.sqrt(a_prev) * sched.beta_at(n) / (1 - a_cur)
-        assert coeff == pytest.approx(want, abs=1e-12)
-
-
 # ---------------------------------------------------------- make_subsequence
 
 def test_make_subsequence_ten_of_hundred():
@@ -186,8 +141,9 @@ def test_property_every_schedule_satisfies_invariants(n, start, spread):
         assert np.all(np.diff(ab) < 0)
     recur = np.concatenate([[1.0], ab[:-1]]) * (1.0 - sched.beta)
     np.testing.assert_allclose(ab, recur, rtol=1e-14)
-    for m in range(2, n + 1):
-        assert ddpm_sigma(sched, m) ** 2 <= 1.0 - sched.alpha_bar_at(m - 1) + 1e-15
+    # the DDPM posterior variance stays below the previous level's noise
+    posterior = (1.0 - ab[:-1]) / (1.0 - ab[1:]) * sched.beta[1:]
+    assert np.all(posterior <= 1.0 - ab[:-1] + 1e-15)
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,8 +14,7 @@ import pytest
 
 from tsdm.schedule import linear_schedule, make_subsequence
 from tsdm.stage2 import (ImputeConfig, combine_masked, diffuse_known,
-                         renoise_to_level,
-                         resample_step, stage2_impute)
+                         renoise_to_level, stage2_impute)
 
 SCHED = linear_schedule(100)
 TAU = make_subsequence(100, 10)
@@ -101,42 +100,6 @@ def test_combine_masked_rejects_nonbinary_mask():
         combine_masked(z, z, mask)
 
 
-# ----------------------------------------------------------- resample_step
-
-
-def test_resample_step_zero_noise_scales_x():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((4, 16))
-    i = 7
-    beta = SCHED.beta_at(int(TAU.tau[i - 1]))
-    out = resample_step(x, i, SCHED, TAU, np.zeros_like(x))
-    assert np.array_equal(out, np.sqrt(1.0 - beta) * x)
-
-
-def test_resample_step_rejects_out_of_range_position():
-    x = np.zeros((2, 4))
-    with pytest.raises(ValueError):
-        resample_step(x, 0, SCHED, TAU, x)
-    with pytest.raises(ValueError):
-        resample_step(x, TAU.s + 1, SCHED, TAU, x)
-
-
-def test_resample_step_monte_carlo_second_moment():
-    # E||x_tau||^2 = (1-beta)||x_prev||^2 + beta*d over noise draws.
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((50, 50))
-    i = 9
-    beta = SCHED.beta_at(int(TAU.tau[i - 1]))
-    d = x.size
-    total = 0.0
-    draws = 200
-    for _ in range(draws):
-        out = resample_step(x, i, SCHED, TAU, rng.standard_normal((50, 50)))
-        total += float(np.sum(out**2))
-    expected = (1.0 - beta) * float(np.sum(x**2)) + beta * d
-    assert total / draws == pytest.approx(expected, rel=0.05)
-
-
 def test_renoise_to_level_zero_noise_scales_by_level_ratio():
     rng = np.random.default_rng(15)
     x = rng.standard_normal((4, 16))
@@ -175,7 +138,8 @@ def test_renoise_to_level_matches_resample_step_at_unit_stride():
     eps = rng.standard_normal((4, 16))
     for i in (2, 40, 100):
         a = renoise_to_level(x, i, SCHED, tau_full, eps)
-        b = resample_step(x, i, SCHED, tau_full, eps)
+        beta = SCHED.beta_at(int(tau_full.tau[i - 1]))
+        b = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * eps
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 
 
