@@ -115,7 +115,8 @@ def _field(obj, key: str, kind: type, where: str = "header"):
 def _read_tensors(table: list, layout: dict, payload: bytes) -> dict:
     """name -> Tensor for each entry of the header's tensor table, or a
     ValueError naming the first tensor that is mistyped, extra, repeated,
-    misshapen or truncated, or the first one of `layout` not in it."""
+    misshapen, placed before the payload or truncated, or the first one
+    of `layout` not in it."""
     tensors = {}
     for entry in table:
         name = _field(entry, "name", str, "tensor entry")
@@ -131,6 +132,8 @@ def _read_tensors(table: list, layout: dict, payload: bytes) -> dict:
             raise ValueError(f"{where} has shape {shape}, the config's "
                              f"layout has {layout[name]}")
         count = int(np.prod(layout[name]))
+        if start < 0:
+            raise ValueError(f"{where} has negative offset {start}")
         if start + 8 * count > len(payload):
             raise ValueError(f"truncated payload for {where}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -82,6 +83,12 @@ class DenoiserParams:
             if not np.all(np.isfinite(t.data)):
                 raise ValueError(f"parameter {name} contains non-finite values")
         self._step_memo = None  # (key, memo); see _step_projections
+        self._binding = None  # see _bound
+
+    def __getstate__(self):
+        # a copy's tensors hold new arrays, which the binding's views do
+        # not read, so a copy (deepcopy, pickle) binds its own
+        return {**self.__dict__, "_binding": None}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -113,20 +120,28 @@ def _norm_groups(channels: int) -> int:
     return g
 
 
-def _param_specs(cfg: DenoiserConfig) -> list:
-    """(name, shape, init) of every parameter, in creation order.
+def _param_specs(cfg: DenoiserConfig) -> tuple:
+    """(specs, layers) of the network.
 
-    `init(rng)` makes the initial values; only weights draw from rng, so
-    calling the inits in this order fixes the draws of init_params.
+    specs lists (name, shape, init) of every parameter, in creation
+    order. `init(rng)` makes the initial values; only weights draw from
+    rng, so calling the inits in this order fixes the draws of
+    init_params. layers maps each kind of layer to its layers by name,
+    each as the names of its tensors and its fixed arguments: a conv as
+    (weight, bias, stride), a norm as (gamma, beta, groups), attention as
+    its (query, key, value) projections and a residual block as (norm 1,
+    conv 1, norm 2, conv 2, skip conv or None).
     """
     specs = []
+    layers = {"conv": {}, "norm": {}, "attn": {}, "block": {}}
 
-    def conv(name, cout, cin, k, zero=False):
+    def conv(name, cout, cin, k, zero=False, stride=1):
         scale = 0.0 if zero else 1.0 / math.sqrt(cin * k)
         shape = (cout, cin, k)
         specs.append((f"{name}.w", shape,
                       lambda rng: rng.normal(0.0, 1.0, shape) * scale))
         specs.append((f"{name}.b", (cout,), lambda rng: np.zeros(cout)))
+        layers["conv"][name] = (f"{name}.w", f"{name}.b", stride)
 
     def weight(name, cout, cin):
         shape = (cout, cin)
@@ -140,6 +155,7 @@ def _param_specs(cfg: DenoiserConfig) -> list:
     def norm(name, c):
         specs.append((f"{name}.g", (c,), lambda rng: np.ones(c)))
         specs.append((f"{name}.b", (c,), lambda rng: np.zeros(c)))
+        layers["norm"][name] = (f"{name}.g", f"{name}.b", _norm_groups(c))
 
     def resblock(name, cin, cout):
         norm(f"{name}.gn1", cin)
@@ -147,8 +163,12 @@ def _param_specs(cfg: DenoiserConfig) -> list:
         dense(f"{name}.temb", cout, cfg.time_embed_dim)
         norm(f"{name}.gn2", cout)
         conv(f"{name}.conv2", cout, cout, cfg.kernel)
+        skip = None
         if cin != cout:
-            conv(f"{name}.skip", cout, cin, 1)
+            skip = f"{name}.skip"
+            conv(skip, cout, cin, 1)
+        layers["block"][name] = (f"{name}.gn1", f"{name}.conv1",
+                                 f"{name}.gn2", f"{name}.conv2", skip)
 
     ted = cfg.time_embed_dim
     dense("temb.fc1", ted, ted)
@@ -158,11 +178,12 @@ def _param_specs(cfg: DenoiserConfig) -> list:
     for j in range(cfg.depth):
         resblock(f"enc{j}.rb0", widths[j], widths[j])
         resblock(f"enc{j}.rb1", widths[j], widths[j])
-        conv(f"down{j}", widths[j + 1], widths[j], cfg.kernel)
+        conv(f"down{j}", widths[j + 1], widths[j], cfg.kernel, stride=2)
     wm = widths[cfg.depth]
     resblock("mid.rb0", wm, wm)
     for p in ("wq", "wk", "wv"):
         weight(f"mid.attn.{p}", wm, wm)
+    layers["attn"]["mid.attn"] = ("mid.attn.wq", "mid.attn.wk", "mid.attn.wv")
     resblock("mid.rb1", wm, wm)
     for j in reversed(range(cfg.depth)):
         conv(f"up{j}", widths[j], widths[j + 1], cfg.kernel)
@@ -170,33 +191,143 @@ def _param_specs(cfg: DenoiserConfig) -> list:
         resblock(f"dec{j}.rb1", widths[j], widths[j])
     norm("head.gn", widths[0])
     conv("head.conv", cfg.channels_in, widths[0], cfg.kernel, zero=True)
-    return specs
+    return specs, layers
+
+
+@functools.lru_cache(maxsize=None)
+def _layers(cfg: DenoiserConfig) -> dict:
+    return _param_specs(cfg)[1]
 
 
 def param_layout(cfg: DenoiserConfig) -> dict:
     """Name -> shape of every tensor init_params(cfg) makes, in its order,
     without drawing any weights."""
-    return {name: shape for name, shape, _ in _param_specs(cfg)}
+    return {name: shape for name, shape, _ in _param_specs(cfg)[0]}
 
 
 def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
     rng = np.random.default_rng(seed)
     return DenoiserParams(cfg, {name: Tensor(init(rng), requires_grad=True)
-                                for name, _, init in _param_specs(cfg)})
+                                for name, _, init in _param_specs(cfg)[0]})
 
 
-def _resblock(p: DenoiserParams, name: str, x: Tensor, time_vec,
-              column, cin: int, cout: int) -> Tensor:
-    h = tc.norm_silu_conv(x, p[f"{name}.gn1.g"], p[f"{name}.gn1.b"],
-                          _norm_groups(cin), p[f"{name}.conv1.w"],
-                          p[f"{name}.conv1.b"])
-    h = tc.add_time(h, time_vec(name), column)
-    h = tc.norm_silu_conv(h, p[f"{name}.gn2.g"], p[f"{name}.gn2.b"],
-                          _norm_groups(cout), p[f"{name}.conv2.w"],
-                          p[f"{name}.conv2.b"])
-    if cin != cout:
-        x = tc.conv1d(x, p[f"{name}.skip.w"], p[f"{name}.skip.b"])
-    return tc.add(h, x)
+class _TensorOps:
+    """The layers of _forward as Tensor ops over p's tensors, looked up by
+    name on every call: what a gradient tape records."""
+
+    def __init__(self, p: DenoiserParams):
+        self.p = p.tensors
+        layers = _layers(p.config)
+        self.convs, self.norms = layers["conv"], layers["norm"]
+        self.attns, self.blocks = layers["attn"], layers["block"]
+
+    def conv(self, h, name):
+        w, b, stride = self.convs[name]
+        return tc.conv1d(h, self.p[w], self.p[b], stride=stride)
+
+    def norm_silu_conv(self, h, norm, conv):
+        g, b, groups = self.norms[norm]
+        w, bias, _ = self.convs[conv]
+        p = self.p
+        return tc.norm_silu_conv(h, p[g], p[b], groups, p[w], p[bias])
+
+    def attention(self, h, name):
+        return tc.self_attention(h, *(self.p[n] for n in self.attns[name]))
+
+    add = staticmethod(tc.add)
+    add_time = staticmethod(tc.add_time)
+    upsample2 = staticmethod(tc.upsample2)
+    concat = staticmethod(tc.concat_channels)
+
+
+@functools.lru_cache(maxsize=None)
+def _bound_names(cfg: DenoiserConfig) -> tuple:
+    """The tensors a binding reads: all but the step tensors, which the
+    step memo covers."""
+    step = _step_tensor_names(cfg)
+    return tuple(k for k in param_layout(cfg) if k not in step)
+
+
+class _Bound:
+    """The layers of _forward as tc's array kernels over views of a
+    model's arrays, each layer's fixed per-call work done once: a conv's
+    (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
+    a norm's group count and (C, 1) gamma and beta views; attention's
+    projections; a block's layer names.
+
+    `arrays` are the arrays of _bound_names(cfg), each of which must have
+    its layout's shape (else a ValueError naming it); the kernels then
+    need no shape check but the kernel width against the input length.
+    `views` is whether every weight matrix is a view: a reshape of a
+    non-contiguous array copies, and a copy misses in-place edits.
+    """
+
+    def __init__(self, cfg: DenoiserConfig, arrays: list):
+        self.names, self.arrays = _bound_names(cfg), arrays
+        layout = param_layout(cfg)
+        a = dict(zip(self.names, arrays))
+        for name, arr in a.items():
+            if arr.shape != layout[name]:
+                raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                                 f"the config's layout has {layout[name]}")
+        layers = _layers(cfg)
+        self.convs = {}
+        for name, (w, b, stride) in layers["conv"].items():
+            cout, cin, k = layout[w]
+            self.convs[name] = (a[w].reshape(cout, cin * k), a[b][:, None], k,
+                                (k - 1) // 2, stride)
+        self.views = all(np.may_share_memory(self.convs[name][0], a[w])
+                         for name, (w, _, _) in layers["conv"].items())
+        self.norms = {name: (groups, a[g][:, None], a[b][:, None])
+                      for name, (g, b, groups) in layers["norm"].items()}
+        self.attns = {name: tuple(a[n] for n in ns)
+                      for name, ns in layers["attn"].items()}
+        self.blocks = layers["block"]
+
+    def conv(self, h, name):
+        return tc.conv1d_kernel(h, *self.convs[name])
+
+    def norm_silu_conv(self, h, norm, conv):
+        w2, b2, k, pad, _ = self.convs[conv]
+        return tc.silu_conv_kernel(tc.group_norm_kernel(h, *self.norms[norm]),
+                                   w2, b2, k, pad)
+
+    def attention(self, h, name):
+        return tc.self_attention_kernel(h, *self.attns[name])
+
+    add = staticmethod(tc.add_kernel)
+    add_time = staticmethod(tc.add_time_kernel)
+    upsample2 = staticmethod(tc.upsample2_kernel)
+    concat = staticmethod(tc.concat_channels_kernel)
+
+
+_data = operator.attrgetter("data")
+
+
+def _bound(p: DenoiserParams) -> _Bound:
+    """p's binding, rebuilt when any bound tensor's array is not the one
+    it bound (`is`, and the binding keeps the arrays, so an id cannot be
+    reused). In-place edits are seen through its views. Threads may race
+    to rebuild it; both store equal bindings."""
+    held = p._binding
+    names = _bound_names(p.config)
+    arrays = list(map(_data, map(p.tensors.__getitem__, names)))
+    if (held is None or held.names is not names
+            or not all(map(operator.is_, arrays, held.arrays))):
+        held = _Bound(p.config, arrays)
+        if held.views:
+            p._binding = held
+    return held
+
+
+def _resblock(ops, name: str, x, time_vec, column):
+    norm1, conv1, norm2, conv2, skip = ops.blocks[name]
+    h = ops.norm_silu_conv(x, norm1, conv1)
+    h = ops.add_time(h, time_vec(name), column)
+    h = ops.norm_silu_conv(h, norm2, conv2)
+    if skip is not None:
+        x = ops.conv(x, skip)
+    return ops.add(h, x)
 
 
 @functools.lru_cache(maxsize=None)
@@ -233,6 +364,14 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
     from the one-column product, so predict_noise projects each distinct
     step once: a window then gets the same bits in a stack as alone.
 
+    The layer order is written here once, over an ops object: on a
+    gradient tape the Tensor ops (_TensorOps), which record; off a tape
+    the model's binding (_bound), which runs the same array kernels the
+    Tensor ops run off a tape, with each layer's parameter views, sizes
+    and names derived once per model instead of once per call. It gives
+    the Tensor ops' bits, and their errors for every model whose tensors
+    have its config's shapes.
+
     Off a gradient tape each step's block projections are memoized per
     model (_step_projections), one entry per step index. A call whose
     steps are all held reads them and skips the embedding; any other
@@ -243,13 +382,14 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
     a tape nothing is memoized.
     """
     cfg = p.config
-    memo = None if tc.taping() else _step_projections(p)
+    taped = tc.taping()
+    ops = _TensorOps(p) if taped else _bound(p)
+    memo = None if taped else _step_projections(p)
     made = {}
     if memo is not None and all(n in memo for n in levels):
         def time_vec(name):
             cols = [memo[n][name] for n in levels]
-            return Tensor(cols[0] if len(cols) == 1
-                          else np.concatenate(cols, axis=1))
+            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
     else:
         se = np.stack([time_embed(int(n), cfg.time_embed_dim) for n in levels],
                       axis=1)
@@ -261,35 +401,31 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
         def time_vec(name):
             tv = tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb),
                              p[f"{name}.temb.b"])
+            if taped:
+                return tv
             made[name] = tv.data
-            return tv
+            return tv.data
 
-    widths = cfg.stage_widths()
-    h = tc.conv1d(x, p["stem.w"], p["stem.b"])
+    h = ops.conv(x if taped else x.data, "stem")
     skips = []
     for j in range(cfg.depth):
-        h = _resblock(p, f"enc{j}.rb0", h, time_vec, column, widths[j], widths[j])
-        h = _resblock(p, f"enc{j}.rb1", h, time_vec, column, widths[j], widths[j])
+        h = _resblock(ops, f"enc{j}.rb0", h, time_vec, column)
+        h = _resblock(ops, f"enc{j}.rb1", h, time_vec, column)
         skips.append(h)
-        h = tc.conv1d(h, p[f"down{j}.w"], p[f"down{j}.b"], stride=2)
-    wm = widths[cfg.depth]
-    h = _resblock(p, "mid.rb0", h, time_vec, column, wm, wm)
-    h = tc.add(h, tc.self_attention(h, p["mid.attn.wq"], p["mid.attn.wk"],
-                                    p["mid.attn.wv"]))
-    h = _resblock(p, "mid.rb1", h, time_vec, column, wm, wm)
+        h = ops.conv(h, f"down{j}")
+    h = _resblock(ops, "mid.rb0", h, time_vec, column)
+    h = ops.add(h, ops.attention(h, "mid.attn"))
+    h = _resblock(ops, "mid.rb1", h, time_vec, column)
     for j in reversed(range(cfg.depth)):
-        h = tc.upsample2(h)
-        h = tc.conv1d(h, p[f"up{j}.w"], p[f"up{j}.b"])
-        h = tc.concat_channels(h, skips[j])
-        h = _resblock(p, f"dec{j}.rb0", h, time_vec, column, 2 * widths[j],
-                      widths[j])
-        h = _resblock(p, f"dec{j}.rb1", h, time_vec, column, widths[j], widths[j])
-    if memo is not None and made:
+        h = ops.conv(ops.upsample2(h), f"up{j}")
+        h = ops.concat(h, skips[j])
+        h = _resblock(ops, f"dec{j}.rb0", h, time_vec, column)
+        h = _resblock(ops, f"dec{j}.rb1", h, time_vec, column)
+    if made:
         for j, n in enumerate(levels):
             memo[int(n)] = {name: tv[:, j : j + 1] for name, tv in made.items()}
-    return tc.norm_silu_conv(h, p["head.gn.g"], p["head.gn.b"],
-                             _norm_groups(widths[0]), p["head.conv.w"],
-                             p["head.conv.b"])
+    h = ops.norm_silu_conv(h, "head.gn", "head.conv")
+    return h if taped else Tensor(h)
 
 
 # Rows a shard of a stacked predict_noise call needs before the stack is
@@ -366,7 +502,12 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     each step's time projections are memoized per model (see _forward):
     the first call at a step pays for them, later calls at it do not,
     and an edit of the embedding or projection weights is seen on the
-    next call.
+    next call. Off a tape the layers also run bound (see _bound): the
+    first call derives each layer's parameter views, sizes and names
+    once for the model, and a call after any tensor's array is replaced
+    derives them again; in-place edits are read through the views. A
+    tensor whose shape is not its config's is then a ValueError that
+    names it.
 
     Off a gradient tape, a stack of at least 2 * SHARD_ROWS rows is cut
     into contiguous shards, one per usable core (at most one per

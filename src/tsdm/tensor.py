@@ -9,10 +9,20 @@ requires gradients, the op appends a record to the tape. GradTape.backward
 replays the records in reverse creation order, which is a valid topological
 order because every input of a node was created before the node itself.
 
-Off a tape, kernels cut their numpy calls with the same bits: a result
-is written into the buffer the next op reads (silu into conv1d's
-zero-bordered input, attention's scale and softmax into the score
-array), and affine steps run in place.
+The ops the U-Net runs have their forward arithmetic in array kernels,
+functions named `*_kernel` that take and return numpy arrays, check
+their results finite and never record: add, add_time, upsample2 and
+concat_channels, and the off-tape halves of conv1d, norm_silu_conv
+(group_norm_kernel, then silu_conv_kernel) and self_attention. A kernel
+takes each parameter in the layout its arithmetic reads (a conv weight
+as its (Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1)
+column) and checks no shape but the kernel width against the input
+length. The Tensor ops check every shape, make those views on each call
+and call the kernels; the denoiser's bound model holds the views and
+calls the kernels directly. Off a tape, kernels cut their numpy calls with
+the same bits: a result is written into the buffer the next op reads
+(silu into conv1d's zero-bordered input, attention's scale and softmax
+into the score array), and affine steps run in place.
 
 All results are checked finite; NaN/Inf raise FloatingPointError. Off a
 tape three results go unchecked because they are finite whenever their
@@ -139,10 +149,15 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 # ----------------------------------------------------------------- elementwise
 
+def add_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = a + b
+    _guard(out, "add")
+    return out
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = Tensor(a.data + b.data)
-    _guard(out.data, "add")
+    out = Tensor(add_kernel(a.data, b.data))
     _record(out, (a, b), lambda g: (g, g))
     return out
 
@@ -283,6 +298,13 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def add_time_kernel(x: np.ndarray, v: np.ndarray, column=None) -> np.ndarray:
+    per_sample = v.T if column is None else v.T[column]
+    out = x + per_sample[:, :, None]
+    _guard(out, "add_time")
+    return out
+
+
 def add_time(x: Tensor, v: Tensor, column=None) -> Tensor:
     """Add a per-sample channel vector: x (B,C,T) + v (C,U) broadcast over T.
 
@@ -296,14 +318,11 @@ def add_time(x: Tensor, v: Tensor, column=None) -> Tensor:
     if column is None:
         if U != B:
             raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-        per_sample = v.data.T
     else:
         column = np.asarray(column)
         if column.shape != (B,):
             raise ValueError(f"add_time: {B} samples vs columns {column.shape}")
-        per_sample = v.data.T[column]
-    out = Tensor(x.data + per_sample[:, :, None])
-    _guard(out.data, "add_time")
+    out = Tensor(add_time_kernel(x.data, v.data, column))
 
     def bw(g):
         gv = g.sum(axis=-1)
@@ -331,11 +350,17 @@ def _conv_shape(x: np.ndarray, w: Tensor, b, stride: int):
         raise ValueError(f"conv1d: channel mismatch {Cin_w} vs {Cin}")
     if K % 2 == 0:
         raise ValueError("conv1d: kernel length must be odd")
-    if K > T:
-        raise ValueError("conv1d: kernel wider than input")
+    Tp = _out_len(T, K, stride)
     if b is not None and b.data.shape != (Cout,):
         raise ValueError(f"conv1d: bias shape {b.data.shape}")
-    return xd, (T - 1) // stride + 1
+    return xd, Tp
+
+
+def _out_len(T: int, K: int, stride: int) -> int:
+    """conv1d's output length T' for input length T, or its ValueError."""
+    if K > T:
+        raise ValueError("conv1d: kernel wider than input")
+    return (T - 1) // stride + 1
 
 
 def _windows(xp: np.ndarray, K: int, stride: int, Tp: int) -> np.ndarray:
@@ -354,21 +379,32 @@ def _windows(xp: np.ndarray, K: int, stride: int, Tp: int) -> np.ndarray:
                       (s0, s1, s2, stride * s2))
 
 
-def _conv_rows(xp: np.ndarray, w: Tensor, b, stride: int, Tp: int) -> np.ndarray:
+def _conv_rows(xp: np.ndarray, w2: np.ndarray, b2, K: int, stride: int,
+               Tp: int) -> np.ndarray:
     """Off-tape conv1d of the zero-bordered input xp, checked finite.
 
     One product per sample, since the bits of a single product over all
     B*T' columns can depend on B and a sample must get the same bits in a
     batch as alone.
     """
-    B, Cin, _ = xp.shape
-    Cout, _, K = w.data.shape
+    B = xp.shape[0]
     cols = _windows(xp, K, stride, Tp).copy()
-    od = np.matmul(w.data.reshape(Cout, Cin * K), cols.reshape(B, Cin * K, Tp))
-    if b is not None:
-        od += b.data[:, None]
+    od = np.matmul(w2, cols.reshape(B, -1, Tp))
+    if b2 is not None:
+        od += b2
     _guard(od, "conv1d")
     return od
+
+
+def conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
+                  stride: int) -> np.ndarray:
+    """Off-tape conv1d of the (B, Cin, T) x: w2 is the (Cout, Cin*K)
+    weight matrix, b2 the (Cout, 1) bias or None, P = (K-1)/2."""
+    B, Cin, T = x.shape
+    Tp = _out_len(T, K, stride)
+    xp = np.zeros((B, Cin, T + 2 * P))
+    xp[:, :, P : P + T] = x
+    return _conv_rows(xp, w2, b2, K, stride, Tp)
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -382,15 +418,16 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     B, Cin, T = xd.shape
     Cout, _, K = w.data.shape
     P = (K - 1) // 2
-    xp = np.zeros((B, Cin, T + 2 * P))
-    xp[:, :, P : P + T] = xd
+    W2 = w.data.reshape(Cout, Cin * K)
     inputs = (x, w) if b is None else (x, w, b)
     if not _taped(*inputs):
-        od = _conv_rows(xp, w, b, stride, Tp)
+        od = conv1d_kernel(xd, W2, None if b is None else b.data[:, None],
+                           K, P, stride)
         return Tensor(od[0] if squeeze else od)
     # On a tape one product over all B*T' columns: backward reuses its
     # columns, and training keeps its bits.
-    W2 = w.data.reshape(Cout, Cin * K)
+    xp = np.zeros((B, Cin, T + 2 * P))
+    xp[:, :, P : P + T] = xd
     cols = np.ascontiguousarray(_windows(xp, K, stride, Tp).transpose(1, 2, 0, 3))
     cols = cols.reshape(Cin * K, B * Tp)
     o2 = W2 @ cols
@@ -451,13 +488,14 @@ def _standardize(xd: np.ndarray, groups: int):
     return xh.reshape(B, C, T), inv
 
 
-def _normalized(xd: np.ndarray, gamma: Tensor, beta: Tensor,
-                groups: int) -> np.ndarray:
-    """Off-tape group_norm of the (B, C, T) xd, checked finite; nothing
-    keeps the standardized values, so the affine step runs in place."""
-    h, _ = _standardize(xd, groups)
-    h *= gamma.data[:, None]
-    h += beta.data[:, None]
+def group_norm_kernel(x: np.ndarray, groups: int, gamma2: np.ndarray,
+                      beta2: np.ndarray) -> np.ndarray:
+    """Off-tape group_norm of the (B, C, T) x with (C, 1) affine columns,
+    checked finite; nothing keeps the standardized values, so the affine
+    step runs in place."""
+    h, _ = _standardize(x, groups)
+    h *= gamma2
+    h += beta2
     _guard(h, "group_norm")
     return h
 
@@ -507,18 +545,27 @@ def norm_silu_conv(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
     if _taped(x, gamma, beta, w, b):
         return conv1d(silu(group_norm(x, gamma, beta, groups)), w, b)
     squeeze = x.data.ndim == 2
-    h = _normalized(_group_shape(x.data, gamma, beta, groups), gamma, beta,
-                    groups)
+    h = group_norm_kernel(_group_shape(x.data, gamma, beta, groups), groups,
+                          gamma.data[:, None], beta.data[:, None])
     # silu cannot turn group_norm's finite output non-finite, so checking
     # conv1d's shapes before silu raises what the chain raises
-    _, Tp = _conv_shape(h, w, b, 1)
+    _conv_shape(h, w, b, 1)
+    Cout, Cin, K = w.data.shape
+    od = silu_conv_kernel(h, w.data.reshape(Cout, Cin * K), b.data[:, None],
+                          K, (K - 1) // 2)
+    return Tensor(od[0] if squeeze else od)
+
+
+def silu_conv_kernel(h: np.ndarray, w2: np.ndarray, b2: np.ndarray, K: int,
+                     P: int) -> np.ndarray:
+    """conv1d_kernel(silu(h), ..., stride 1), with silu written straight
+    into conv1d's zero-bordered input."""
     B, C, T = h.shape
-    P = (w.data.shape[2] - 1) // 2
+    Tp = _out_len(T, K, 1)
     xp = np.zeros((B, C, T + 2 * P))
     # unguarded: sigmoid lies in [0, 1], so |h * sigmoid(h)| <= |h|, finite
     np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
-    od = _conv_rows(xp, w, b, 1, Tp)
-    return Tensor(od[0] if squeeze else od)
+    return _conv_rows(xp, w2, b2, K, 1, Tp)
 
 
 # ----------------------------------------------------------------- attention
@@ -572,19 +619,7 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         if w.data.shape != (C, C):
             raise ValueError(f"self_attention: projection shape {w.data.shape} vs C={C}")
     if not _taped(x, wq, wk, wv):
-        # the chain's kernels and checks, with the T x T temporaries in
-        # one buffer: the scale and the softmax run in place on the scores
-        q, k, v = (_channel_major(w.data, x.data) for w in (wq, wk, wv))
-        for t in (q, k, v):
-            _guard(t, "channel_linear")
-        a = np.einsum("bct,bcu->btu", q, k)
-        _guard(a, "attn_scores")
-        # unguarded: a factor 1/sqrt(C) <= 1 keeps the checked scores finite
-        a *= 1.0 / math.sqrt(C)
-        # unguarded: finite rows give exp(z - max) in [0, 1] and a sum >= 1
-        _softmax_rows(a, out=a)
-        od = np.einsum("bcu,btu->bct", v, a)
-        _guard(od, "attn_apply")
+        od = self_attention_kernel(x.data, wq.data, wk.data, wv.data)
         return Tensor(od[0] if squeeze else od)
     q = channel_linear(wq, x)
     k = channel_linear(wk, x)
@@ -592,6 +627,25 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     a = softmax_last(scale(attn_scores(q, k), 1.0 / math.sqrt(C)))
     out = attn_apply(v, a)
     return _squeeze(out) if squeeze else out
+
+
+def self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
+                          wv: np.ndarray) -> np.ndarray:
+    """Off-tape self_attention of the (B, C, T) x: the chain's kernels and
+    checks, with the T x T temporaries in one buffer (the scale and the
+    softmax run in place on the scores)."""
+    q, k, v = (_channel_major(w, x) for w in (wq, wk, wv))
+    for t in (q, k, v):
+        _guard(t, "channel_linear")
+    a = np.einsum("bct,bcu->btu", q, k)
+    _guard(a, "attn_scores")
+    # unguarded: a factor 1/sqrt(C) <= 1 keeps the checked scores finite
+    a *= 1.0 / math.sqrt(x.shape[-2])
+    # unguarded: finite rows give exp(z - max) in [0, 1] and a sum >= 1
+    _softmax_rows(a, out=a)
+    od = np.einsum("bcu,btu->bct", v, a)
+    _guard(od, "attn_apply")
+    return od
 
 
 def _lift(x: Tensor) -> Tensor:
@@ -608,19 +662,27 @@ def _squeeze(x: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------- structural
 
+def upsample2_kernel(x: np.ndarray) -> np.ndarray:
+    return np.repeat(x, 2, axis=-1)
+
+
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling along the last axis."""
-    out = Tensor(np.repeat(x.data, 2, axis=-1))
+    out = Tensor(upsample2_kernel(x.data))
     T = x.data.shape[-1]
     _record(out, (x,), lambda g: (g.reshape(*g.shape[:-1], T, 2).sum(axis=-1),))
     return out
+
+
+def concat_channels_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.concatenate([a, b], axis=-2)
 
 
 def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-1]:
         raise ValueError(f"concat_channels: {a.data.shape} vs {b.data.shape}")
     Ca = a.data.shape[-2]
-    out = Tensor(np.concatenate([a.data, b.data], axis=-2))
+    out = Tensor(concat_channels_kernel(a.data, b.data))
     _record(out, (a, b), lambda g: (g[..., :Ca, :], g[..., Ca:, :]))
     return out
 

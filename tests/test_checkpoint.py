@@ -76,6 +76,17 @@ def test_truncated_payload_rejected(tmp_path, small_params):
         load_checkpoint(path)
 
 
+def test_negative_offset_rejected(tmp_path, small_params):
+    path = tmp_path / "model.tsdm"
+    save_checkpoint(path, small_params, np.zeros(3), np.ones(3))
+    header, _ = _header(path.read_bytes())
+    entry = header["tensors"][0]
+    entry["offset"] = -8
+    _with_header(path, json.dumps(header).encode("utf-8"))
+    assert _load_error(path) == (f"checkpoint {path}: tensor {entry['name']} "
+                                 f"has negative offset -8")
+
+
 def _with_header(path, hbytes):
     """Rewrite the checkpoint at path with hbytes as its header."""
     blob = path.read_bytes()

@@ -267,6 +267,169 @@ def test_training_neither_reads_nor_fills_the_memo(toy_model, sched100):
     assert model._step_memo[0] == key and list(model._step_memo[1]) == [40]
 
 
+# ------------------------------------------------- the bound model
+
+def _warm(model, x, n):
+    """predict_noise(model, x, n), after which model holds its binding."""
+    out = predict_noise(model, x, n)
+    assert model._binding is not None
+    return out
+
+
+def test_binding_is_kept_between_calls(toy_model):
+    model = _copied(toy_model)
+    x = np.random.default_rng(19).standard_normal((4, 16))
+    _warm(model, x, 8)
+    held = model._binding
+    predict_noise(model, x, np.array([8]))
+    assert model._binding is held
+
+
+@pytest.mark.parametrize("name", ["enc0.rb1.conv2.w", "mid.rb0.gn1.g",
+                                  "dec1.rb0.skip.w"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_binding_sees_an_in_place_edit(toy_model, name, order):
+    model = _copied(toy_model)
+    model[name].data = np.asarray(model[name].data, order=order)
+    x = np.random.default_rng(20).standard_normal((4, 16))
+    before = predict_noise(model, x, 33)
+    # a Fortran-ordered conv weight with K > 1 cannot be viewed as its
+    # (Cout, Cin*K) matrix, so a binding of it holds a copy and is not kept
+    shape = model[name].data.shape
+    copied = order == "F" and len(shape) == 3 and shape[2] > 1
+    assert (model._binding is None) == copied
+    model[name].data[(0,) * model[name].data.ndim] += 0.5
+    got = predict_noise(model, x, 33)
+    assert _same(got, predict_noise(_copied(model), x, 33))
+    assert not _same(got, before)
+
+
+@pytest.mark.parametrize("replaced", ["array", "tensor"])
+def test_binding_sees_a_replaced_array_or_tensor(toy_model, replaced):
+    model = _copied(toy_model)
+    x = np.random.default_rng(21).standard_normal((4, 16))
+    before = _warm(model, x, 71)
+    if replaced == "array":  # a new array for the same tensor
+        t = model["enc1.rb1.conv1.w"]
+        t.data = t.data * 1.25
+    else:
+        model.tensors["head.gn.b"] = Tensor(model["head.gn.b"].data + 0.5)
+    got = predict_noise(model, x, 71)
+    assert _same(got, predict_noise(_copied(model), x, 71))
+    assert not _same(got, before)
+
+
+def test_binding_sees_an_edit_after_deepcopy(toy_model):
+    model = _copied(toy_model)
+    x = np.random.default_rng(22).standard_normal((4, 16))
+    before = _warm(model, x, 44)
+    dup = copy.deepcopy(model)
+    dup["up0.w"].data[0, 0, 0] -= 0.5
+    got = predict_noise(dup, x, 44)
+    assert _same(got, predict_noise(_copied(dup), x, 44))
+    assert not _same(got, before)
+    assert _same(predict_noise(model, x, 44), before)  # the original is untouched
+
+
+def test_binding_names_a_misshapen_tensor(toy_model):
+    model = _copied(toy_model)
+    w = model["stem.w"].data
+    model["stem.w"].data = w.reshape(w.shape[0], 1, -1)
+    with pytest.raises(ValueError, match=r"^parameter stem\.w has shape "
+                       r"\(16, 1, 12\), the config's layout has \(16, 4, 3\)$"):
+        predict_noise(model, np.zeros((4, 16)), 5)
+
+
+class _TensorOpsOverArrays:
+    """The Tensor ops run off a tape with arrays in and out: the path
+    the bound kernels must match, bit for bit and failure for failure."""
+
+    def __init__(self, p):
+        self.ops = dn._TensorOps(p)
+        self.blocks = self.ops.blocks
+
+    def __getattr__(self, name):
+        op = getattr(self.ops, name)
+
+        def call(h, *args):
+            args = [Tensor(a) if isinstance(a, np.ndarray) and a.dtype == float
+                    else a for a in args]
+            return op(Tensor(h), *args).data
+
+        return call
+
+
+def _outcome(fn):
+    try:
+        return fn().tobytes()
+    except Exception as e:  # noqa: BLE001 - the failure is the outcome
+        return type(e), str(e)
+
+
+def _both_paths(monkeypatch, model, fn, edit=lambda m: None):
+    """fn(model) on the bound kernels and on the Tensor ops, each on a
+    fresh copy of model changed by edit, memo cold and then warm."""
+    got = []
+    for via_tensor_ops in (False, True):
+        with monkeypatch.context() as m:
+            if via_tensor_ops:
+                m.setattr(dn, "_bound", _TensorOpsOverArrays)
+            fresh = _copied(model)
+            edit(fresh)
+            got.append([_outcome(lambda: fn(fresh)) for _ in ("cold", "warm")])
+    return got
+
+
+@pytest.fixture(params=["toy", "zeros", "steady"])
+def any_model(request):
+    """Each committed fixture model and its window length."""
+    if request.param == "steady":
+        return request.getfixturevalue("steady_fixture")[0], 64
+    return request.getfixturevalue(f"{request.param}_model"), 16
+
+
+@pytest.mark.parametrize("B", [1, 5, 33])
+@pytest.mark.parametrize("mixed", [False, True])
+def test_bound_path_gives_the_tensor_ops_bits(monkeypatch, any_model, B, mixed):
+    model, T = any_model
+    rng = np.random.default_rng([B, mixed])
+    x = rng.standard_normal((B, model.config.channels_in, T))
+    n = rng.integers(1, 101, size=B) if mixed else 61
+    bound, tensor_ops = _both_paths(monkeypatch, model,
+                                    lambda m: predict_noise(m, x, n))
+    assert all(isinstance(o, bytes) for o in bound)
+    assert bound == tensor_ops
+
+
+def _overflow_conv(m):
+    m["enc0.rb1.conv1.w"].data *= 1e308
+
+
+def _nan_gamma(m):
+    m["enc1.rb0.gn2.g"].data[1] = np.nan
+
+
+def _overflow_attention(m):
+    m["mid.attn.wq"].data *= 1e200
+    m["mid.attn.wk"].data *= 1e200
+
+
+@pytest.mark.parametrize("B", [1, 33])
+@pytest.mark.parametrize("edit, message", [
+    (_overflow_conv, "conv1d: non-finite values in result"),
+    (_nan_gamma, "group_norm: non-finite values in result"),
+    (_overflow_attention, "attn_scores: non-finite values in result"),
+])
+def test_bound_path_fails_as_the_tensor_ops(monkeypatch, steady_fixture, B,
+                                            edit, message):
+    x = np.random.default_rng(23).standard_normal((B, 8, 64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound, tensor_ops = _both_paths(monkeypatch, steady_fixture[0],
+                                        lambda m: predict_noise(m, x, 12),
+                                        edit)
+    assert bound == tensor_ops == [(FloatingPointError, message)] * 2
+
+
 # -------------------------------------------------------------- objective
 
 def test_objective_matches_manual_composition():
