@@ -229,7 +229,8 @@ class _TensorOps:
         g, b, groups = self.norms[norm]
         w, bias, _ = self.convs[conv]
         p = self.p
-        return tc.norm_silu_conv(h, p[g], p[b], groups, p[w], p[bias])
+        return tc.conv1d(tc.silu(tc.group_norm(h, p[g], p[b], groups)),
+                         p[w], p[bias])
 
     def attention(self, h, name):
         return tc.self_attention(h, *(self.p[n] for n in self.attns[name]))
@@ -253,7 +254,9 @@ class _Bound:
     model's arrays, each layer's fixed per-call work done once: a conv's
     (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
     a norm's group count and (C, 1) gamma and beta views; attention's
-    projections; a block's layer names.
+    projections; a block's layer names. Each row of a stack gets the
+    tape path's bits, row by row: the bits _TensorOps gives that row
+    alone.
 
     `arrays` are the arrays of _bound_names(cfg), each of which must have
     its layout's shape (else a ValueError naming it); the kernels then
@@ -354,59 +357,61 @@ def _step_projections(p: DenoiserParams) -> dict:
     return held[1]
 
 
+def _embed(p: DenoiserParams, levels) -> dict:
+    """Each residual block's time projection of the steps `levels`, as
+    Tensor ops: block name -> (C, len(levels)) projection."""
+    se = np.stack([time_embed(int(n), p.config.time_embed_dim) for n in levels],
+                  axis=1)
+    emb = tc.add_bias(tc.matmul(p["temb.fc1.w"], Tensor(se)), p["temb.fc1.b"])
+    emb = tc.silu(emb)
+    emb = tc.add_bias(tc.matmul(p["temb.fc2.w"], emb), p["temb.fc2.b"])
+    return {name: tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb),
+                              p[f"{name}.temb.b"])
+            for name in _layers(p.config)["block"]}
+
+
 def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
              column=None) -> Tensor:
     """Noise prediction for the (B, M, T) stack x.
 
-    The step embedding is projected once per entry of `levels`, and
-    sample b takes level `column[b]` (default: level b). A projection
-    over several columns runs as a matrix product whose bits can differ
-    from the one-column product, so predict_noise projects each distinct
-    step once: a window then gets the same bits in a stack as alone.
+    The step embedding is projected for each entry of `levels`, and
+    sample b takes level `column[b]` (default: level b).
 
     The layer order is written here once, over an ops object: on a
     gradient tape the Tensor ops (_TensorOps), which record; off a tape
-    the model's binding (_bound), which runs the same array kernels the
-    Tensor ops run off a tape, with each layer's parameter views, sizes
-    and names derived once per model instead of once per call. It gives
-    the Tensor ops' bits, and their errors for every model whose tensors
-    have its config's shapes.
+    the model's binding (_bound), which runs tc's array kernels with each
+    layer's parameter views, sizes and names derived once per model
+    instead of once per call. The binding gives the tape path's bits,
+    row by row, and its errors for every model whose tensors have its
+    config's shapes.
 
     Off a gradient tape each step's block projections are memoized per
-    model (_step_projections), one entry per step index. A call whose
-    steps are all held reads them and skips the embedding; any other
-    call projects all its levels inside the blocks as before, then
-    stores each step's column. Off a tape a column is its own product,
-    so a held column has the bits a projection would give, and a
-    non-finite projection raises where it did and is never stored. On
-    a tape nothing is memoized.
+    model (_step_projections), one entry per step index. Before the stem,
+    a level the memo lacks is projected alone, as one column, and
+    stored; every block then reads its columns from the memo. A column
+    is projected alone whatever else the stack holds, so a window gets
+    the same bits in a stack as alone, and a non-finite projection
+    raises before the stem and is never stored. On a tape all levels
+    are projected together and nothing is memoized.
     """
     cfg = p.config
     taped = tc.taping()
-    ops = _TensorOps(p) if taped else _bound(p)
-    memo = None if taped else _step_projections(p)
-    made = {}
-    if memo is not None and all(n in memo for n in levels):
+    if taped:
+        ops, h = _TensorOps(p), x
+        time_vec = _embed(p, levels).__getitem__
+    else:
+        ops, h = _bound(p), x.data
+        memo = _step_projections(p)
+        for n in levels:
+            if n not in memo:
+                memo[int(n)] = {name: tv.data
+                                for name, tv in _embed(p, [n]).items()}
+
         def time_vec(name):
             cols = [memo[n][name] for n in levels]
             return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
-    else:
-        se = np.stack([time_embed(int(n), cfg.time_embed_dim) for n in levels],
-                      axis=1)
-        emb = tc.add_bias(tc.matmul(p["temb.fc1.w"], Tensor(se)),
-                          p["temb.fc1.b"])
-        emb = tc.silu(emb)
-        emb = tc.add_bias(tc.matmul(p["temb.fc2.w"], emb), p["temb.fc2.b"])
 
-        def time_vec(name):
-            tv = tc.add_bias(tc.matmul(p[f"{name}.temb.w"], emb),
-                             p[f"{name}.temb.b"])
-            if taped:
-                return tv
-            made[name] = tv.data
-            return tv.data
-
-    h = ops.conv(x if taped else x.data, "stem")
+    h = ops.conv(h, "stem")
     skips = []
     for j in range(cfg.depth):
         h = _resblock(ops, f"enc{j}.rb0", h, time_vec, column)
@@ -421,9 +426,6 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
         h = ops.concat(h, skips[j])
         h = _resblock(ops, f"dec{j}.rb0", h, time_vec, column)
         h = _resblock(ops, f"dec{j}.rb1", h, time_vec, column)
-    if made:
-        for j, n in enumerate(levels):
-            memo[int(n)] = {name: tv[:, j : j + 1] for name, tv in made.items()}
     h = ops.norm_silu_conv(h, "head.gn", "head.conv")
     return h if taped else Tensor(h)
 
@@ -500,14 +502,14 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     n is one step for every row or one per row; a step that is not a
     finite integer is a ValueError before any work. Off a gradient tape
     each step's time projections are memoized per model (see _forward):
-    the first call at a step pays for them, later calls at it do not,
-    and an edit of the embedding or projection weights is seen on the
-    next call. Off a tape the layers also run bound (see _bound): the
-    first call derives each layer's parameter views, sizes and names
-    once for the model, and a call after any tensor's array is replaced
-    derives them again; in-place edits are read through the views. A
-    tensor whose shape is not its config's is then a ValueError that
-    names it.
+    the first call at a step projects it alone, before the stem, later
+    calls at it do not, and an edit of the embedding or projection
+    weights is seen on the next call. Off a tape the layers also run
+    bound (see _bound), with the tape path's bits, row by row: the first
+    call derives each layer's parameter views, sizes and names once for
+    the model, and a call after any tensor's array is replaced derives
+    them again; in-place edits are read through the views. A tensor
+    whose shape is not its config's is then a ValueError that names it.
 
     Off a gradient tape, a stack of at least 2 * SHARD_ROWS rows is cut
     into contiguous shards, one per usable core (at most one per

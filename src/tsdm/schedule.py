@@ -1,10 +1,10 @@
 """Variance schedules and accelerated sampling subsequences.
 
 Indices follow the 1-based convention used throughout the samplers:
-step n runs from 1 to N, beta_at(n) is the noise variance added at step
-n, and alpha_bar_at(n) is the cumulative signal ratio with the anchor
-alpha_bar_at(0) == 1 so single-jump updates to the clean signal are
-well-defined.
+step n runs from 1 to N, beta[n - 1] is the noise variance added at
+step n, and alpha_bar_at(n) is the cumulative signal ratio with the
+anchor alpha_bar_at(0) == 1 so single-jump updates to the clean signal
+are well-defined.
 """
 
 from __future__ import annotations
@@ -41,11 +41,6 @@ class VarianceSchedule:
     @property
     def N(self) -> int:
         return self.beta.size
-
-    def beta_at(self, n: int) -> float:
-        if not 1 <= n <= self.N:
-            raise ValueError(f"step {n} outside 1..{self.N}")
-        return float(self.beta[n - 1])
 
     def alpha_bar_at(self, n: int) -> float:
         if not 0 <= n <= self.N:

@@ -1,33 +1,34 @@
 """Dense float64 tensors with minimal reverse-mode automatic differentiation.
 
 The ops are what the denoising network needs (elementwise arithmetic,
-matmul, 1-D convolution, group normalization, single-head self-attention,
-the fused norm_silu_conv and a few structural helpers), plus sqrt and
-sum_all, which serve only acceptance criterion 4's gradient suite. Ops are
-pure functions over immutable values; when a GradTape is active and an input
-requires gradients, the op appends a record to the tape. GradTape.backward
-replays the records in reverse creation order, which is a valid topological
-order because every input of a node was created before the node itself.
+matmul, 1-D convolution, group normalization, single-head self-attention
+and a few structural helpers), plus sqrt and sum_all, which serve only
+acceptance criterion 4's gradient suite. Ops are pure functions over
+immutable values, and each has one formula, the one a gradient tape
+differentiates: it gives the same bits inside a GradTape as outside any.
+When a GradTape is active and an input requires gradients, the op
+appends a record to the tape. GradTape.backward replays the records in
+reverse creation order, which is a valid topological order because
+every input of a node was created before the node itself.
 
-The ops the U-Net runs have their forward arithmetic in array kernels,
-functions named `*_kernel` that take and return numpy arrays, check
-their results finite and never record: add, add_time, upsample2 and
-concat_channels, and the off-tape halves of conv1d, norm_silu_conv
-(group_norm_kernel, then silu_conv_kernel) and self_attention. A kernel
-takes each parameter in the layout its arithmetic reads (a conv weight
-as its (Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1)
-column) and checks no shape but the kernel width against the input
-length. The Tensor ops check every shape, make those views on each call
-and call the kernels; the denoiser's bound model holds the views and
-calls the kernels directly. Off a tape, kernels cut their numpy calls with
-the same bits: a result is written into the buffer the next op reads
-(silu into conv1d's zero-bordered input, attention's scale and softmax
-into the score array), and affine steps run in place.
+Inference arithmetic lives only in the array kernels, functions named
+`*_kernel` that take and return numpy arrays, check their results finite
+and never record; only the denoiser's bound model calls them. add,
+add_time, upsample2 and concat_channels share their kernel with their
+Tensor op. conv1d_kernel, group_norm_kernel then silu_conv_kernel, and
+self_attention_kernel cut numpy calls instead: one product per sample, so
+a sample gets the same bits in a batch as alone; a result written into
+the buffer the next op reads (silu into conv1d's zero-bordered input,
+attention's scale and softmax into the score array); affine steps in
+place. A kernel takes each parameter in the layout its arithmetic reads
+(a conv weight as its (Cout, Cin*K) matrix, a bias or a norm's affine as
+a (C, 1) column) and checks no shape but the kernel width against the
+input length.
 
-All results are checked finite; NaN/Inf raise FloatingPointError. Off a
-tape three results go unchecked because they are finite whenever their
-checked inputs are: silu's inside norm_silu_conv, and attention's scaled
-scores and their softmax.
+All results are checked finite; NaN/Inf raise FloatingPointError. Three
+kernel results go unchecked because they are finite whenever their
+checked inputs are: silu's inside silu_conv_kernel, and attention's
+scaled scores and their softmax.
 """
 
 from __future__ import annotations
@@ -243,15 +244,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul: 2-D operands required")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims {a.data.shape} vs {b.data.shape}")
-    if b.data.shape[1] > 1 and not _taped(a, b):
-        # Inference: one product per column of b, since the bits of one
-        # product over several columns can differ from a one-column
-        # product's, and a column must get the same bits with others as
-        # alone. On a tape the single product stays: training keeps its
-        # bits.
-        out = Tensor(np.matmul(a.data, b.data.T[:, :, None])[:, :, 0].T)
-    else:
-        out = Tensor(a.data @ b.data)
+    out = Tensor(a.data @ b.data)
     _guard(out.data, "matmul")
     ad, bd = a.data, b.data
     _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
@@ -338,24 +331,6 @@ def add_time(x: Tensor, v: Tensor, column=None) -> Tensor:
 
 # -------------------------------------------------------------------- conv1d
 
-def _conv_shape(x: np.ndarray, w: Tensor, b, stride: int):
-    """(B, Cin, T) view of conv1d's input and the output length T', or
-    conv1d's ValueError for the shapes."""
-    xd = x[None] if x.ndim == 2 else x
-    if xd.ndim != 3 or w.data.ndim != 3:
-        raise ValueError(f"conv1d: bad ranks {x.shape}, {w.data.shape}")
-    B, Cin, T = xd.shape
-    Cout, Cin_w, K = w.data.shape
-    if Cin_w != Cin:
-        raise ValueError(f"conv1d: channel mismatch {Cin_w} vs {Cin}")
-    if K % 2 == 0:
-        raise ValueError("conv1d: kernel length must be odd")
-    Tp = _out_len(T, K, stride)
-    if b is not None and b.data.shape != (Cout,):
-        raise ValueError(f"conv1d: bias shape {b.data.shape}")
-    return xd, Tp
-
-
 def _out_len(T: int, K: int, stride: int) -> int:
     """conv1d's output length T' for input length T, or its ValueError."""
     if K > T:
@@ -381,7 +356,8 @@ def _windows(xp: np.ndarray, K: int, stride: int, Tp: int) -> np.ndarray:
 
 def _conv_rows(xp: np.ndarray, w2: np.ndarray, b2, K: int, stride: int,
                Tp: int) -> np.ndarray:
-    """Off-tape conv1d of the zero-bordered input xp, checked finite.
+    """conv1d_kernel's product over the zero-bordered input xp, checked
+    finite.
 
     One product per sample, since the bits of a single product over all
     B*T' columns can depend on B and a sample must get the same bits in a
@@ -398,7 +374,7 @@ def _conv_rows(xp: np.ndarray, w2: np.ndarray, b2, K: int, stride: int,
 
 def conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
                   stride: int) -> np.ndarray:
-    """Off-tape conv1d of the (B, Cin, T) x: w2 is the (Cout, Cin*K)
+    """Inference conv1d of the (B, Cin, T) x: w2 is the (Cout, Cin*K)
     weight matrix, b2 the (Cout, 1) bias or None, P = (K-1)/2."""
     B, Cin, T = x.shape
     Tp = _out_len(T, K, stride)
@@ -414,18 +390,22 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     preserves T. Accepts a single matrix (C,T) or a batch (B,C,T).
     """
     squeeze = x.data.ndim == 2
-    xd, Tp = _conv_shape(x.data, w, b, stride)
+    xd = x.data[None] if squeeze else x.data
+    if xd.ndim != 3 or w.data.ndim != 3:
+        raise ValueError(f"conv1d: bad ranks {x.data.shape}, {w.data.shape}")
     B, Cin, T = xd.shape
-    Cout, _, K = w.data.shape
+    Cout, Cin_w, K = w.data.shape
+    if Cin_w != Cin:
+        raise ValueError(f"conv1d: channel mismatch {Cin_w} vs {Cin}")
+    if K % 2 == 0:
+        raise ValueError("conv1d: kernel length must be odd")
+    Tp = _out_len(T, K, stride)
+    if b is not None and b.data.shape != (Cout,):
+        raise ValueError(f"conv1d: bias shape {b.data.shape}")
     P = (K - 1) // 2
     W2 = w.data.reshape(Cout, Cin * K)
     inputs = (x, w) if b is None else (x, w, b)
-    if not _taped(*inputs):
-        od = conv1d_kernel(xd, W2, None if b is None else b.data[:, None],
-                           K, P, stride)
-        return Tensor(od[0] if squeeze else od)
-    # On a tape one product over all B*T' columns: backward reuses its
-    # columns, and training keeps its bits.
+    # one product over all B*T' columns, whose columns backward reuses
     xp = np.zeros((B, Cin, T + 2 * P))
     xp[:, :, P : P + T] = xd
     cols = np.ascontiguousarray(_windows(xp, K, stride, Tp).transpose(1, 2, 0, 3))
@@ -459,17 +439,6 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
 
 # ---------------------------------------------------------------- group_norm
 
-def _group_shape(x: np.ndarray, gamma: Tensor, beta: Tensor, groups: int):
-    """(B, C, T) view of group_norm's input, or its ValueError."""
-    xd = x[None] if x.ndim == 2 else x
-    _, C, _ = xd.shape
-    if C % groups:
-        raise ValueError(f"group_norm: {C} channels not divisible by {groups} groups")
-    if gamma.data.shape != (C,) or beta.data.shape != (C,):
-        raise ValueError("group_norm: affine shape mismatch")
-    return xd
-
-
 def _standardize(xd: np.ndarray, groups: int):
     """Per-(sample, group) standardized copy of the (B, C, T) xd, and the
     (B*groups, 1) factors 1/sqrt(var + eps).
@@ -490,7 +459,7 @@ def _standardize(xd: np.ndarray, groups: int):
 
 def group_norm_kernel(x: np.ndarray, groups: int, gamma2: np.ndarray,
                       beta2: np.ndarray) -> np.ndarray:
-    """Off-tape group_norm of the (B, C, T) x with (C, 1) affine columns,
+    """Inference group_norm of the (B, C, T) x with (C, 1) affine columns,
     checked finite; nothing keeps the standardized values, so the affine
     step runs in place."""
     h, _ = _standardize(x, groups)
@@ -503,7 +472,12 @@ def group_norm_kernel(x: np.ndarray, groups: int, gamma2: np.ndarray,
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     """Per-(sample,group) standardization with affine, eps added to variance."""
     squeeze = x.data.ndim == 2
-    xd = _group_shape(x.data, gamma, beta, groups)
+    xd = x.data[None] if squeeze else x.data
+    _, C, _ = xd.shape
+    if C % groups:
+        raise ValueError(f"group_norm: {C} channels not divisible by {groups} groups")
+    if gamma.data.shape != (C,) or beta.data.shape != (C,):
+        raise ValueError("group_norm: affine shape mismatch")
     xh, inv = _standardize(xd, groups)
     od = xh * gamma.data[:, None]
     od += beta.data[:, None]
@@ -531,29 +505,6 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
 
     _record(out, (x, gamma, beta), bw)
     return out
-
-
-def norm_silu_conv(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
-                   w: Tensor, b: Tensor) -> Tensor:
-    """conv1d(silu(group_norm(x, gamma, beta, groups)), w, b), stride 1.
-
-    On a tape it is that chain of ops. Off a tape it gives the same bits
-    and raises the same errors, but group_norm's affine step runs in
-    place and silu writes straight into conv1d's zero-bordered input:
-    one copy and two result arrays fewer.
-    """
-    if _taped(x, gamma, beta, w, b):
-        return conv1d(silu(group_norm(x, gamma, beta, groups)), w, b)
-    squeeze = x.data.ndim == 2
-    h = group_norm_kernel(_group_shape(x.data, gamma, beta, groups), groups,
-                          gamma.data[:, None], beta.data[:, None])
-    # silu cannot turn group_norm's finite output non-finite, so checking
-    # conv1d's shapes before silu raises what the chain raises
-    _conv_shape(h, w, b, 1)
-    Cout, Cin, K = w.data.shape
-    od = silu_conv_kernel(h, w.data.reshape(Cout, Cin * K), b.data[:, None],
-                          K, (K - 1) // 2)
-    return Tensor(od[0] if squeeze else od)
 
 
 def silu_conv_kernel(h: np.ndarray, w2: np.ndarray, b2: np.ndarray, K: int,
@@ -618,9 +569,6 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     for w in (wq, wk, wv):
         if w.data.shape != (C, C):
             raise ValueError(f"self_attention: projection shape {w.data.shape} vs C={C}")
-    if not _taped(x, wq, wk, wv):
-        od = self_attention_kernel(x.data, wq.data, wk.data, wv.data)
-        return Tensor(od[0] if squeeze else od)
     q = channel_linear(wq, x)
     k = channel_linear(wk, x)
     v = channel_linear(wv, x)
@@ -631,7 +579,7 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
 
 def self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                           wv: np.ndarray) -> np.ndarray:
-    """Off-tape self_attention of the (B, C, T) x: the chain's kernels and
+    """Inference self_attention of the (B, C, T) x: the chain's kernels and
     checks, with the T x T temporaries in one buffer (the scale and the
     softmax run in place on the scores)."""
     q, k, v = (_channel_major(w, x) for w in (wq, wk, wv))

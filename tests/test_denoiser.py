@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 import tsdm.denoiser as dn
-from tsdm import tensor as tc
 from tsdm.denoiser import (
     Adam,
     DenoiserConfig,
@@ -202,30 +201,6 @@ def test_mixed_steps_get_the_same_bits_cold_and_warm(toy_model):
         assert _same(predict_noise(part, xb[b], n), want[b])
 
 
-def test_memo_columns_equal_a_multi_column_projection(toy_model):
-    # the memo holds each step's columns from whichever call filled it,
-    # so one step's column must not depend on the others projected with it
-    model = _copied(toy_model)
-    x = np.zeros((4, 16))
-    levels = [3, 9, 50, 100]
-    for n in levels:  # one step a call: one-column products
-        predict_noise(model, x, n)
-    memo = model._step_memo[1]
-    se = np.stack([dn.time_embed(n, model.config.time_embed_dim)
-                   for n in levels], axis=1)
-    emb = tc.add_bias(tc.matmul(model["temb.fc1.w"], Tensor(se)),
-                      model["temb.fc1.b"])
-    emb = tc.silu(emb)
-    emb = tc.add_bias(tc.matmul(model["temb.fc2.w"], emb), model["temb.fc2.b"])
-    blocks = {k[: -len(".temb.w")] for k in model.tensors if k.endswith(".temb.w")}
-    assert len(blocks) == 10 and set(memo) == set(levels)
-    for name in blocks:
-        together = tc.add_bias(tc.matmul(model[f"{name}.temb.w"], emb),
-                               model[f"{name}.temb.b"]).data
-        assembled = np.concatenate([memo[n][name] for n in levels], axis=1)
-        assert _same(assembled, together), name
-
-
 def test_overflowing_projection_raises_on_every_call(toy_model):
     model = _copied(toy_model)
     x = np.random.default_rng(14).standard_normal((4, 16))
@@ -340,25 +315,6 @@ def test_binding_names_a_misshapen_tensor(toy_model):
         predict_noise(model, np.zeros((4, 16)), 5)
 
 
-class _TensorOpsOverArrays:
-    """The Tensor ops run off a tape with arrays in and out: the path
-    the bound kernels must match, bit for bit and failure for failure."""
-
-    def __init__(self, p):
-        self.ops = dn._TensorOps(p)
-        self.blocks = self.ops.blocks
-
-    def __getattr__(self, name):
-        op = getattr(self.ops, name)
-
-        def call(h, *args):
-            args = [Tensor(a) if isinstance(a, np.ndarray) and a.dtype == float
-                    else a for a in args]
-            return op(Tensor(h), *args).data
-
-        return call
-
-
 def _outcome(fn):
     try:
         return fn().tobytes()
@@ -366,18 +322,23 @@ def _outcome(fn):
         return type(e), str(e)
 
 
-def _both_paths(monkeypatch, model, fn, edit=lambda m: None):
-    """fn(model) on the bound kernels and on the Tensor ops, each on a
-    fresh copy of model changed by edit, memo cold and then warm."""
-    got = []
-    for via_tensor_ops in (False, True):
-        with monkeypatch.context() as m:
-            if via_tensor_ops:
-                m.setattr(dn, "_bound", _TensorOpsOverArrays)
-            fresh = _copied(model)
-            edit(fresh)
-            got.append([_outcome(lambda: fn(fresh)) for _ in ("cold", "warm")])
-    return got
+def _taped_rows(model, x, n):
+    """Each row of the stack x alone through _forward under a GradTape:
+    the tape path's bits, row by row."""
+    steps = np.broadcast_to(n, len(x))
+    with GradTape():
+        return np.stack([dn._forward(model, Tensor(x[b : b + 1]),
+                                     steps[b : b + 1]).data[0]
+                         for b in range(len(x))])
+
+
+def _both_paths(model, x, n, edit=lambda m: None):
+    """predict_noise(x, n) on the bound kernels, memo cold and then warm,
+    and the tape path's rows, on a fresh copy of model changed by edit."""
+    fresh = _copied(model)
+    edit(fresh)
+    bound = [_outcome(lambda: predict_noise(fresh, x, n)) for _ in ("cold", "warm")]
+    return bound, [_outcome(lambda: _taped_rows(fresh, x, n))] * 2
 
 
 @pytest.fixture(params=["toy", "zeros", "steady"])
@@ -390,13 +351,12 @@ def any_model(request):
 
 @pytest.mark.parametrize("B", [1, 5, 33])
 @pytest.mark.parametrize("mixed", [False, True])
-def test_bound_path_gives_the_tensor_ops_bits(monkeypatch, any_model, B, mixed):
+def test_bound_path_gives_the_tensor_ops_bits(any_model, B, mixed):
     model, T = any_model
     rng = np.random.default_rng([B, mixed])
     x = rng.standard_normal((B, model.config.channels_in, T))
     n = rng.integers(1, 101, size=B) if mixed else 61
-    bound, tensor_ops = _both_paths(monkeypatch, model,
-                                    lambda m: predict_noise(m, x, n))
+    bound, tensor_ops = _both_paths(model, x, n)
     assert all(isinstance(o, bytes) for o in bound)
     assert bound == tensor_ops
 
@@ -420,13 +380,10 @@ def _overflow_attention(m):
     (_nan_gamma, "group_norm: non-finite values in result"),
     (_overflow_attention, "attn_scores: non-finite values in result"),
 ])
-def test_bound_path_fails_as_the_tensor_ops(monkeypatch, steady_fixture, B,
-                                            edit, message):
+def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit, message):
     x = np.random.default_rng(23).standard_normal((B, 8, 64))
     with np.errstate(over="ignore", invalid="ignore"):
-        bound, tensor_ops = _both_paths(monkeypatch, steady_fixture[0],
-                                        lambda m: predict_noise(m, x, 12),
-                                        edit)
+        bound, tensor_ops = _both_paths(steady_fixture[0], x, 12, edit)
     assert bound == tensor_ops == [(FloatingPointError, message)] * 2
 
 

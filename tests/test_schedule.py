@@ -60,20 +60,15 @@ def test_alpha_bar_product_identity_and_monotonicity():
 def test_alpha_bar_zero_anchor_is_one():
     sched = linear_schedule(5)
     assert sched.alpha_bar_at(0) == 1.0
-    assert sched.alpha_bar_at(1) == pytest.approx(1.0 - sched.beta_at(1), rel=1e-15)
+    assert sched.alpha_bar_at(1) == pytest.approx(1.0 - sched.beta[0], rel=1e-15)
 
 
 def test_accessors_are_one_based_and_range_checked():
     sched = linear_schedule(10)
     assert sched.N == 10
-    assert sched.beta_at(1) == sched.beta[0]
-    assert sched.beta_at(10) == sched.beta[-1]
     for bad in (-1, 11):
         with pytest.raises(ValueError):
             sched.alpha_bar_at(bad)
-    for bad in (0, 11):
-        with pytest.raises(ValueError):
-            sched.beta_at(bad)
 
 
 # ---------------------------------------------------------- make_subsequence

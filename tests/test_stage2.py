@@ -138,7 +138,7 @@ def test_renoise_to_level_matches_resample_step_at_unit_stride():
     eps = rng.standard_normal((4, 16))
     for i in (2, 40, 100):
         a = renoise_to_level(x, i, SCHED, tau_full, eps)
-        beta = SCHED.beta_at(int(tau_full.tau[i - 1]))
+        beta = SCHED.beta[int(tau_full.tau[i - 1]) - 1]
         b = np.sqrt(1.0 - beta) * x + np.sqrt(beta) * eps
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-13)
 

@@ -341,12 +341,46 @@ def test_property_fd_agreement(seed, kind):
         _check_against_fd(lambda xx, kk: tc.conv1d(xx, kk), x, k)
 
 
+# ------------------------------------------------ one formula per op (bits)
+# Every op the U-Net records gives the same forward bits inside a
+# GradTape, with inputs that track gradients, as outside any tape.
+
+_RECORDED_OPS = {
+    # B 3, Cin 4, Cout 5, K 5, T 9
+    "conv1d": (tc.conv1d, [(3, 4, 9), (5, 4, 5), (5,)]),
+    "conv1d-stride2": (lambda x, w, b: tc.conv1d(x, w, b, stride=2),
+                       [(2, 6, 16), (4, 6, 3), (4,)]),
+    "group_norm": (lambda x, g, b: tc.group_norm(x, g, b, 3),
+                   [(3, 6, 16), (6,), (6,)]),
+    "silu": (tc.silu, [(3, 6, 16)]),
+    "self_attention": (tc.self_attention, [(3, 8, 16)] + [(8, 8)] * 3),
+    "matmul": (tc.matmul, [(16, 16), (16, 4)]),  # 4 columns
+    "add_bias": (tc.add_bias, [(3, 6, 16), (6,)]),
+    "add_time": (tc.add_time, [(3, 6, 16), (6, 3)]),
+    "add_time-column": (lambda x, v: tc.add_time(x, v, [1, 0, 1]),
+                        [(3, 6, 16), (6, 2)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_RECORDED_OPS))
+def test_op_gives_the_same_bits_on_and_off_a_tape(name):
+    op, shapes = _RECORDED_OPS[name]
+    rng = np.random.default_rng(list(name.encode()))
+    arrays = [rng.standard_normal(shape) for shape in shapes]
+    off = op(*[Tensor(a) for a in arrays])
+    with GradTape():
+        on = op(*[_leaf(a) for a in arrays])
+    assert on.requires_grad and not off.requires_grad
+    assert on.data.tobytes() == off.data.tobytes()
+
+
 # ------------------------------------------------- reference kernels (bits)
 # The forward kernels as first written: np.pad + sliding_window_view for
 # conv1d, boolean-mask indexing for the sigmoid, np.mean + np.var for
-# group_norm. The ops must give the same bits forward, off and on a tape,
-# and the same tape gradients. Each reference returns (out, grads) for
-# the upstream gradient g.
+# group_norm. The inference kernels (or the ops off a tape) must give the
+# reference's inference bits, and the ops on a tape its output and
+# gradients. Each reference returns (out, grads) for the upstream
+# gradient g.
 
 def _assert_same_bits(got, want):
     assert got.shape == want.shape
@@ -405,11 +439,13 @@ def _ref_group_norm(xd, gd_, bd, groups, g):
     return out, (dx, (g * xh).sum(axis=(0, 2)), g.sum(axis=(0, 2)))
 
 
-def _against_reference(op, ref, arrays, rng):
-    """Op output off a tape, then output and gradients on a tape (upstream
-    gradient g), bit for bit against the reference."""
-    _assert_same_bits(op(*[Tensor(a) for a in arrays]).data,
-                      ref(*arrays, g=None, on_tape=False)[0])
+def _against_reference(op, ref, arrays, rng, kernel=None):
+    """The kernel's output (by default the op's, off a tape), then the
+    op's output and gradients on a tape (upstream gradient g), bit for bit
+    against the reference."""
+    off = (kernel(*arrays) if kernel is not None
+           else op(*[Tensor(a) for a in arrays]).data)
+    _assert_same_bits(off, ref(*arrays, g=None, on_tape=False)[0])
     leaves = [_leaf(a) for a in arrays]
     with GradTape() as tape:
         out = op(*leaves)
@@ -435,7 +471,9 @@ def test_conv1d_matches_reference_bits(K, stride, T, B):
         lambda xx, ww, bb: tc.conv1d(xx, ww, bb, stride=stride),
         lambda xx, ww, bb, g, on_tape: _ref_conv1d(xx, ww, bb, stride, g,
                                                    on_tape),
-        (x, w, b), rng)
+        (x, w, b), rng,
+        kernel=lambda xx, ww, bb: tc.conv1d_kernel(
+            xx, ww.reshape(5, -1), bb[:, None], K, (K - 1) // 2, stride))
 
 
 def test_silu_matches_reference_bits_in_the_tails():
@@ -645,9 +683,10 @@ def test_softmax_matches_prior_bits(shape):
 
 
 # ------------------------------------------- fused norm -> silu -> conv (bits)
-# norm_silu_conv must be the chain conv1d(silu(group_norm(.))) bit for bit:
-# off a tape against the reference conv1d over the prior silu and
-# group_norm, on a tape in output and every gradient.
+# The bound model's norm -> silu -> conv, group_norm_kernel then
+# silu_conv_kernel, must give the reference conv1d's inference bits over
+# the prior silu and group_norm; the chain of ops on a tape must give the
+# prior output and every gradient.
 
 def _prior_sigmoid(x):
     e = np.exp(-np.abs(x))
@@ -682,22 +721,36 @@ def _fused_inputs(rng, B, C, T):
             rng.uniform(-1, 1, C))
 
 
+def _fused_kernels(x, gamma, beta, w, b):
+    """The bound model's norm -> silu -> conv at 8 groups."""
+    h = tc.group_norm_kernel(x, 8, gamma[:, None], beta[:, None])
+    return tc.silu_conv_kernel(h, w.reshape(len(w), -1), b[:, None],
+                               w.shape[2], (w.shape[2] - 1) // 2)
+
+
+def _chain(x, gamma, beta, w, b):
+    return tc.conv1d(tc.silu(tc.group_norm(x, gamma, beta, 8)), w, b)
+
+
 @pytest.mark.parametrize("B", [1, 16, 33])
 @pytest.mark.parametrize("T", [16, 64])
 @pytest.mark.parametrize("C", [16, 24, 48])
 def test_norm_silu_conv_matches_prior_bits(B, T, C):
     rng = np.random.default_rng([B, T, C])
-    _against_prior(
-        lambda xx, gg, bb, ww, cc: tc.norm_silu_conv(xx, gg, bb, 8, ww, cc),
-        lambda xx, gg, bb, ww, cc, g: _prior_norm_silu_conv(xx, gg, bb, ww,
-                                                            cc, 8, g),
-        _fused_inputs(rng, B, C, T), (True,) * 5, rng)
+    ins = _fused_inputs(rng, B, C, T)
+
+    def prior(xx, gg, bb, ww, cc, g):
+        return _prior_norm_silu_conv(xx, gg, bb, ww, cc, 8, g)
+
+    _assert_same_bits(_fused_kernels(*ins), prior(*ins, g=None)[0])
+    _against_prior(_chain, prior, ins, (True,) * 5, rng, off_tape=False)
 
 
 def _outcome(fn):
     try:
         with np.errstate(all="ignore"):
-            return fn().data.tobytes()
+            out = fn()
+            return getattr(out, "data", out).tobytes()
     except (FloatingPointError, ValueError) as e:
         return type(e), str(e)
 
@@ -706,6 +759,9 @@ def _outcome(fn):
                                   "kernel"])
 @pytest.mark.parametrize("taped", [False, True])
 def test_norm_silu_conv_fails_as_the_chain(case, taped):
+    # the kernels fail with the chain's text, whether the chain records or
+    # not; a misshapen parameter, which the binding rejects before any
+    # kernel runs, still makes the kernels raise rather than return
     rng = np.random.default_rng(16)
     x, gamma, beta, w, b = _fused_inputs(rng, 2, 16, 16)
     if case == "nan":
@@ -722,19 +778,21 @@ def test_norm_silu_conv_fails_as_the_chain(case, taped):
         w = w[:, :-1]
     ins = [Tensor(a, requires_grad=taped) for a in (x, gamma, beta, w, b)]
 
-    def fused():
-        with GradTape():
-            return tc.norm_silu_conv(ins[0], ins[1], ins[2], 8, ins[3], ins[4])
-
     def chain():
         with GradTape():
-            h = tc.silu(tc.group_norm(ins[0], ins[1], ins[2], 8))
-            return tc.conv1d(h, ins[3], ins[4])
+            return _chain(*ins)
 
     want = _outcome(chain)
-    assert _outcome(fused) == want
-    if case != "huge":
+    got = _outcome(lambda: _fused_kernels(x, gamma, beta, w, b))
+    if case == "huge":
+        assert got == _outcome(
+            lambda: _prior_norm_silu_conv(x, gamma, beta, w, b, 8, None)[0])
+    elif case in ("affine", "kernel"):
+        assert want[0] is got[0] is ValueError
+        assert want[1].startswith(("group_norm: ", "conv1d: "))
+    else:
         assert isinstance(want, tuple)
+        assert got == want
 
 
 @pytest.mark.parametrize("K, stride", [(1, 1), (3, 1), (3, 2), (5, 2)])
@@ -787,7 +845,7 @@ _finite = st.one_of(st.sampled_from(_EXTREMES),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_finite, min_size=1, max_size=64))
 def test_silu_of_finite_is_finite_and_no_larger(values):
-    # why norm_silu_conv does not check silu's result off a tape
+    # why silu_conv_kernel does not check silu's result
     h = np.array(values)
     y = h * tc._sigmoid(h)
     assert np.isfinite(y).all()
@@ -798,7 +856,7 @@ def test_silu_of_finite_is_finite_and_no_larger(values):
 @given(st.lists(st.lists(_finite, min_size=6, max_size=6), min_size=1,
                 max_size=6))
 def test_softmax_of_finite_rows_is_finite(rows):
-    # why self_attention does not check its softmax off a tape
+    # why self_attention_kernel does not check its softmax
     z = np.array(rows)
     with np.errstate(over="ignore"):  # z - max may round to -inf: exp gives 0
         y = tc._softmax_rows(z)
@@ -812,7 +870,7 @@ def test_softmax_of_finite_rows_is_finite(rows):
 @given(st.lists(_finite, min_size=1, max_size=64),
        st.integers(min_value=1, max_value=4096))
 def test_scaled_finite_scores_stay_finite(values, C):
-    # why self_attention does not check its scaled scores off a tape
+    # why self_attention_kernel does not check its scaled scores
     a = np.array(values)
     a *= 1.0 / math.sqrt(C)
     assert np.isfinite(a).all()
