@@ -212,7 +212,7 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
 
 
 class _TensorOps:
-    """The layers of _forward as Tensor ops over p's tensors, looked up by
+    """The layers of _unet as Tensor ops over p's tensors, looked up by
     name on every call: what a gradient tape records."""
 
     def __init__(self, p: DenoiserParams):
@@ -250,7 +250,7 @@ def _bound_names(cfg: DenoiserConfig) -> tuple:
 
 
 class _Bound:
-    """The layers of _forward as tc's array kernels over views of a
+    """The layers of _unet as tc's array kernels over views of a
     model's arrays, each layer's fixed per-call work done once: a conv's
     (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
     a norm's group count and (C, 1) gamma and beta views; attention's
@@ -310,8 +310,8 @@ _data = operator.attrgetter("data")
 def _bound(p: DenoiserParams) -> _Bound:
     """p's binding, rebuilt when any bound tensor's array is not the one
     it bound (`is`, and the binding keeps the arrays, so an id cannot be
-    reused). In-place edits are seen through its views. Threads may race
-    to rebuild it; both store equal bindings."""
+    reused). In-place edits are seen through its views. predict_noise
+    calls it in the calling thread, never in a shard."""
     held = p._binding
     names = _bound_names(p.config)
     arrays = list(map(_data, map(p.tensors.__getitem__, names)))
@@ -323,14 +323,37 @@ def _bound(p: DenoiserParams) -> _Bound:
     return held
 
 
-def _resblock(ops, name: str, x, time_vec, column):
+def _resblock(ops, name: str, x, time: dict):
     norm1, conv1, norm2, conv2, skip = ops.blocks[name]
     h = ops.norm_silu_conv(x, norm1, conv1)
-    h = ops.add_time(h, time_vec(name), column)
+    h = ops.add_time(h, time[name])
     h = ops.norm_silu_conv(h, norm2, conv2)
     if skip is not None:
         x = ops.conv(x, skip)
     return ops.add(h, x)
+
+
+def _unet(depth: int, ops, h, time: dict):
+    """The U-Net's layer order, written once, over `ops`: the Tensor ops
+    (_TensorOps), which a gradient tape records, or a model's binding
+    (_Bound). `time` maps each residual block to its time projection,
+    (C, B) with one column per sample or (C, 1) for every sample."""
+    h = ops.conv(h, "stem")
+    skips = []
+    for j in range(depth):
+        h = _resblock(ops, f"enc{j}.rb0", h, time)
+        h = _resblock(ops, f"enc{j}.rb1", h, time)
+        skips.append(h)
+        h = ops.conv(h, f"down{j}")
+    h = _resblock(ops, "mid.rb0", h, time)
+    h = ops.add(h, ops.attention(h, "mid.attn"))
+    h = _resblock(ops, "mid.rb1", h, time)
+    for j in reversed(range(depth)):
+        h = ops.conv(ops.upsample2(h), f"up{j}")
+        h = ops.concat(h, skips[j])
+        h = _resblock(ops, f"dec{j}.rb0", h, time)
+        h = _resblock(ops, f"dec{j}.rb1", h, time)
+    return ops.norm_silu_conv(h, "head.gn", "head.conv")
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,20 +364,23 @@ def _step_tensor_names(cfg: DenoiserConfig) -> tuple:
                  if k.startswith("temb.") or ".temb." in k)
 
 
-def _step_projections(p: DenoiserParams) -> dict:
-    """p's memo of time projections: step index -> {block name: (C, 1)
-    projection}.
+def _step_projections(p: DenoiserParams, n: int) -> dict:
+    """Step n's time projections, {block name: (C, 1) projection}, from
+    p's memo (step index -> projections); a step the memo lacks is
+    projected alone (_embed) and stored, unless that raises.
 
     The memo is valid for the exact bytes of the tensors it is computed
     from, so one comparison per call empties it after any edit of them,
     in place or not (-0.0 for 0.0 included), and nothing has to empty it
-    by hand. Threads may race to fill an entry; both store the same bits.
+    by hand.
     """
     key = b"".join([p[k].data.tobytes() for k in _step_tensor_names(p.config)])
     held = p._step_memo
     if held is None or held[0] != key:
         held = p._step_memo = (key, {})
-    return held[1]
+    if n not in held[1]:
+        held[1][n] = {name: tv.data for name, tv in _embed(p, [n]).items()}
+    return held[1][n]
 
 
 def _embed(p: DenoiserParams, levels) -> dict:
@@ -370,64 +396,16 @@ def _embed(p: DenoiserParams, levels) -> dict:
             for name in _layers(p.config)["block"]}
 
 
-def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray,
-             column=None) -> Tensor:
-    """Noise prediction for the (B, M, T) stack x.
-
-    The step embedding is projected for each entry of `levels`, and
-    sample b takes level `column[b]` (default: level b).
-
-    The layer order is written here once, over an ops object: on a
-    gradient tape the Tensor ops (_TensorOps), which record; off a tape
-    the model's binding (_bound), which runs tc's array kernels with each
-    layer's parameter views, sizes and names derived once per model
-    instead of once per call. The binding gives the tape path's bits,
-    row by row, and its errors for every model whose tensors have its
-    config's shapes.
-
-    Off a gradient tape each step's block projections are memoized per
-    model (_step_projections), one entry per step index. Before the stem,
-    a level the memo lacks is projected alone, as one column, and
-    stored; every block then reads its columns from the memo. A column
-    is projected alone whatever else the stack holds, so a window gets
-    the same bits in a stack as alone, and a non-finite projection
-    raises before the stem and is never stored. On a tape all levels
-    are projected together and nothing is memoized.
-    """
-    cfg = p.config
-    taped = tc.taping()
-    if taped:
-        ops, h = _TensorOps(p), x
-        time_vec = _embed(p, levels).__getitem__
-    else:
-        ops, h = _bound(p), x.data
-        memo = _step_projections(p)
-        for n in levels:
-            if n not in memo:
-                memo[int(n)] = {name: tv.data
-                                for name, tv in _embed(p, [n]).items()}
-
-        def time_vec(name):
-            cols = [memo[n][name] for n in levels]
-            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
-
-    h = ops.conv(h, "stem")
-    skips = []
-    for j in range(cfg.depth):
-        h = _resblock(ops, f"enc{j}.rb0", h, time_vec, column)
-        h = _resblock(ops, f"enc{j}.rb1", h, time_vec, column)
-        skips.append(h)
-        h = ops.conv(h, f"down{j}")
-    h = _resblock(ops, "mid.rb0", h, time_vec, column)
-    h = ops.add(h, ops.attention(h, "mid.attn"))
-    h = _resblock(ops, "mid.rb1", h, time_vec, column)
-    for j in reversed(range(cfg.depth)):
-        h = ops.conv(ops.upsample2(h), f"up{j}")
-        h = ops.concat(h, skips[j])
-        h = _resblock(ops, f"dec{j}.rb0", h, time_vec, column)
-        h = _resblock(ops, f"dec{j}.rb1", h, time_vec, column)
-    h = ops.norm_silu_conv(h, "head.gn", "head.conv")
-    return h if taped else Tensor(h)
+def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
+    """diffusion_loss's noise prediction for the (B, M, T) stack x, sample
+    b at step levels[b], all B steps projected together (_embed). On a
+    gradient tape the layers are the Tensor ops, which record; off a tape
+    they run on the model's binding, and nothing is memoized."""
+    if tc.taping():
+        return _unet(p.config.depth, _TensorOps(p), x, _embed(p, levels))
+    ops = _bound(p)
+    time = {name: tv.data for name, tv in _embed(p, levels).items()}
+    return Tensor(_unet(p.config.depth, ops, x.data, time))
 
 
 # Rows a shard of a stacked predict_noise call needs before the stack is
@@ -467,57 +445,45 @@ def _forget_pool() -> None:
 os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _predict_rows(params: DenoiserParams, x: np.ndarray, n_vec: np.ndarray,
+def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
                   err=None) -> np.ndarray:
-    """_forward over the rows x, projecting each distinct step once, under
-    the np.errstate `err` (a worker thread does not inherit the caller's)."""
-    if (n_vec == n_vec[:1]).all():  # one step for every row, as a sampler's
-        levels, column = n_vec[:1], np.zeros(len(n_vec), dtype=np.intp)
-    else:
-        levels, column = np.unique(n_vec, return_inverse=True)
+    """_unet over the rows x on a binding, under the np.errstate `err` (a
+    worker thread does not inherit the caller's)."""
     with np.errstate(**(err or {})):
-        return _forward(params, Tensor(x), levels, column).data
+        return _unet(depth, bound, x, time)
 
 
-def _step_indices(n, B: int) -> np.ndarray:
-    """predict_noise's step n as B integer steps, or a ValueError: a step
-    must be finite and integral (3.0 runs as step 3, 3.7 does not)."""
-    steps = np.asarray(n)
-    if steps.ndim == 0:
-        steps = np.full(B, steps)
-    if steps.shape != (B,):
-        raise ValueError("step index must be scalar or one per batch item")
-    if steps.dtype.kind not in "iu":
-        f = steps.astype(np.float64)
-        integral = np.isfinite(f) & (f == np.trunc(f))
-        if not integral.all():
-            raise ValueError(f"step index must be an integer, got {f[~integral][0]}")
-        steps = f.astype(np.int64)
-    return steps
+def _step_index(n) -> int:
+    """predict_noise's step n as an int, or a ValueError: one finite
+    integer for every row (3.0 runs as step 3; 3.7 and arrays do not)."""
+    if np.ndim(n):
+        raise ValueError("step index must be one integer for every row")
+    if isinstance(n, (int, np.integer)):
+        return int(n)
+    if not float(n).is_integer():
+        raise ValueError(f"step index must be an integer, got {float(n)}")
+    return int(float(n))
 
 
 def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     """Predicted noise for x at step n; accepts (M,T) or a (B,M,T) batch.
 
-    n is one step for every row or one per row; a step that is not a
-    finite integer is a ValueError before any work. Off a gradient tape
-    each step's time projections are memoized per model (see _forward):
-    the first call at a step projects it alone, before the stem, later
-    calls at it do not, and an edit of the embedding or projection
-    weights is seen on the next call. Off a tape the layers also run
-    bound (see _bound), with the tape path's bits, row by row: the first
-    call derives each layer's parameter views, sizes and names once for
-    the model, and a call after any tensor's array is replaced derives
-    them again; in-place edits are read through the views. A tensor
-    whose shape is not its config's is then a ValueError that names it.
+    n is one step for every row, as in a reverse step; anything but one
+    finite integer is a ValueError before any work. In the calling
+    thread, the model's binding is fetched (_bound) and step n's time
+    projections are read from its memo (_step_projections): the first
+    call at a step projects it, and an edit of the embedding or
+    projection weights is seen on the next call. The layers then run on
+    the binding and never record, on a tape or off; each row gets the
+    bits the tape path (_forward on a tape) gives it alone. A tensor
+    whose shape is not its config's is a ValueError that names it.
 
-    Off a gradient tape, a stack of at least 2 * SHARD_ROWS rows is cut
-    into contiguous shards, one per usable core (at most one per
-    SHARD_ROWS rows): the calling thread runs the first shard and a
-    shared thread pool the others. A row gets the same bits in any stack
-    or shard as alone, so the result does not depend on the split. Every
-    shard has returned before this returns or raises; a failing shard
-    raises its exception, the first in row order.
+    A stack of at least 2 * SHARD_ROWS rows is cut into contiguous
+    shards, one per usable core (at most one per SHARD_ROWS rows): the
+    calling thread runs the first shard and a shared thread pool the
+    others, so the result does not depend on the split. Every shard has
+    returned before this returns or raises; a failing shard raises its
+    exception, the first in row order.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 2
@@ -527,19 +493,21 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
         raise ValueError(f"input shape {x.shape} does not match "
                          f"channels_in={cfg.channels_in}")
     cfg.validate_window(xb.shape[2])
+    n = _step_index(n)
+    bound = _bound(params)
+    time = _step_projections(params, n)
     B = xb.shape[0]
-    n_vec = _step_indices(n, B)
-    shards = 1 if tc.taping() else min(B // SHARD_ROWS, _usable_cores())
+    shards = min(B // SHARD_ROWS, _usable_cores())
     if shards < 2:
-        out = _predict_rows(params, xb, n_vec)
+        out = _predict_rows(cfg.depth, bound, xb, time)
         return out[0] if squeeze else out
     cut = [B * s // shards for s in range(shards + 1)]
     pool = _shard_pool(_usable_cores() - 1)
     err = np.geterr()
-    rest = [pool.submit(_predict_rows, params, xb[lo:hi], n_vec[lo:hi], err)
+    rest = [pool.submit(_predict_rows, cfg.depth, bound, xb[lo:hi], time, err)
             for lo, hi in zip(cut[1:-1], cut[2:])]
     try:
-        first = _predict_rows(params, xb[:cut[1]], n_vec[:cut[1]])
+        first = _predict_rows(cfg.depth, bound, xb[:cut[1]], time)
     finally:
         wait(rest)
     return np.concatenate([first] + [f.result() for f in rest])

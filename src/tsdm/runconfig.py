@@ -9,6 +9,7 @@ Integer-list values are comma-separated (empty string = empty list).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,27 +130,34 @@ def _parse_typed(key: str, raw: str, default):
         if isinstance(default, int):
             return int(raw)
         if isinstance(default, float):
-            return float(raw)
+            return _finite(raw)
         if isinstance(default, tuple):
             if raw.strip() == "":
                 return ()
             elems = [e.strip() for e in raw.split(",")]
             if key in ("weights", "sweep_values"):
-                return tuple(float(e) for e in elems)
+                return tuple(_finite(e) for e in elems)
             return tuple(int(e) for e in elems)
         return raw
     except ValueError as e:
         raise ValueError(f"bad value for {key}: {raw!r} ({e})") from None
 
 
+def _finite(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError("not a finite number")
+    return v
+
+
 def _format_value(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, tuple):
-        return ",".join(f"{e:.12g}" if isinstance(e, float) else str(e)
-                        for e in v)
-    if isinstance(v, float):
-        return f"{v:.12g}"
+        return ",".join(map(_format_value, v))
+    if isinstance(v, float):  # 12 digits when they parse back to v
+        short = f"{v:.12g}"
+        return short if float(short) == v else repr(v)
     return str(v)
 
 

@@ -291,41 +291,21 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_time_kernel(x: np.ndarray, v: np.ndarray, column=None) -> np.ndarray:
-    per_sample = v.T if column is None else v.T[column]
-    out = x + per_sample[:, :, None]
+def add_time_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x (B,C,T) + v.T broadcast over T: v is (C, B), or (C, 1) for every
+    sample."""
+    out = x + v.T[:, :, None]
     _guard(out, "add_time")
     return out
 
 
-def add_time(x: Tensor, v: Tensor, column=None) -> Tensor:
-    """Add a per-sample channel vector: x (B,C,T) + v (C,U) broadcast over T.
-
-    Sample b takes column `column[b]` of v; by default U = B and sample b
-    takes column b.
-    """
-    if x.data.ndim != 3 or v.data.ndim != 2 or v.data.shape[0] != x.data.shape[1]:
+def add_time(x: Tensor, v: Tensor) -> Tensor:
+    """Add a per-sample channel vector: x (B,C,T) + v (C,B) broadcast over
+    T, sample b taking column b of v."""
+    if x.data.ndim != 3 or v.data.shape != x.data.shape[1::-1]:
         raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-    B, C, _ = x.data.shape
-    U = v.data.shape[1]
-    if column is None:
-        if U != B:
-            raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-    else:
-        column = np.asarray(column)
-        if column.shape != (B,):
-            raise ValueError(f"add_time: {B} samples vs columns {column.shape}")
-    out = Tensor(add_time_kernel(x.data, v.data, column))
-
-    def bw(g):
-        gv = g.sum(axis=-1)
-        if column is None:
-            return g, gv.T
-        dv = np.zeros((U, C))
-        np.add.at(dv, column, gv)
-        return g, dv.T
-
-    _record(out, (x, v), bw)
+    out = Tensor(add_time_kernel(x.data, v.data))
+    _record(out, (x, v), lambda g: (g, g.sum(axis=-1).T))
     return out
 
 

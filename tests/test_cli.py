@@ -200,6 +200,16 @@ def test_sweep_refuses_nonintegral_repeats(cli_env):
     assert not (cli_env / "x11" / "sweep.csv").exists()
 
 
+def test_non_finite_config_value_is_runtime_failure(cli_env):
+    cfg = write_config(cli_env / "nan.cfg", attack_magnitude="nan")
+    r = run_cli("--config", cfg.name, "--out", "x12", "attack",
+                "base/windows/00004.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert "bad value for attack_magnitude: 'nan'" in r.stderr
+    assert not (cli_env / "x12").exists()
+
+
 def test_unknown_flag_is_usage_error(cli_env):
     r = run_cli("--frobnicate", "synth", cwd=cli_env)
     assert r.returncode == 1

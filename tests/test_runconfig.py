@@ -9,6 +9,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdm.runconfig import (RunConfig, format_runconfig, load_runconfig,
                             make_attack_spec, make_denoiser_config,
@@ -33,6 +35,40 @@ def test_round_trip_preserves_values():
                     shuffle=False, checkpoint="m.tsdm")
     text = format_runconfig(cfg)
     assert parse_runconfig(text) == cfg
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(omega=_FINITE, learning_rate=_FINITE,
+       weights=st.lists(_FINITE, max_size=4).map(tuple),
+       sweep_values=st.lists(_FINITE, max_size=4).map(tuple))
+def test_every_finite_float_round_trips(omega, learning_rate, weights,
+                                        sweep_values):
+    cfg = RunConfig(omega=omega, learning_rate=learning_rate,
+                    weights=weights, sweep_values=sweep_values)
+    back = parse_runconfig(format_runconfig(cfg))
+    assert back == cfg
+    for key in ("omega", "learning_rate", "weights", "sweep_values"):
+        assert repr(getattr(back, key)) == repr(getattr(cfg, key))  # -0.0
+
+
+def test_short_floats_keep_their_short_text():
+    text = format_runconfig(RunConfig(omega=0.1, learning_rate=2e-3,
+                                      weights=(1.0, 0.25)))
+    assert "omega=0.1\n" in text and "learning_rate=0.002\n" in text
+    assert "weights=1,0.25\n" in text and "beta_start=0.0001\n" in text
+
+
+@pytest.mark.parametrize("line", ["omega=nan", "attack_magnitude=inf",
+                                  "learning_rate=-inf", "mask_ratio=NaN",
+                                  "weights=1,inf,1", "sweep_values=0.5,nan"])
+def test_non_finite_float_rejected(line):
+    key = line.partition("=")[0]
+    with pytest.raises(ValueError,
+                       match=f"^bad value for {key}: .*not a finite number"):
+        parse_runconfig(line + "\n")
 
 
 def test_unknown_key_rejected():

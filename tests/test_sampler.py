@@ -524,6 +524,7 @@ def test_stage1_matches_prior_bits(toy_model, sched100, s, omega, B):
         assert isinstance(got[2], FloatingPointError)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("s", [1, 2, 10])
 @pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("rescale", [False, True])

@@ -5,6 +5,7 @@ core; the caller runs the first and a thread pool the others. These
 tests pin that the split changes nothing a caller can see.
 """
 
+import copy
 import multiprocessing
 import sys
 import threading
@@ -30,20 +31,28 @@ TAU = make_subsequence(100, 10)
 
 @pytest.fixture()
 def shards(monkeypatch):
-    """Record every _forward call: (thread name, rows, errstate, ended)."""
+    """Record every shard a predict_noise call runs: (thread name, rows,
+    errstate its layers run under, ended)."""
     calls = []
-    forward = dn._forward
+    predict_rows, unet = dn._predict_rows, dn._unet
+    current = threading.local()
 
-    def spy(params, x, levels, column=None):
-        entry = {"thread": threading.current_thread().name,
-                 "rows": x.shape[0], "err": np.geterr(), "ended": False}
+    def spy(depth, bound, x, time, err=None):
+        entry = current.entry = {"thread": threading.current_thread().name,
+                                 "rows": x.shape[0], "err": None,
+                                 "ended": False}
         calls.append(entry)
         try:
-            return forward(params, x, levels, column)
+            return predict_rows(depth, bound, x, time, err)
         finally:
             entry["ended"] = True
 
-    monkeypatch.setattr(dn, "_forward", spy)
+    def layers(*args):
+        current.entry["err"] = np.geterr()
+        return unet(*args)
+
+    monkeypatch.setattr(dn, "_predict_rows", spy)
+    monkeypatch.setattr(dn, "_unet", layers)
     return calls
 
 
@@ -61,16 +70,13 @@ def test_sharded_predict_is_bit_identical_to_single(
     M, T = (4, 16) if model == "toy" else (8, 64)
     rng = np.random.default_rng(B)
     xb = rng.standard_normal((B, M, T))
-    for n in (37, rng.integers(1, 101, size=B)):
-        shards.clear()
-        stacked = dn.predict_noise(params, xb, n)
-        assert len(shards) == 2
-        assert sum(c["rows"] for c in shards) == B
-        assert {c["thread"] for c in shards} != {"MainThread"}
-        steps = np.broadcast_to(n, (B,))
-        for b in range(B):
-            alone = dn.predict_noise(params, xb[b], int(steps[b]))
-            assert stacked[b].tobytes() == alone.tobytes()
+    stacked = dn.predict_noise(params, xb, 37)
+    assert len(shards) == 2
+    assert sum(c["rows"] for c in shards) == B
+    assert {c["thread"] for c in shards} != {"MainThread"}
+    for b in range(B):
+        alone = dn.predict_noise(params, xb[b], 37)
+        assert stacked[b].tobytes() == alone.tobytes()
 
 
 def test_sharded_recover_batch_is_bitwise_one_window_recovery(toy_model,
@@ -100,14 +106,14 @@ def test_failing_shard_raises_after_every_shard_returns(
         toy_model, shards, monkeypatch, bad_row):
     xb = np.random.default_rng(3).standard_normal((48, 4, 16))
     xb[bad_row] = 1e300
-    forward = dn._forward
+    predict_rows = dn._predict_rows
 
     def slow_workers(*args):
         if threading.current_thread().name != "MainThread":
             time.sleep(0.2)  # the caller's shard fails long before this
-        return forward(*args)
+        return predict_rows(*args)
 
-    monkeypatch.setattr(dn, "_forward", slow_workers)
+    monkeypatch.setattr(dn, "_predict_rows", slow_workers)
     with pytest.raises(Exception) as sharded:
         dn.predict_noise(toy_model, xb, 50)
     assert len(shards) == 2 and all(c["ended"] for c in shards)
@@ -134,12 +140,23 @@ def test_workers_run_under_the_callers_errstate(toy_model, shards,
     assert str(sharded.value) == str(alone.value)
 
 
-def test_nothing_shards_on_a_grad_tape(toy_model, shards):
+def test_a_grad_tape_shards_and_records_only_a_cold_steps_projection(
+        toy_model, shards):
     xb = np.random.default_rng(5).standard_normal((64, 4, 16))
-    with GradTape():
-        taped = dn.predict_noise(toy_model, xb, 50)
-    assert [(c["thread"], c["rows"]) for c in shards] == [("MainThread", 64)]
-    assert np.all(np.isfinite(taped))
+    want = dn.predict_noise(toy_model, xb, 50).tobytes()
+    model = copy.deepcopy(toy_model)
+    model._step_memo = None
+    with GradTape() as tape:
+        cold = dn.predict_noise(model, xb, 50)
+        recorded = len(tape._nodes)
+        warm = dn.predict_noise(model, xb, 50)
+        assert len(tape._nodes) == recorded  # a warm step records nothing
+    # a cold step's projection is 25 Tensor ops: the embedding MLP's 5
+    # and 2 for each of the 10 residual blocks; the layers record none
+    assert recorded == 25
+    assert cold.tobytes() == warm.tobytes() == want
+    assert [c["rows"] for c in shards] == [32, 32] * 3
+    assert {c["thread"] for c in shards[2:]} != {"MainThread"}
 
 
 def test_concurrent_callers_share_one_pool(toy_model, monkeypatch):

@@ -2,6 +2,7 @@
 algebraic identity and purity contracts."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -236,9 +237,16 @@ def test_structural_grads_vs_fd():
     _check_against_fd(lambda a: tc.upsample2(a), x)
     _check_against_fd(lambda a, b: tc.add_bias(a, b), x, bias)
     _check_against_fd(lambda a, b: tc.add_time(a, b), x, tv)
-    shared = rng.uniform(-1, 1, (4, 1))
-    _check_against_fd(lambda a, b: tc.add_time(a, b, [0, 0]), x, shared)
     _check_against_fd(lambda a: tc.mean_all(a), x)
+
+
+@pytest.mark.parametrize("v_shape", [(6, 2), (6, 1), (5, 3), (3, 6), (6,)])
+def test_add_time_rejects_a_vector_of_another_shape(v_shape):
+    # v must be (C, B): one column per sample, one row per channel
+    x = Tensor(np.zeros((3, 6, 16)))
+    want = f"add_time: (3, 6, 16) vs {v_shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        tc.add_time(x, Tensor(np.zeros(v_shape)))
 
 
 # ------------------------------------------------------------------ backward
@@ -357,8 +365,6 @@ _RECORDED_OPS = {
     "matmul": (tc.matmul, [(16, 16), (16, 4)]),  # 4 columns
     "add_bias": (tc.add_bias, [(3, 6, 16), (6,)]),
     "add_time": (tc.add_time, [(3, 6, 16), (6, 3)]),
-    "add_time-column": (lambda x, v: tc.add_time(x, v, [1, 0, 1]),
-                        [(3, 6, 16), (6, 2)]),
 }
 
 
