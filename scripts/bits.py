@@ -4,8 +4,10 @@ over all groups.
 
 Two checkouts whose hashes agree give the same outputs bit for bit on:
 - predict: predict_noise on each fixture at B 1, 5 and 33 and steps 1,
-  37 and 100, memo cold then warm, and with a 2-D input; and the failure
-  of a conv weight scaled by 1e308 at B 1 and 33;
+  37 and 100, memo cold then warm, and with a 2-D input; and at B 1 and
+  33 the failures of a conv weight scaled by 1e308, of a NaN norm gain
+  in an encoder and in a decoder block, and of attention's query and key
+  weights scaled by 1e200;
 - adam: two Adam training steps per fixture config (each loss and every
   parameter after each step);
 - recover_batch: 17 steady windows (clean, step-attacked, with a NaN
@@ -88,10 +90,33 @@ def predict_cases(models):
                 out += [outcome(lambda: predict_noise(fresh, x[:B], n))
                         for _ in ("cold", "warm")]
             out.append(outcome(lambda: predict_noise(params, x[0], n)))
-        bad = copy.deepcopy(params)
-        bad["enc0.rb1.conv1.w"].data *= 1e308
-        out += [outcome(lambda: predict_noise(bad, x[:B], 12)) for B in (1, 33)]
+        for edit in BAD_EDITS:
+            bad = copy.deepcopy(params)
+            edit(bad)
+            out += [outcome(lambda: predict_noise(bad, x[:B], 12))
+                    for B in (1, 33)]
     return out
+
+
+def _overflow_conv(m):
+    m["enc0.rb1.conv1.w"].data *= 1e308
+
+
+def _nan_encoder_gain(m):
+    m["enc1.rb0.gn2.g"].data[1] = np.nan
+
+
+def _nan_decoder_gain(m):
+    m["dec0.rb1.gn2.g"].data[1] = np.nan
+
+
+def _overflow_attention(m):
+    m["mid.attn.wq"].data *= 1e200
+    m["mid.attn.wk"].data *= 1e200
+
+
+BAD_EDITS = (_overflow_conv, _nan_encoder_gain, _nan_decoder_gain,
+             _overflow_attention)
 
 
 def adam_cases(models):

@@ -258,6 +258,10 @@ class _Bound:
     tape path's bits, row by row: the bits _TensorOps gives that row
     alone.
 
+    Only attention checks its results finite here: convs, norms and adds
+    run the unchecked kernels, and _predict_rows checks the end result
+    instead (replaying a failure on _Checked).
+
     `arrays` are the arrays of _bound_names(cfg), each of which must have
     its layout's shape (else a ValueError naming it); the kernels then
     need no shape check but the kernel width against the input length.
@@ -288,6 +292,36 @@ class _Bound:
         self.blocks = layers["block"]
 
     def conv(self, h, name):
+        return tc.conv1d_unchecked(h, *self.convs[name])
+
+    def norm_silu_conv(self, h, norm, conv):
+        w2, b2, k, pad, _ = self.convs[conv]
+        return tc.silu_conv_unchecked(
+            tc.group_norm_unchecked(h, *self.norms[norm]), w2, b2, k, pad)
+
+    def attention(self, h, name):
+        return tc.self_attention_kernel(h, *self.attns[name])
+
+    def add(self, a, b):
+        return tc.add_unchecked(a, b)
+
+    def add_time(self, x, v):
+        return tc.add_time_unchecked(x, v)
+
+    upsample2 = staticmethod(tc.upsample2_kernel)
+    concat = staticmethod(tc.concat_channels_kernel)
+
+
+class _Checked(_Bound):
+    """A binding's layers with every result checked finite as the Tensor
+    ops check theirs, under the same op names and in the same order, so
+    the first op with a non-finite result raises what the tape path
+    raises. _predict_rows replays a failing run on it."""
+
+    def __init__(self, bound: _Bound):
+        vars(self).update(vars(bound))
+
+    def conv(self, h, name):
         return tc.conv1d_kernel(h, *self.convs[name])
 
     def norm_silu_conv(self, h, norm, conv):
@@ -295,13 +329,11 @@ class _Bound:
         return tc.silu_conv_kernel(tc.group_norm_kernel(h, *self.norms[norm]),
                                    w2, b2, k, pad)
 
-    def attention(self, h, name):
-        return tc.self_attention_kernel(h, *self.attns[name])
+    def add(self, a, b):
+        return tc.add_kernel(a, b)
 
-    add = staticmethod(tc.add_kernel)
-    add_time = staticmethod(tc.add_time_kernel)
-    upsample2 = staticmethod(tc.upsample2_kernel)
-    concat = staticmethod(tc.concat_channels_kernel)
+    def add_time(self, x, v):
+        return tc.add_time_kernel(x, v)
 
 
 _data = operator.attrgetter("data")
@@ -400,12 +432,13 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
     """diffusion_loss's noise prediction for the (B, M, T) stack x, sample
     b at step levels[b], all B steps projected together (_embed). On a
     gradient tape the layers are the Tensor ops, which record; off a tape
-    they run on the model's binding, and nothing is memoized."""
+    they run on the model's binding as a predict_noise shard runs them
+    (_predict_rows), and nothing is memoized."""
     if tc.taping():
         return _unet(p.config.depth, _TensorOps(p), x, _embed(p, levels))
     ops = _bound(p)
     time = {name: tv.data for name, tv in _embed(p, levels).items()}
-    return Tensor(_unet(p.config.depth, ops, x.data, time))
+    return Tensor(_predict_rows(p.config.depth, ops, x.data, time))
 
 
 # Rows a shard of a stacked predict_noise call needs before the stack is
@@ -448,9 +481,26 @@ os.register_at_fork(after_in_child=_forget_pool)
 def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
                   err=None) -> np.ndarray:
     """_unet over the rows x on a binding, under the np.errstate `err` (a
-    worker thread does not inherit the caller's)."""
+    worker thread does not inherit the caller's).
+
+    The layers run unchecked but for attention's checks, and one check
+    covers the result: every layer but attention carries a NaN or an
+    infinity in any of its results on to the rows' output (0 * inf, inf -
+    inf and -inf * 0 are NaN; a stride-2 conv's skipped positions reach
+    the output through the skip concat), while attention's softmax can
+    turn a -inf score into a weight of 0. A non-finite result, or any
+    exception, replays the rows on _Checked under the same errstate: the
+    replay raises what a checked run raises, from the first op that
+    fails.
+    """
     with np.errstate(**(err or {})):
-        return _unet(depth, bound, x, time)
+        try:
+            out = _unet(depth, bound, x, time)
+            if np.isfinite(out).all():
+                return out
+        except Exception:  # noqa: BLE001 - the replay raises it, or an earlier one
+            pass
+        return _unet(depth, _Checked(bound), x, time)
 
 
 def _step_index(n) -> int:
@@ -476,7 +526,13 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     projection weights is seen on the next call. The layers then run on
     the binding and never record, on a tape or off; each row gets the
     bits the tape path (_forward on a tape) gives it alone. A tensor
-    whose shape is not its config's is a ValueError that names it.
+    whose shape is not its config's is a ValueError that names it, and
+    so is an empty stack.
+
+    Each shard checks its result finite once, and a failing shard
+    replays its rows with every layer checked (_predict_rows): a NaN or
+    an infinity raises the FloatingPointError of the first layer whose
+    result holds one, as the tape path raises it.
 
     A stack of at least 2 * SHARD_ROWS rows is cut into contiguous
     shards, one per usable core (at most one per SHARD_ROWS rows): the
@@ -492,6 +548,9 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     if xb.ndim != 3 or xb.shape[1] != cfg.channels_in:
         raise ValueError(f"input shape {x.shape} does not match "
                          f"channels_in={cfg.channels_in}")
+    if not len(xb):
+        raise ValueError(f"input shape {x.shape} is an empty stack: "
+                         "no window to predict")
     cfg.validate_window(xb.shape[2])
     n = _step_index(n)
     bound = _bound(params)

@@ -23,12 +23,18 @@ attention's scale and softmax into the score array); affine steps in
 place. A kernel takes each parameter in the layout its arithmetic reads
 (a conv weight as its (Cout, Cin*K) matrix, a bias or a norm's affine as
 a (C, 1) column) and checks no shape but the kernel width against the
-input length.
+input length. The conv1d, group_norm, silu_conv, add and add_time
+kernels are their `*_unchecked` form plus the check: a denoiser call
+runs the unchecked forms and checks its end result once, replaying a
+failure on the checked kernels (denoiser._predict_rows).
 
-All results are checked finite; NaN/Inf raise FloatingPointError. Three
-kernel results go unchecked because they are finite whenever their
-checked inputs are: silu's inside silu_conv_kernel, and attention's
-scaled scores and their softmax.
+All results but the `*_unchecked` forms' are checked finite; NaN/Inf
+raise FloatingPointError. Three kernel results go unchecked because they
+are finite whenever their checked inputs are: silu's inside
+silu_conv_kernel, and attention's scaled scores and their softmax.
+self_attention_kernel has no unchecked form: its softmax can turn a -inf
+score into a weight of 0, so a non-finite score need not reach its
+result.
 """
 
 from __future__ import annotations
@@ -127,9 +133,11 @@ def taping() -> bool:
     return bool(_TAPES)
 
 
-def _guard(arr: np.ndarray, op: str) -> None:
+def _guard(arr: np.ndarray, op: str) -> np.ndarray:
+    """arr, or FloatingPointError if it holds a NaN or an infinity."""
     if not np.isfinite(arr).all():
         raise FloatingPointError(f"{op}: non-finite values in result")
+    return arr
 
 
 def _taped(*inputs) -> bool:
@@ -150,10 +158,11 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 # ----------------------------------------------------------------- elementwise
 
+add_unchecked = np.add
+
+
 def add_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = a + b
-    _guard(out, "add")
-    return out
+    return _guard(add_unchecked(a, b), "add")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -291,12 +300,14 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_time_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def add_time_unchecked(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """x (B,C,T) + v.T broadcast over T: v is (C, B), or (C, 1) for every
     sample."""
-    out = x + v.T[:, :, None]
-    _guard(out, "add_time")
-    return out
+    return x + v.T[:, :, None]
+
+
+def add_time_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return _guard(add_time_unchecked(x, v), "add_time")
 
 
 def add_time(x: Tensor, v: Tensor) -> Tensor:
@@ -336,8 +347,7 @@ def _windows(xp: np.ndarray, K: int, stride: int, Tp: int) -> np.ndarray:
 
 def _conv_rows(xp: np.ndarray, w2: np.ndarray, b2, K: int, stride: int,
                Tp: int) -> np.ndarray:
-    """conv1d_kernel's product over the zero-bordered input xp, checked
-    finite.
+    """conv1d's inference product over the zero-bordered input xp.
 
     One product per sample, since the bits of a single product over all
     B*T' columns can depend on B and a sample must get the same bits in a
@@ -348,12 +358,11 @@ def _conv_rows(xp: np.ndarray, w2: np.ndarray, b2, K: int, stride: int,
     od = np.matmul(w2, cols.reshape(B, -1, Tp))
     if b2 is not None:
         od += b2
-    _guard(od, "conv1d")
     return od
 
 
-def conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
-                  stride: int) -> np.ndarray:
+def conv1d_unchecked(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
+                     stride: int) -> np.ndarray:
     """Inference conv1d of the (B, Cin, T) x: w2 is the (Cout, Cin*K)
     weight matrix, b2 the (Cout, 1) bias or None, P = (K-1)/2."""
     B, Cin, T = x.shape
@@ -361,6 +370,11 @@ def conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
     xp = np.zeros((B, Cin, T + 2 * P))
     xp[:, :, P : P + T] = x
     return _conv_rows(xp, w2, b2, K, stride, Tp)
+
+
+def conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
+                  stride: int) -> np.ndarray:
+    return _guard(conv1d_unchecked(x, w2, b2, K, P, stride), "conv1d")
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -437,16 +451,20 @@ def _standardize(xd: np.ndarray, groups: int):
     return xh.reshape(B, C, T), inv
 
 
-def group_norm_kernel(x: np.ndarray, groups: int, gamma2: np.ndarray,
-                      beta2: np.ndarray) -> np.ndarray:
-    """Inference group_norm of the (B, C, T) x with (C, 1) affine columns,
-    checked finite; nothing keeps the standardized values, so the affine
-    step runs in place."""
+def group_norm_unchecked(x: np.ndarray, groups: int, gamma2: np.ndarray,
+                         beta2: np.ndarray) -> np.ndarray:
+    """Inference group_norm of the (B, C, T) x with (C, 1) affine columns;
+    nothing keeps the standardized values, so the affine step runs in
+    place."""
     h, _ = _standardize(x, groups)
     h *= gamma2
     h += beta2
-    _guard(h, "group_norm")
     return h
+
+
+def group_norm_kernel(x: np.ndarray, groups: int, gamma2: np.ndarray,
+                      beta2: np.ndarray) -> np.ndarray:
+    return _guard(group_norm_unchecked(x, groups, gamma2, beta2), "group_norm")
 
 
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
@@ -487,9 +505,9 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     return out
 
 
-def silu_conv_kernel(h: np.ndarray, w2: np.ndarray, b2: np.ndarray, K: int,
-                     P: int) -> np.ndarray:
-    """conv1d_kernel(silu(h), ..., stride 1), with silu written straight
+def silu_conv_unchecked(h: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+                        K: int, P: int) -> np.ndarray:
+    """conv1d_unchecked(silu(h), ..., stride 1), with silu written straight
     into conv1d's zero-bordered input."""
     B, C, T = h.shape
     Tp = _out_len(T, K, 1)
@@ -497,6 +515,11 @@ def silu_conv_kernel(h: np.ndarray, w2: np.ndarray, b2: np.ndarray, K: int,
     # unguarded: sigmoid lies in [0, 1], so |h * sigmoid(h)| <= |h|, finite
     np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
     return _conv_rows(xp, w2, b2, K, 1, Tp)
+
+
+def silu_conv_kernel(h: np.ndarray, w2: np.ndarray, b2: np.ndarray, K: int,
+                     P: int) -> np.ndarray:
+    return _guard(silu_conv_unchecked(h, w2, b2, K, P), "conv1d")
 
 
 # ----------------------------------------------------------------- attention

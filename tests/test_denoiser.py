@@ -1,11 +1,13 @@
 import contextlib
 import copy
 import math
+import threading
 
 import numpy as np
 import pytest
 
 import tsdm.denoiser as dn
+import tsdm.tensor as tc
 from tsdm.denoiser import (
     Adam,
     DenoiserConfig,
@@ -128,6 +130,15 @@ def test_predict_noise_rejects_an_array_step(toy_model, n):
     with pytest.raises(ValueError,
                        match="^step index must be one integer for every row$"):
         predict_noise(model, x, n)
+    assert model._step_memo is None and model._binding is None  # no work
+
+
+def test_predict_noise_rejects_an_empty_stack(toy_model):
+    model = copy.deepcopy(toy_model)
+    model._step_memo = model._binding = None
+    with pytest.raises(ValueError, match=r"^input shape \(0, 4, 16\) is an "
+                                         r"empty stack: no window to predict$"):
+        predict_noise(model, np.zeros((0, 4, 16)), 5)
     assert model._step_memo is None and model._binding is None  # no work
 
 
@@ -371,6 +382,110 @@ def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit, message):
     with np.errstate(over="ignore", invalid="ignore"):
         bound, tensor_ops = _both_paths(steady_fixture[0], x, 12, edit)
     assert bound == tensor_ops == [(FloatingPointError, message)] * 2
+
+
+# ------------------------------------------ one check per predict_noise run
+# predict_noise runs its layers unchecked, attention's checks apart, and
+# checks the result once; a failing run is replayed with every check. So
+# a NaN or an infinity in any one layer result of any one row must still
+# raise that layer's error, alone or in a shard worker's rows.
+
+# each unchecked kernel: its checked op's name and its calls in one run
+_UNCHECKED = {"conv1d_unchecked": ("conv1d", 7),
+              "group_norm_unchecked": ("group_norm", 21),
+              "silu_conv_unchecked": ("conv1d", 21),
+              "add_unchecked": ("add", 11),
+              "add_time_unchecked": ("add_time", 10)}
+
+
+@pytest.fixture(params=["toy", "kernel1"])
+def small_model(request):
+    """The toy fixture, and an untrained K = 1 net whose stride-2 convs
+    skip every odd position."""
+    if request.param == "toy":
+        return request.getfixturevalue("toy_model")
+    return init_params(DenoiserConfig(channels_in=4, base_width=16, depth=2,
+                                      time_embed_dim=16, kernel=1), seed=7)
+
+
+def _last_rows(B):
+    """Whether this thread runs the last row of a B-row stack: the caller
+    alone at B = 1, a shard worker at B = 33."""
+    if B > 1 and dn._usable_cores() < 2:
+        pytest.skip("one usable core: predict_noise never splits a stack")
+    return lambda: (B == 1) == (threading.current_thread()
+                                is threading.main_thread())
+
+
+@pytest.mark.parametrize("B", [1, 33])
+@pytest.mark.parametrize("kernel", list(_UNCHECKED))
+def test_a_non_finite_layer_result_raises_its_layers_error(
+        small_model, monkeypatch, kernel, B):
+    last_rows = _last_rows(B)
+    real, unet = getattr(tc, kernel), dn._unet
+    run, poison, seen = threading.local(), {}, []
+
+    def counting(*args):  # each run (a replay too) counts from 0
+        run.k = 0
+        return unet(*args)
+
+    def poisoned(*args):
+        out = real(*args)
+        if last_rows():
+            seen.append(run.k)
+            if run.k == poison.get("k"):  # at an odd time position
+                out[-1, 0, -1] = poison["value"]
+            run.k += 1
+        return out
+
+    monkeypatch.setattr(dn, "_unet", counting)
+    monkeypatch.setattr(tc, kernel, poisoned)
+    x = np.random.default_rng(B).standard_normal((B, 4, 16))
+    op, calls = _UNCHECKED[kernel]
+    assert np.isfinite(predict_noise(small_model, x, 40)).all()
+    assert seen == list(range(calls))
+    message = f"^{op}: non-finite values in result$"
+    for k in range(calls):
+        poison.update(k=k, value=(np.nan, np.inf, -np.inf)[k % 3])
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError,
+                                                          match=message):
+            predict_noise(small_model, x, 40)
+
+
+@pytest.mark.parametrize("B", [1, 33])
+def test_overflowing_attention_scores_raise(small_model, monkeypatch, B):
+    # finite q and k whose scores overflow: softmax could turn a -inf
+    # score into a weight of 0, so attention checks its own results
+    last_rows = _last_rows(B)
+    real = tc.self_attention_kernel
+
+    def attention(x, *projections):
+        if last_rows():
+            x = x.copy()
+            x[-1] *= 1e200
+        return real(x, *projections)
+
+    monkeypatch.setattr(tc, "self_attention_kernel", attention)
+    x = np.random.default_rng(B).standard_normal((B, 4, 16))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            FloatingPointError,
+            match="^attn_scores: non-finite values in result$"):
+        predict_noise(small_model, x, 40)
+
+
+def test_a_run_that_fails_twice_raises_the_first_failure():
+    # a NaN input fails the stem's check; an unchecked run gets past the
+    # stem and fails later, at the first conv whose kernel is wider than
+    # its input (4 steps at the second level)
+    model = init_params(DenoiserConfig(channels_in=2, base_width=4, depth=2,
+                                       time_embed_dim=4, kernel=5), seed=1)
+    x = np.zeros((2, 8))
+    with pytest.raises(ValueError, match="^conv1d: kernel wider than input$"):
+        predict_noise(model, x, 3)
+    x[0, 3] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="^conv1d: non-finite values in result$"):
+        predict_noise(model, x, 3)
 
 
 # -------------------------------------------------------------- objective
