@@ -10,6 +10,8 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   weights scaled by 1e200;
 - adam: two Adam training steps per fixture config (each loss and every
   parameter after each step);
+- loss: diffusion_loss on a gradient tape on each fixture at B 1 and 8
+  (the loss and every gradient);
 - recover_batch: 17 steady windows (clean, step-attacked, with a NaN
   block, and one of 1e308) under omega 1, R 2 and under omega 0.5, R 4,
   each result or failure text;
@@ -28,11 +30,13 @@ from pathlib import Path
 import numpy as np
 
 from tsdm.checkpoint import load_checkpoint
-from tsdm.denoiser import Adam, init_params, predict_noise, training_step
+from tsdm.denoiser import (Adam, diffusion_loss, init_params, predict_noise,
+                           training_step)
 from tsdm.pipeline import TsdmConfig, recover, recover_batch
 from tsdm.schedule import linear_schedule, make_subsequence
 from tsdm.stage1 import GuidanceConfig
 from tsdm.stage2 import ImputeConfig
+from tsdm.tensor import GradTape
 from tsdm.threatsim import AttackSpec, SynthSpec, inject_fdia, synth_dataset
 
 CACHE = Path(__file__).resolve().parent.parent / "tests" / ".cache"
@@ -135,6 +139,25 @@ def adam_cases(models):
     return out
 
 
+def loss_cases(models):
+    out = []
+    sched = linear_schedule(100)
+    for tag, (params, _, _) in models.items():
+        model = copy.deepcopy(params)
+        M = model.config.channels_in
+        T = 64 if tag == "steady" else 16
+        rng = np.random.default_rng(list(tag.encode()) + [1])
+        for B in (1, 8):
+            x0, eps = rng.standard_normal((2, B, M, T))
+            n_vec = rng.integers(1, sched.N + 1, size=B)
+            with GradTape() as tape:
+                loss = diffusion_loss(model, x0, n_vec, eps, sched)
+                grads = tape.backward(loss)
+            out.append(loss.data)
+            out.append({k: grads[id(t)] for k, t in model.items()})
+    return out
+
+
 def pipeline_cfg(omega, R, seed=7):
     return TsdmConfig(guidance=GuidanceConfig(tau=TAU, omega=omega, seed=seed),
                       impute=ImputeConfig(tau=TAU, R=R, seed=seed))
@@ -175,7 +198,7 @@ def recover_cases(models):
                                     pipeline_cfg(1.0, 2), mean, std))]
 
 
-GROUPS = {"predict": predict_cases, "adam": adam_cases,
+GROUPS = {"predict": predict_cases, "adam": adam_cases, "loss": loss_cases,
           "recover_batch": recover_batch_cases, "recover": recover_cases}
 
 

@@ -50,9 +50,10 @@ def bench_timing(params: DenoiserParams, shapes, s_values, repeats: int,
     """Measure sampling wall time over shapes x subsequence lengths.
 
     Returns a list of BenchRow. For every shape the full-length s=N
-    reference is timed first (after one untimed warmup pass) and carries
-    ratio_vs_full exactly 1.0; other s values report mean time relative
-    to that reference.
+    reference is timed first and carries ratio_vs_full exactly 1.0;
+    other s values report mean time relative to that reference. An
+    untimed warm-up pass over all N steps comes first, so no timed run
+    projects a step the model's step memo lacks.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -64,8 +65,7 @@ def bench_timing(params: DenoiserParams, shapes, s_values, repeats: int,
     for shape in shapes:
         warm = np.random.default_rng(seed)
         unconditional_sample(params, shape, sched,
-                             make_subsequence(sched.N, min(s_list + [sched.N])),
-                             warm)
+                             make_subsequence(sched.N, sched.N), warm)
         full_mean, full_std = _time_sampling(params, shape, sched, sched.N,
                                              repeats, seed)
         rows.append(BenchRow(shape[0], shape[1], sched.N, full_mean,

@@ -49,6 +49,8 @@ class DenoiserConfig:
             raise ValueError("kernel must be odd")
 
     def validate_window(self, T: int) -> None:
+        if T < 1:
+            raise ValueError(f"T={T}: a window needs at least one time step")
         if T % (2**self.depth):
             raise ValueError(f"T={T} not divisible by 2^depth={2**self.depth}")
 
@@ -254,13 +256,9 @@ class _Bound:
     model's arrays, each layer's fixed per-call work done once: a conv's
     (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
     a norm's group count and (C, 1) gamma and beta views; attention's
-    projections; a block's layer names. Each row of a stack gets the
-    tape path's bits, row by row: the bits _TensorOps gives that row
-    alone.
-
-    Only attention checks its results finite here: convs, norms and adds
-    run the unchecked kernels, and _predict_rows checks the end result
-    instead (replaying a failure on _Checked).
+    projections; a block's layer names. Each row of a stack gets the bits
+    _TensorOps gives that row alone. Only attention checks its results
+    here; _predict_rows checks the end result.
 
     `arrays` are the arrays of _bound_names(cfg), each of which must have
     its layout's shape (else a ValueError naming it); the kernels then
@@ -313,27 +311,27 @@ class _Bound:
 
 
 class _Checked(_Bound):
-    """A binding's layers with every result checked finite as the Tensor
-    ops check theirs, under the same op names and in the same order, so
-    the first op with a non-finite result raises what the tape path
-    raises. _predict_rows replays a failing run on it."""
+    """A binding whose layers check each kernel result finite (tc._guard)
+    under the Tensor op's name and in its order, so the first layer with
+    a non-finite result raises what _TensorOps raises."""
 
     def __init__(self, bound: _Bound):
         vars(self).update(vars(bound))
 
     def conv(self, h, name):
-        return tc.conv1d_kernel(h, *self.convs[name])
+        return tc._guard(tc.conv1d_unchecked(h, *self.convs[name]), "conv1d")
 
     def norm_silu_conv(self, h, norm, conv):
         w2, b2, k, pad, _ = self.convs[conv]
-        return tc.silu_conv_kernel(tc.group_norm_kernel(h, *self.norms[norm]),
-                                   w2, b2, k, pad)
+        h = tc._guard(tc.group_norm_unchecked(h, *self.norms[norm]),
+                      "group_norm")
+        return tc._guard(tc.silu_conv_unchecked(h, w2, b2, k, pad), "conv1d")
 
     def add(self, a, b):
-        return tc.add_kernel(a, b)
+        return tc._guard(tc.add_unchecked(a, b), "add")
 
     def add_time(self, x, v):
-        return tc.add_time_kernel(x, v)
+        return tc._guard(tc.add_time_unchecked(x, v), "add_time")
 
 
 _data = operator.attrgetter("data")
@@ -430,15 +428,11 @@ def _embed(p: DenoiserParams, levels) -> dict:
 
 def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
     """diffusion_loss's noise prediction for the (B, M, T) stack x, sample
-    b at step levels[b], all B steps projected together (_embed). On a
-    gradient tape the layers are the Tensor ops, which record; off a tape
-    they run on the model's binding as a predict_noise shard runs them
-    (_predict_rows), and nothing is memoized."""
-    if tc.taping():
-        return _unet(p.config.depth, _TensorOps(p), x, _embed(p, levels))
-    ops = _bound(p)
-    time = {name: tv.data for name, tv in _embed(p, levels).items()}
-    return Tensor(_predict_rows(p.config.depth, ops, x.data, time))
+    b at step levels[b]: the Tensor ops, all B steps projected together
+    (_embed). They record on a gradient tape and give the same bits off
+    one, so off-tape diffusion_loss is the function the tape
+    differentiates."""
+    return _unet(p.config.depth, _TensorOps(p), x, _embed(p, levels))
 
 
 # Rows a shard of a stacked predict_noise call needs before the stack is
@@ -481,17 +475,15 @@ os.register_at_fork(after_in_child=_forget_pool)
 def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
                   err=None) -> np.ndarray:
     """_unet over the rows x on a binding, under the np.errstate `err` (a
-    worker thread does not inherit the caller's).
+    worker thread does not inherit the caller's), with one finite check
+    of the result.
 
-    The layers run unchecked but for attention's checks, and one check
-    covers the result: every layer but attention carries a NaN or an
-    infinity in any of its results on to the rows' output (0 * inf, inf -
-    inf and -inf * 0 are NaN; a stride-2 conv's skipped positions reach
-    the output through the skip concat), while attention's softmax can
-    turn a -inf score into a weight of 0. A non-finite result, or any
-    exception, replays the rows on _Checked under the same errstate: the
-    replay raises what a checked run raises, from the first op that
-    fails.
+    One check suffices because every layer but attention carries a NaN or
+    an infinity in any of its results on to the rows' output (0 * inf,
+    inf - inf and -inf * 0 are NaN; a stride-2 conv's skipped positions
+    reach the output through the skip concat); attention checks its own.
+    A non-finite result, or any exception, replays the rows on _Checked,
+    which raises the first failing layer's error.
     """
     with np.errstate(**(err or {})):
         try:
@@ -525,14 +517,13 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     call at a step projects it, and an edit of the embedding or
     projection weights is seen on the next call. The layers then run on
     the binding and never record, on a tape or off; each row gets the
-    bits the tape path (_forward on a tape) gives it alone. A tensor
-    whose shape is not its config's is a ValueError that names it, and
-    so is an empty stack.
+    bits _forward gives it alone. A tensor whose shape is not its
+    config's is a ValueError that names it, and so is an empty stack.
 
     Each shard checks its result finite once, and a failing shard
     replays its rows with every layer checked (_predict_rows): a NaN or
     an infinity raises the FloatingPointError of the first layer whose
-    result holds one, as the tape path raises it.
+    result holds one, as _forward raises it.
 
     A stack of at least 2 * SHARD_ROWS rows is cut into contiguous
     shards, one per usable core (at most one per SHARD_ROWS rows): the

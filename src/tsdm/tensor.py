@@ -9,32 +9,28 @@ differentiates: it gives the same bits inside a GradTape as outside any.
 When a GradTape is active and an input requires gradients, the op
 appends a record to the tape. GradTape.backward replays the records in
 reverse creation order, which is a valid topological order because
-every input of a node was created before the node itself.
+every input of a node was created before the node itself. Every op but
+sqrt and the structural ones checks its result finite: NaN/Inf raise
+FloatingPointError.
 
-Inference arithmetic lives only in the array kernels, functions named
-`*_kernel` that take and return numpy arrays, check their results finite
-and never record; only the denoiser's bound model calls them. add,
-add_time, upsample2 and concat_channels share their kernel with their
-Tensor op. conv1d_kernel, group_norm_kernel then silu_conv_kernel, and
-self_attention_kernel cut numpy calls instead: one product per sample, so
-a sample gets the same bits in a batch as alone; a result written into
-the buffer the next op reads (silu into conv1d's zero-bordered input,
-attention's scale and softmax into the score array); affine steps in
-place. A kernel takes each parameter in the layout its arithmetic reads
-(a conv weight as its (Cout, Cin*K) matrix, a bias or a norm's affine as
-a (C, 1) column) and checks no shape but the kernel width against the
-input length. The conv1d, group_norm, silu_conv, add and add_time
-kernels are their `*_unchecked` form plus the check: a denoiser call
-runs the unchecked forms and checks its end result once, replaying a
-failure on the checked kernels (denoiser._predict_rows).
+The denoiser's bound model runs array kernels instead: functions that
+take and return numpy arrays and never record. add, add_time, upsample2
+and concat_channels share their kernel with their Tensor op. The conv1d,
+group_norm then silu_conv, and self_attention kernels cut numpy calls:
+one product per sample, so a sample gets the same bits in a batch as
+alone; a result written into the buffer the next op reads (silu into
+conv1d's zero-bordered input, attention's scale and softmax into the
+score array); affine steps in place. A kernel takes each parameter in
+the layout its arithmetic reads (a conv weight as its (Cout, Cin*K)
+matrix, a bias or a norm's affine as a (C, 1) column) and checks no
+shape but the kernel width against the input length.
 
-All results but the `*_unchecked` forms' are checked finite; NaN/Inf
-raise FloatingPointError. Three kernel results go unchecked because they
-are finite whenever their checked inputs are: silu's inside
-silu_conv_kernel, and attention's scaled scores and their softmax.
-self_attention_kernel has no unchecked form: its softmax can turn a -inf
-score into a weight of 0, so a non-finite score need not reach its
-result.
+The `*_unchecked` kernels check nothing; their caller checks, with
+_guard (denoiser._predict_rows). self_attention_kernel checks its own
+results, since its softmax can turn a -inf score into a weight of 0: a
+non-finite score need not reach its result. Its scaled scores and their
+softmax go unchecked, as does silu inside silu_conv_unchecked, because
+each is finite whenever its checked input is.
 """
 
 from __future__ import annotations
@@ -128,11 +124,6 @@ class GradTape:
         return result
 
 
-def taping() -> bool:
-    """Whether a GradTape is recording."""
-    return bool(_TAPES)
-
-
 def _guard(arr: np.ndarray, op: str) -> np.ndarray:
     """arr, or FloatingPointError if it holds a NaN or an infinity."""
     if not np.isfinite(arr).all():
@@ -140,13 +131,9 @@ def _guard(arr: np.ndarray, op: str) -> np.ndarray:
     return arr
 
 
-def _taped(*inputs) -> bool:
-    """Whether an op over these inputs records on the tape."""
-    return bool(_TAPES) and any(t.requires_grad for t in inputs)
-
-
 def _record(out: Tensor, inputs: tuple, bw) -> None:
-    if _taped(*inputs):
+    """Record out on the active tape if any input requires gradients."""
+    if _TAPES and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         _TAPES[-1]._nodes.append((out, inputs, bw))
 
@@ -161,13 +148,9 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 add_unchecked = np.add
 
 
-def add_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return _guard(add_unchecked(a, b), "add")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = Tensor(add_kernel(a.data, b.data))
+    out = Tensor(_guard(add_unchecked(a.data, b.data), "add"))
     _record(out, (a, b), lambda g: (g, g))
     return out
 
@@ -306,16 +289,12 @@ def add_time_unchecked(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x + v.T[:, :, None]
 
 
-def add_time_kernel(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return _guard(add_time_unchecked(x, v), "add_time")
-
-
 def add_time(x: Tensor, v: Tensor) -> Tensor:
     """Add a per-sample channel vector: x (B,C,T) + v (C,B) broadcast over
     T, sample b taking column b of v."""
     if x.data.ndim != 3 or v.data.shape != x.data.shape[1::-1]:
         raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-    out = Tensor(add_time_kernel(x.data, v.data))
+    out = Tensor(_guard(add_time_unchecked(x.data, v.data), "add_time"))
     _record(out, (x, v), lambda g: (g, g.sum(axis=-1).T))
     return out
 
@@ -370,11 +349,6 @@ def conv1d_unchecked(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
     xp = np.zeros((B, Cin, T + 2 * P))
     xp[:, :, P : P + T] = x
     return _conv_rows(xp, w2, b2, K, stride, Tp)
-
-
-def conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
-                  stride: int) -> np.ndarray:
-    return _guard(conv1d_unchecked(x, w2, b2, K, P, stride), "conv1d")
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -462,11 +436,6 @@ def group_norm_unchecked(x: np.ndarray, groups: int, gamma2: np.ndarray,
     return h
 
 
-def group_norm_kernel(x: np.ndarray, groups: int, gamma2: np.ndarray,
-                      beta2: np.ndarray) -> np.ndarray:
-    return _guard(group_norm_unchecked(x, groups, gamma2, beta2), "group_norm")
-
-
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     """Per-(sample,group) standardization with affine, eps added to variance."""
     squeeze = x.data.ndim == 2
@@ -515,11 +484,6 @@ def silu_conv_unchecked(h: np.ndarray, w2: np.ndarray, b2: np.ndarray,
     # unguarded: sigmoid lies in [0, 1], so |h * sigmoid(h)| <= |h|, finite
     np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
     return _conv_rows(xp, w2, b2, K, 1, Tp)
-
-
-def silu_conv_kernel(h: np.ndarray, w2: np.ndarray, b2: np.ndarray, K: int,
-                     P: int) -> np.ndarray:
-    return _guard(silu_conv_unchecked(h, w2, b2, K, P), "conv1d")
 
 
 # ----------------------------------------------------------------- attention

@@ -1,10 +1,13 @@
 """Benchmark table structure and scaling sanity on the toy net."""
 
+import copy
 import time
 
 import numpy as np
 import pytest
 
+import tsdm.bench as bench
+import tsdm.denoiser as dn
 from tsdm.bench import BenchRow, bench_timing, rows_to_csv
 from tsdm.sampler import unconditional_sample
 from tsdm.schedule import make_subsequence
@@ -41,6 +44,32 @@ def test_window_growth_increases_cost(toy_model, sched100):
     small = next(r for r in rows if r.T == 16 and r.s == 10)
     big = next(r for r in rows if r.T == 128 and r.s == 10)
     assert big.mean_ms > small.mean_ms
+
+
+def test_timed_runs_project_no_step(toy_model, sched100, monkeypatch):
+    # the warm-up visits every step, so no timed run projects a step that
+    # the step memo does not hold yet
+    model = copy.deepcopy(toy_model)
+    model._step_memo = None
+    embed, time_sampling = dn._embed, bench._time_sampling
+    timing, projected = [], []
+
+    def counting_embed(p, levels):
+        if timing:
+            projected.extend(levels)
+        return embed(p, levels)
+
+    def timed(*args):
+        timing.append(True)
+        try:
+            return time_sampling(*args)
+        finally:
+            timing.pop()
+
+    monkeypatch.setattr(dn, "_embed", counting_embed)
+    monkeypatch.setattr(bench, "_time_sampling", timed)
+    bench_timing(model, [(4, 16)], [10], repeats=1, sched=sched100)
+    assert projected == []
 
 
 def test_doubling_window_roughly_doubles_cost(toy_model, sched100):

@@ -43,6 +43,15 @@ def test_config_validation():
         DenoiserConfig(channels_in=4, depth=2).validate_window(66)
 
 
+def test_a_zero_length_window_names_T(toy_model):
+    message = "^T=0: a window needs at least one time step$"
+    for x in (np.zeros((4, 0)), np.zeros((2, 4, 0))):
+        with pytest.raises(ValueError, match=message):
+            predict_noise(toy_model, x, 5)
+    with pytest.raises(ValueError, match=message):
+        train(np.zeros((3, 4, 0)), TOY_CFG, TrainConfig(epochs=1, batch_size=2))
+
+
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0, batch_size=4)
@@ -506,6 +515,22 @@ def test_objective_matches_manual_composition():
                      for b, n in enumerate(n_vec)])
     want = np.mean((eps - pred) ** 2)
     assert float(loss.data) == pytest.approx(want, rel=1e-12)
+
+
+def test_loss_gives_the_same_bits_on_and_off_a_tape(toy_model):
+    rng = np.random.default_rng(8)
+    x0, eps = rng.standard_normal((2, 4, 4, 16))
+    n_vec = np.array([1, 37, 64, 100])
+    sched = linear_schedule(100)
+
+    def run():
+        pred = dn._forward(toy_model, Tensor(x0), n_vec).data
+        loss = diffusion_loss(toy_model, x0, n_vec, eps, sched).data
+        return pred.tobytes(), loss.tobytes()
+
+    with GradTape():
+        taped = run()
+    assert run() == taped
 
 
 def test_objective_zero_noise_anchor():

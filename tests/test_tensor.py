@@ -478,8 +478,9 @@ def test_conv1d_matches_reference_bits(K, stride, T, B):
         lambda xx, ww, bb, g, on_tape: _ref_conv1d(xx, ww, bb, stride, g,
                                                    on_tape),
         (x, w, b), rng,
-        kernel=lambda xx, ww, bb: tc.conv1d_kernel(
-            xx, ww.reshape(5, -1), bb[:, None], K, (K - 1) // 2, stride))
+        kernel=lambda xx, ww, bb: tc._guard(tc.conv1d_unchecked(
+            xx, ww.reshape(5, -1), bb[:, None], K, (K - 1) // 2, stride),
+            "conv1d"))
 
 
 def test_silu_matches_reference_bits_in_the_tails():
@@ -689,8 +690,8 @@ def test_softmax_matches_prior_bits(shape):
 
 
 # ------------------------------------------- fused norm -> silu -> conv (bits)
-# The bound model's norm -> silu -> conv, group_norm_kernel then
-# silu_conv_kernel, must give the reference conv1d's inference bits over
+# The bound model's norm -> silu -> conv, group_norm_unchecked then
+# silu_conv_unchecked, must give the reference conv1d's inference bits over
 # the prior silu and group_norm; the chain of ops on a tape must give the
 # prior output and every gradient.
 
@@ -729,9 +730,11 @@ def _fused_inputs(rng, B, C, T):
 
 def _fused_kernels(x, gamma, beta, w, b):
     """The bound model's norm -> silu -> conv at 8 groups."""
-    h = tc.group_norm_kernel(x, 8, gamma[:, None], beta[:, None])
-    return tc.silu_conv_kernel(h, w.reshape(len(w), -1), b[:, None],
-                               w.shape[2], (w.shape[2] - 1) // 2)
+    h = tc._guard(tc.group_norm_unchecked(x, 8, gamma[:, None],
+                                          beta[:, None]), "group_norm")
+    return tc._guard(tc.silu_conv_unchecked(h, w.reshape(len(w), -1),
+                                            b[:, None], w.shape[2],
+                                            (w.shape[2] - 1) // 2), "conv1d")
 
 
 def _chain(x, gamma, beta, w, b):
@@ -851,7 +854,7 @@ _finite = st.one_of(st.sampled_from(_EXTREMES),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_finite, min_size=1, max_size=64))
 def test_silu_of_finite_is_finite_and_no_larger(values):
-    # why silu_conv_kernel does not check silu's result
+    # why silu_conv_unchecked's callers need not check silu's result
     h = np.array(values)
     y = h * tc._sigmoid(h)
     assert np.isfinite(y).all()
