@@ -14,7 +14,10 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   (the loss and every gradient);
 - recover_batch: 17 steady windows (clean, step-attacked, with a NaN
   block, and one of 1e308) under omega 1, R 2 and under omega 0.5, R 4,
-  each result or failure text;
+  and 33 under omega 1, R 2, enough for two shards a denoiser call on 2
+  or more cores, with the 1e308 window and a NaN-block window in
+  different shards; each result (with its traces' tau and sigma_bar) or
+  failure text;
 - recover: the failure text of one 1e308 window.
 
 A failure counts by its type and text. Run each checkout in its own
@@ -176,13 +179,29 @@ def steady_windows():
     return windows
 
 
+def sharded_windows():
+    """33 held-out steady windows: the 1e308 window is row 2, in the
+    first shard of a two-shard denoiser call, and the NaN-block window
+    row 20, in the second; rows 5 and 25 are step-attacked."""
+    windows = [np.asarray(w) for w in synth_dataset(
+        SynthSpec(mode="steady", M=8, T=64, seed=42), 2033)[2000:]]
+    for k in (5, 25):
+        windows[k] = inject_fdia(windows[k], AttackSpec(
+            kind="step", channels=(k % 8,), t_start=0, t_end=64,
+            magnitude=3.0, seed=k))[0]
+    windows[2] = np.full((8, 64), 1e308)
+    windows[20][3, 10:30] = np.nan
+    return windows
+
+
 def recover_batch_cases(models):
     params, mean, std = models["steady"]
     out = []
-    for omega, R in ((1.0, 2), (0.5, 4)):
+    for omega, R, windows in ((1.0, 2, steady_windows()),
+                              (0.5, 4, steady_windows()),
+                              (1.0, 2, sharded_windows())):
         with np.errstate(over="ignore", invalid="ignore"):
-            results = recover_batch(params, steady_windows(),
-                                    pipeline_cfg(omega, R),
+            results = recover_batch(params, windows, pipeline_cfg(omega, R),
                                     norm_mean=mean, norm_std=std)
         for res in results:  # a RecoveryResult or a WindowFailure
             fields = dict(vars(res))

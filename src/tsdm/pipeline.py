@@ -71,7 +71,8 @@ def recover(params: DenoiserParams, y0: np.ndarray, known_mask,
             cfg: TsdmConfig, norm_mean=None, norm_std=None) -> RecoveryResult:
     """Run the two-stage recovery on one measurement window: a batch of
     one, whose failure is raised. A window with another channel count
-    than the model's, or with no observed entry, is a ValueError."""
+    than the model's, a length the model cannot take, or no observed
+    entry is a ValueError."""
     out = _recover_windows(params, [y0], [known_mask], cfg, norm_mean,
                            norm_std)[0]
     if isinstance(out, Exception):
@@ -102,16 +103,17 @@ def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig, *,
             for k, out in enumerate(outs)]
 
 
-def _normalize(y0, known_mask, channels, norm_mean, norm_std):
+def _normalize(y0, known_mask, config, norm_mean, norm_std):
     """(normalized window, known mask, mean, std) of one input window for
-    a model of `channels` channels."""
+    a model of DenoiserConfig `config`."""
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim != 2:
         raise ValueError(f"expected a channels x time matrix, got {y0.shape}")
-    M = y0.shape[0]
-    if M != channels:
+    M, T = y0.shape
+    if M != config.channels_in:
         raise ValueError(f"window has {M} channels but the model takes "
-                         f"{channels}")
+                         f"{config.channels_in}")
+    config.validate_window(T)
     mean = np.zeros(M) if norm_mean is None else np.asarray(norm_mean,
                                                             dtype=np.float64)
     std = np.ones(M) if norm_std is None else np.asarray(norm_std,
@@ -155,8 +157,8 @@ def _recover_windows(params, windows, known_masks, cfg, norm_mean,
     ready = {}
     for k, (y0, known_mask) in enumerate(zip(windows, known_masks)):
         try:
-            ready[k] = _normalize(y0, known_mask, params.config.channels_in,
-                                  norm_mean, norm_std)
+            ready[k] = _normalize(y0, known_mask, params.config, norm_mean,
+                                  norm_std)
         except Exception as e:  # noqa: BLE001 - reported per window
             outs[k] = e
     if not ready:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import DenoiserParams
-from .sampler import (forward_diffuse, reverse_lockstep, reverse_step,
-                      window_rngs)
+from .sampler import forward_diffuse, reverse_lockstep, window_rngs
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -76,7 +75,8 @@ def stage1_recover(params: DenoiserParams, y0: np.ndarray,
     """Guided reverse process from pure noise; returns (x0', trace).
 
     y0 is one (M, T) window or a (B, M, T) stack. A stack runs in
-    lockstep (sampler.reverse_lockstep); window b draws from its own
+    lockstep (sampler.reverse_lockstep), guided and stepped as one array
+    per pass; window b draws from its own
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to recovering
     it alone with that seed. For a stack the result is a list holding,
@@ -88,14 +88,14 @@ def stage1_recover(params: DenoiserParams, y0: np.ndarray,
     rngs = window_rngs(y0, cfg.seed, seeds)
     windows, tau = y0.reshape((-1,) + y0.shape[-2:]), cfg.tau
 
-    def update(b, rng, x, eps_pred, i, r):
-        y_noisy = condition_noisy(windows[b], eps_pred, i, sched, tau)
-        eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega, sched,
-                                  tau)
-        return reverse_step(x, eps_hat, i, sched, tau, rng), eps_hat
+    def guide(rows, x, eps_pred, i):
+        y = windows if len(rows) == len(windows) else windows[rows]
+        y_noisy = condition_noisy(y, eps_pred, i, sched, tau)
+        return corrected_noise(eps_pred, y_noisy, x, i, cfg.omega, sched,
+                               tau)
 
-    return reverse_lockstep(params, rngs, y0.shape[-2:], sched, tau, update,
-                            trace=True)
+    return reverse_lockstep(params, rngs, y0.shape[-2:], sched, tau,
+                            guide=guide, trace=True)
 
 
 def detect_outliers(x0_prime: np.ndarray, y0: np.ndarray) -> OutlierReport:

@@ -91,7 +91,8 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
     """Impute mask=0 entries of y0 by masked reverse diffusion.
 
     y0 and mask are one (M, T) window or a (B, M, T) stack. A stack runs
-    in lockstep (sampler.reverse_lockstep); window b draws from its own
+    in lockstep (sampler.reverse_lockstep), stepped, masked and renoised
+    as one array per pass; window b draws from its own
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to imputing it
     alone with that seed. For a stack the result is a list holding, per
@@ -107,24 +108,26 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
         raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
     rngs = window_rngs(y0, cfg.seed, seeds)
     shape, tau = y0.shape[-2:], cfg.tau
-    mask = mask.reshape((-1,) + shape)
+    observed = mask.reshape((-1,) + shape) == 1.0
     # Missing entries are never read; zero-fill keeps arithmetic finite
     # even when they arrive as NaN sentinels.
-    y0 = np.where(mask == 1.0, y0.reshape(mask.shape), 0.0)
+    y0 = np.where(observed, y0.reshape(observed.shape), 0.0)
     a1 = sched.alpha_bar_at(int(tau.tau[0]))
 
-    def update(b, rng, x, eps_pred, i, r):
+    def update(rows, x, eps_pred, sigma_bar, i, r, draw):
+        y, obs = ((y0, observed) if len(rows) == len(y0)
+                  else (y0[rows], observed[rows]))
         if i == 1:
             mu = estimate_x0(x, eps_pred, int(tau.tau[0]), sched)
-            known = y0[b] if cfg.rescale_observed else np.sqrt(a1) * y0[b]
-            return np.where(mask[b] == 1.0, known, mu), eps_pred
-        known = diffuse_known(y0[b], i, sched, tau, rng.standard_normal(shape))
-        generated = detailed_step(x, eps_pred, i, sched, tau,
-                                  rng.standard_normal(shape))
-        x = combine_masked(known, generated, mask[b])
+            known = y if cfg.rescale_observed else np.sqrt(a1) * y
+            return np.where(obs, known, mu)
+        known = diffuse_known(y, i, sched, tau, draw())
+        generated = detailed_step(x, eps_pred, i, sched, tau, draw(),
+                                  sigma_bar)
+        x = np.where(obs, known, generated)  # combine_masked, checked above
         if r < cfg.R:  # keeps a non-finite x non-finite for the check
-            x = renoise_to_level(x, i, sched, tau, rng.standard_normal(shape))
-        return x, eps_pred
+            x = renoise_to_level(x, i, sched, tau, draw())
+        return x
 
     failed = {b: ValueError("observed entries must be finite")
               for b in range(len(y0)) if not np.all(np.isfinite(y0[b]))}

@@ -269,6 +269,25 @@ def test_channel_count_mismatch_is_runtime_failure(cli_env):
     assert "3 channels but the model takes 4" in r.stderr
 
 
+def test_length_zero_window_is_runtime_failure(cli_env, monkeypatch,
+                                               capsys):
+    # A CSV cannot hold a T=0 window (its rows would be empty, and the
+    # loader skips empty rows), so the loader is made to return one.
+    from tsdm import cli
+
+    cfg = write_config(cli_env / "empty.cfg",
+                       checkpoint=cli_env / "base/model.tsdm")
+    monkeypatch.setattr(cli, "load_matrix_csv",
+                        lambda path: (np.zeros((TINY["channels"], 0)), None))
+    monkeypatch.chdir(cli_env)
+    code = cli.main(["--config", cfg.name, "--out", "x6", "recover",
+                     "empty.csv"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: T=0: a window needs at least one time step\n")
+    assert not (cli_env / "x6" / "recovered.csv").exists()
+
+
 def test_all_missing_window_is_runtime_failure(cli_env):
     x, _ = load_matrix_csv(cli_env / "base/windows/00004.csv")
     save_matrix_csv(cli_env / "void.csv", np.full_like(x, np.nan))

@@ -266,3 +266,13 @@ def test_all_missing_window_fails_alone_in_a_batch(toy_model):
         assert np.array_equal(batch[k].x_tilde, alone.x_tilde)
         assert np.array_equal(batch[k].outlier_mask, alone.outlier_mask)
         assert batch[k].stage_taken == alone.stage_taken
+
+
+def test_length_zero_window_names_its_length(toy_model):
+    message = "T=0: a window needs at least one time step"
+    with pytest.raises(ValueError) as info:
+        recover(toy_model, np.zeros((4, 0)), None, make_cfg())
+    assert str(info.value) == message
+    batch = recover_batch(toy_model, [np.zeros((4, 0))] * 2, make_cfg())
+    assert batch == [WindowFailure(index=0, error=message),
+                     WindowFailure(index=1, error=message)]

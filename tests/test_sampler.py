@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsdm import sampler
-from tsdm.denoiser import predict_noise
+from tsdm.denoiser import SHARD_ROWS, predict_noise
 from tsdm.sampler import (
     Lockstep,
     SamplerTrace,
@@ -547,3 +547,128 @@ def test_stage2_matches_prior_bits(toy_model, sched100, s, R, rescale, B):
                                            sched100)), want[b])
     if B > 1:
         assert isinstance(got[3], ValueError)
+
+
+# ------------------------------------------------ the stacked update's parts
+
+def test_sigma_bar_rows_is_optimal_variance_row_by_row():
+    # Rows 1 and 3 overflow in optimal_variance (the square, the reduce);
+    # the NaN and inf rows come out NaN and clamped; the rest are plain.
+    rng = np.random.default_rng(13)
+    eps = rng.standard_normal((7, 4, 16)) * rng.uniform(0.2, 1.5, (7, 1, 1))
+    eps[1, 2, 3] = 1e155
+    eps[3] = 1e154
+    eps[4] = np.nan
+    eps[5] = np.inf
+    col, failed = sampler.sigma_bar_rows(eps, 33, SCHED)
+    assert col.shape == (7, 1, 1)
+    for b in range(7):
+        want = _outcome(lambda: math.sqrt(optimal_variance(eps[b], 33,
+                                                           SCHED)))
+        if isinstance(want, Exception):
+            _assert_same_outcome(failed[b], want)
+            assert np.isnan(col[b, 0, 0])
+        else:
+            assert b not in failed
+            assert col[b, 0, 0].tobytes() == np.float64(want).tobytes()
+    assert [str(failed[b]) for b in sorted(failed)] == [
+        "overflow encountered in square", "overflow encountered in reduce"]
+
+
+def _sharded_windows(seed):
+    """2 * SHARD_ROWS + 1 windows of the toy shape: window 2 holds a
+    1e308 entry and window 20 a NaN, each among observed entries, so a
+    two-shard predict_noise call has one of them in each shard."""
+    B = 2 * SHARD_ROWS + 1
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal((B, 4, 16))
+    mask = (rng.random((B, 4, 16)) > 0.3).astype(np.float64)
+    mask[[2, 20], 1, 5] = 1.0
+    y0[2, 1, 5], y0[20, 1, 5] = 1e308, np.nan
+    assert 2 < B // 2 <= 20
+    return y0, mask
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_sharded_stacks_match_prior_bits(toy_model, sched100):
+    y0, mask = _sharded_windows(50)
+    B = len(y0)
+    tau = make_subsequence(100, 10)
+    g = GuidanceConfig(tau=tau, omega=1.0, seed=9)
+    i = ImputeConfig(tau=tau, R=2, seed=4)
+    y0_missing = np.where(mask == 1.0, y0, np.nan)
+    cases = [
+        (stage1_recover(toy_model, y0, g, sched100),
+         _prior_stage1_stack(toy_model, y0, g, sched100,
+                             [9 ^ b for b in range(B)]),
+         lambda b: stage1_recover(toy_model, y0[b], GuidanceConfig(
+             tau=tau, omega=1.0, seed=9 ^ b), sched100)),
+        (stage2_impute(toy_model, y0_missing, mask, i, sched100),
+         _prior_stage2_stack(toy_model, y0_missing, mask, i, sched100,
+                             [4 ^ b for b in range(B)]),
+         lambda b: stage2_impute(toy_model, y0_missing[b], mask[b],
+                                 ImputeConfig(tau=tau, R=2, seed=4 ^ b),
+                                 sched100)),
+    ]
+    for got, want, alone in cases:
+        assert len(got) == B
+        for b in range(B):
+            _assert_same_outcome(got[b], want[b])
+            _assert_same_outcome(_outcome(lambda: alone(b)), want[b])
+    (stage1, _, _), (stage2, _, _) = cases
+    # stage 1 overflows in sigma_bar and turns the NaN window non-finite;
+    # in stage 2 the 1e308 window fails inside its shard's denoiser call
+    # and the NaN window up front
+    assert isinstance(stage1[2], FloatingPointError)
+    assert isinstance(stage1[20], RuntimeError)
+    assert isinstance(stage2[2], FloatingPointError)
+    assert isinstance(stage2[20], ValueError)
+    assert sum(isinstance(out, Exception) for out in stage1 + stage2) == 4
+
+
+def test_a_raising_pass_fails_only_the_window_that_raises_alone(
+        toy_model, sched100):
+    # Under over="raise" the guidance of the 1.7e308 window overflows for
+    # the whole stack; the pass is replayed one window at a time on the
+    # draws each took, so that window alone fails, with its own error.
+    y0 = np.random.default_rng(60).standard_normal((3, 4, 16))
+    y0[1, 2, 7] = 1.7e308
+    cfg = GuidanceConfig(tau=make_subsequence(100, 2), omega=1e10, seed=5)
+    with np.errstate(over="raise"):
+        got = stage1_recover(toy_model, y0, cfg, sched100)
+        want = _prior_stage1_stack(toy_model, y0, cfg, sched100,
+                                   [5 ^ b for b in range(3)])
+        alone = [_outcome(lambda: stage1_recover(
+            toy_model, y0[b], GuidanceConfig(tau=cfg.tau, omega=1e10,
+                                             seed=5 ^ b), sched100))
+                 for b in range(3)]
+    for b in range(3):
+        _assert_same_outcome(got[b], want[b])
+        _assert_same_outcome(alone[b], want[b])
+    assert str(got[1]) == "overflow encountered in multiply"
+    assert not isinstance(got[0], Exception)
+    assert not isinstance(got[2], Exception)
+
+
+def test_a_replayed_window_takes_its_draws_again(toy_model, sched100):
+    # The pass at i = 2 raises after every window drew; in the replay the
+    # windows that pass alone must step with the draws they took.
+    tau = make_subsequence(100, 3)
+
+    def run(seeds):
+        rngs = [np.random.default_rng(s) for s in seeds]
+
+        def update(rows, x, eps, sigma_bar, i, r, draw):
+            noise = draw()
+            if i == 2 and any(seeds[b] == 13 for b in rows):
+                raise ValueError("seed 13 fails at i = 2")
+            return 0.5 * x + 0.1 * eps + noise
+
+        return sampler.reverse_lockstep(toy_model, rngs, (4, 16), sched100,
+                                        tau, update)
+
+    stacked = run([11, 13, 17])
+    assert str(stacked[1]) == "seed 13 fails at i = 2"
+    for b, seed in enumerate([11, 13, 17]):
+        _assert_same_outcome(stacked[b], run([seed])[0])
