@@ -18,7 +18,14 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   or more cores, with the 1e308 window and a NaN-block window in
   different shards; each result (with its traces' tau and sigma_bar) or
   failure text;
-- recover: the failure text of one 1e308 window.
+- recover: the failure text of one 1e308 window;
+- lockstep: stage1_recover and stage2_impute stacks of 6 windows on the
+  steady fixture, reaching every way a window leaves a reverse pass: a
+  1e308 observed entry that fails in stage 1's sigma_bar and inside
+  stage 2's stacked denoiser call, a NaN observed entry that turns stage
+  1's latent non-finite and fails stage 2 up front, and a guidance
+  overflow under errstate(over="raise"); each result (with its trace's
+  tau and sigma_bar) or failure text.
 
 A failure counts by its type and text. Run each checkout in its own
 process, from its repo root:
@@ -37,8 +44,8 @@ from tsdm.denoiser import (Adam, diffusion_loss, init_params, predict_noise,
                            training_step)
 from tsdm.pipeline import TsdmConfig, recover, recover_batch
 from tsdm.schedule import linear_schedule, make_subsequence
-from tsdm.stage1 import GuidanceConfig
-from tsdm.stage2 import ImputeConfig
+from tsdm.stage1 import GuidanceConfig, stage1_recover
+from tsdm.stage2 import ImputeConfig, stage2_impute
 from tsdm.tensor import GradTape
 from tsdm.threatsim import AttackSpec, SynthSpec, inject_fdia, synth_dataset
 
@@ -217,8 +224,38 @@ def recover_cases(models):
                                     pipeline_cfg(1.0, 2), mean, std))]
 
 
+def lockstep_cases(models):
+    params, _, _ = models["steady"]
+    sched = linear_schedule(100)
+    rng = np.random.default_rng(18)
+    y0 = rng.standard_normal((6, 8, 64))
+    mask = (rng.random((6, 8, 64)) > 0.3).astype(np.float64)
+    mask[5] = rng.random((8, 64)) > 0.6
+    mask[[1, 3], 1, 5] = 1.0
+    y0[1, 1, 5], y0[3, 1, 5] = 1e308, np.nan
+    guided = rng.standard_normal((6, 8, 64))
+    guided[1, 2, 7] = 1.7e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacks = [
+            stage1_recover(params, y0, GuidanceConfig(tau=TAU, omega=1.0,
+                                                      seed=7), sched),
+            stage2_impute(params, np.where(mask == 1.0, y0, np.nan), mask,
+                          ImputeConfig(tau=TAU, R=2, seed=7), sched)]
+    with np.errstate(over="raise"):
+        stacks.append(stage1_recover(params, guided, GuidanceConfig(
+            tau=make_subsequence(100, 2), omega=1e10, seed=5), sched))
+    out = []
+    for results in stacks:
+        for res in results:  # x0, (x0', trace) or the failure
+            if isinstance(res, tuple):
+                res = (res[0], [(r.tau, r.sigma_bar) for r in res[1].records])
+            out.append(res)
+    return out
+
+
 GROUPS = {"predict": predict_cases, "adam": adam_cases, "loss": loss_cases,
-          "recover_batch": recover_batch_cases, "recover": recover_cases}
+          "recover_batch": recover_batch_cases, "recover": recover_cases,
+          "lockstep": lockstep_cases}
 
 
 def main():

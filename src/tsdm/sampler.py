@@ -20,7 +20,10 @@ reverse_lockstep is the one reverse loop: unconditional sampling, stage
 1 and stage 2 each run it with their own update, a stack of windows in
 lockstep with one predict_noise call and one stacked update per pass.
 Each window still draws from its own generator and gets its own
-sigma_bar, so it ends with the bits of a one-window run.
+sigma_bar, so it ends with the bits of a one-window run. A window fails
+one way: a pass that raises anywhere (denoiser, guide, sigma_bar or
+update) is replayed window by window, and each window that raises alone
+leaves with its own error.
 """
 
 from __future__ import annotations
@@ -108,29 +111,19 @@ def optimal_variance(eps_pred: np.ndarray, n: int,
     return max((1.0 - a) / a * (1.0 - msq), 0.0)
 
 
-def sigma_bar_rows(eps: np.ndarray, n: int, sched: VarianceSchedule):
+def sigma_bar_rows(eps: np.ndarray, n: int,
+                   sched: VarianceSchedule) -> np.ndarray:
     """sqrt(optimal_variance(eps[b], n, sched)) for every row b of a
-    (B, M, T) stack, as a (B, 1, 1) column, and {b: exception} for the
-    rows where optimal_variance raises (NaN in the column).
-
-    One reduction gives every row's mean square; a row whose mean
-    square is not finite is recomputed alone through optimal_variance,
-    so it overflows or clamps exactly as there.
-    """
+    (B, M, T) stack, as a (B, 1, 1) column, from one reduction. Raises
+    where optimal_variance raises on some row: its square or their mean
+    overflows, with that function's error."""
     if not 1 <= n <= sched.N:
         raise ValueError(f"step {n} outside 1..{sched.N}")
     a = sched.alpha_bar_at(n)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="raise"):
         msq = np.mean(eps**2, axis=(1, 2))
     var = np.maximum((1.0 - a) / a * (1.0 - msq), 0.0)
-    failed = {}
-    if not np.isfinite(msq).all():
-        for b in np.flatnonzero(~np.isfinite(msq)):
-            try:
-                var[b] = optimal_variance(eps[b], n, sched)
-            except FloatingPointError as e:
-                var[b], failed[int(b)] = np.nan, e
-    return np.sqrt(var)[:, None, None], failed
+    return np.sqrt(var)[:, None, None]
 
 
 def capital_gamma(i: int, sched: VarianceSchedule, tau: Subsequence) -> float:
@@ -213,9 +206,10 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     Window b starts from rngs[b].standard_normal(shape). It takes R
     passes at each position i = s..2 and one closing pass at i = 1. A
     pass steps the stack x of the windows still running, whose indices
-    are `rows`, from the prediction eps_pred at tau_i:
+    are `rows`:
 
-        eps = guide(rows, x, eps_pred, i)        # eps_pred if no guide
+        eps = predict_noise(params, x, tau_i)
+        eps = guide(rows, x, eps, i)             # if a guide is given
         x = update(rows, x, eps, sigma_bar, i, r, draw)
 
     where sigma_bar is sigma_bar_rows' column over eps (0.0 at the
@@ -224,12 +218,12 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     run does. The default update is the improved step, closed by
     estimate_x0.
 
-    A window fails when its sigma_bar raises or its latent turns
-    non-finite; failed[b] fails window b before the first pass. A pass
-    that raises is replayed one window at a time on the draws each took,
-    so only the windows that fail alone leave, each with the exception
-    it raises alone. With trace, a window's result is (x0,
-    SamplerTrace), holding its sigma_bar at each pass.
+    A pass that raises anywhere is replayed window by window, each on
+    the draws it took, so only the windows that fail alone leave, each
+    with the exception it raises alone. A window also leaves when its
+    latent turns non-finite; failed[b] fails window b before the first
+    pass. With trace, a window's result is (x0, SamplerTrace), holding
+    its sigma_bar at each pass.
 
     Returns per window its result or the exception it failed with. A
     lone Generator for rngs is a one-window call: it returns that
@@ -243,57 +237,54 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
                 return estimate_x0(x, eps, int(tau.tau[0]), sched)
             return improved_step(x, eps, i, sched, tau, draw(), sigma_bar)
 
-    stack = Lockstep(_Normals(rngs, range(len(rngs)), shape)())
-    for b, error in (failed or {}).items():
-        stack.drop(b, error)
+    outs = dict(failed or {})  # window -> its result or its exception
+    rows = [b for b in range(len(rngs)) if b not in outs]
+    x = _Normals(rngs, rows, shape)()
     traces = [SamplerTrace() for _ in rngs]
-    for i in range(tau.s, 0, -1):
+    passes = [(i, r) for i in range(tau.s, 0, -1)
+              for r in range(1, (R if i > 1 else 1) + 1)]
+    for i, r in passes:
+        if not rows:
+            break
+        t0 = time.perf_counter()
         t_cur = int(tau.tau[i - 1])
-        for r in range(1, (R if i > 1 else 1) + 1):
-            t0 = time.perf_counter()
-            sigmas = {}  # window -> its sigma_bar at this pass, for trace
 
-            def run(rows, x, eps_pred, draw):
-                eps = eps_pred if guide is None else guide(rows, x, eps_pred,
-                                                           i)
-                col = 0.0
-                if i > 1:
-                    col, bad = sigma_bar_rows(eps, t_cur, sched)
-                    if bad:  # step() replays the pass window by window
-                        raise bad[min(bad)]
-                    if trace:
-                        sigmas.update(zip(rows, col.ravel().tolist()))
-                return update(rows, x, eps, col, i, r, draw)
+        def run(rows, x, draw):
+            eps = predict_noise(params, x, t_cur)
+            if guide is not None:
+                eps = guide(rows, x, eps, i)
+            col = sigma_bar_rows(eps, t_cur, sched) if i > 1 else 0.0
+            return update(rows, x, eps, col, i, r, draw), col
 
-            def step(rows, x, eps_pred):
-                draw, failed = _Normals(rngs, rows, shape), {}
+        draw = _Normals(rngs, rows, shape)
+        try:
+            x_new, col = run(rows, x, draw)
+        except Exception:  # noqa: BLE001 - find the windows that fail alone
+            x_new, col = np.full_like(x, np.nan), np.zeros((len(rows), 1, 1))
+            for k, b in enumerate(rows):
                 try:
-                    out = run(rows, x, eps_pred, draw)
-                except Exception:  # noqa: BLE001 - find the windows that fail alone
-                    out = np.full_like(x, np.nan)
-                    for k, b in enumerate(rows):
-                        try:
-                            out[k] = run([b], x[k:k + 1], eps_pred[k:k + 1],
-                                         draw.replay(k))[0]
-                        except Exception as e:  # noqa: BLE001 - isolated per window
-                            failed[k] = e
-                if not np.isfinite(out).all():
-                    for k in range(len(out)):
-                        if k not in failed and not np.isfinite(out[k]).all():
-                            failed[k] = RuntimeError(
-                                f"non-finite latent at step tau={t_cur}")
-                return out, failed
-
-            stack.advance(params, t_cur, step)
-            if trace:
-                elapsed_ms = (time.perf_counter() - t0) * 1e3
-                for b in stack.rows:
-                    traces[b].add(t_cur, sigmas.get(b, 0.0), elapsed_ms)
-    outs = [out if isinstance(out, Exception) or not trace
-            else (out, traces[b]) for b, out in enumerate(stack.outcomes())]
+                    x_new[k], col[k] = run([b], x[k:k + 1], draw.replay(k))
+                except Exception as e:  # noqa: BLE001 - isolated per window
+                    outs[b] = e
+        if not np.isfinite(x_new).all():
+            for k, b in enumerate(rows):
+                if b not in outs and not np.isfinite(x_new[k]).all():
+                    outs[b] = RuntimeError(
+                        f"non-finite latent at step tau={t_cur}")
+        keep = [k for k, b in enumerate(rows) if b not in outs]
+        if trace:
+            elapsed_ms = (time.perf_counter() - t0) * 1e3
+            sigmas = np.broadcast_to(col, (len(rows), 1, 1)).ravel()
+            for k in keep:
+                traces[rows[k]].add(t_cur, sigmas[k], elapsed_ms)
+        if len(keep) < len(rows):
+            x_new = x_new[keep]
+        rows, x = [rows[k] for k in keep], x_new
+    for b, xb in zip(rows, x):
+        outs[b] = (xb, traces[b]) if trace else xb
     if one and isinstance(outs[0], Exception):
         raise outs[0]
-    return outs[0] if one else outs
+    return outs[0] if one else [outs[b] for b in range(len(rngs))]
 
 
 class _Normals:
@@ -319,82 +310,3 @@ class _Normals:
     def replay(self, k: int) -> "_Normals":
         return _Normals(self.rngs, [self.rows[k]], self.shape,
                         [out[k:k + 1] for out in self.taken])
-
-
-class Lockstep:
-    """A (B, M, T) stack of latents stepped through the reverse process
-    together: one predict_noise call and one update per step for the
-    whole stack.
-
-    predict_noise gives a window the same bits in a stack as alone, so
-    with an update that treats the rows apart every window ends
-    bit-identical to a one-window run. A window the update fails leaves
-    the stack, and the exception becomes its outcome. If the stacked
-    denoiser call raises, it is rerun one window at a time, so only the
-    windows that fail alone leave.
-    """
-
-    def __init__(self, x: np.ndarray):
-        self.count = len(x)
-        self.rows = list(range(len(x)))  # window index of each stack row
-        self.x = x
-        self.failed = {}  # window index -> exception
-
-    def drop(self, b: int, error: Exception) -> None:
-        """Take window b out of the stack with `error` as its outcome."""
-        self.failed[b] = error
-        self._keep([k for k, row in enumerate(self.rows) if row != b])
-
-    def advance(self, params: DenoiserParams, n: int, update) -> None:
-        """x, failed = update(rows, x, eps) over the windows `rows` still
-        in the stack, where eps = predict_noise(params, x, n) and failed
-        maps a stack row to the exception its window leaves with."""
-        if not self.rows:
-            return
-        try:
-            eps = predict_noise(params, self.x, n)
-        except Exception:  # noqa: BLE001 - find the windows that fail alone
-            eps = [self._alone(params, k, n) for k in range(len(self.rows))]
-            self._keep([k for k, e in enumerate(eps) if e is not None])
-            if not self.rows:
-                return
-            eps = np.stack([e for e in eps if e is not None])
-        self.x, failed = update(self.rows, self.x, eps)
-        for k, error in failed.items():
-            self.failed[self.rows[k]] = error
-        if failed:
-            self._keep([k for k in range(len(self.rows)) if k not in failed])
-
-    def step(self, params: DenoiserParams, n: int, update) -> None:
-        """x[b] = update(b, x[b], eps[b]) for every window b still in the
-        stack: an advance one window at a time, in which a window whose
-        update raises leaves with that exception."""
-
-        def each(rows, x, eps):
-            xs, failed = [], {}
-            for k, b in enumerate(rows):
-                try:
-                    xs.append(update(b, x[k], eps[k]))
-                except Exception as e:  # noqa: BLE001 - isolated per window
-                    xs.append(x[k])
-                    failed[k] = e
-            return np.stack(xs), failed
-
-        self.advance(params, n, each)
-
-    def _keep(self, ks: list) -> None:
-        self.rows = [self.rows[k] for k in ks]
-        self.x = self.x[ks]
-
-    def _alone(self, params, k, n):
-        try:
-            return predict_noise(params, self.x[k], n)
-        except Exception as e:  # noqa: BLE001 - isolated per window
-            self.failed[self.rows[k]] = e
-            return None
-
-    def outcomes(self) -> list:
-        """Per window: its final x or the exception it failed with."""
-        final = dict(zip(self.rows, self.x))
-        return [self.failed[b] if b in self.failed else final[b]
-                for b in range(self.count)]

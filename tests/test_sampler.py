@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tsdm import sampler
 from tsdm.denoiser import SHARD_ROWS, predict_noise
 from tsdm.sampler import (
-    Lockstep,
     SamplerTrace,
     StepCoefficients,
     capital_gamma,
@@ -296,48 +295,51 @@ def test_unconditional_sample_rejects_other_shapes_up_front(
     assert calls == []
 
 
-def test_lockstep_isolates_a_failing_denoiser_call(toy_model):
-    # The middle window overflows inside the network, so the stacked call
-    # raises; the rerun alone drops that window and keeps the others'
-    # one-window bits.
-    rng = np.random.default_rng(4)
-    x = np.stack([rng.standard_normal((4, 16)), np.full((4, 16), 1e300),
-                  rng.standard_normal((4, 16))])
-    stack = Lockstep(x.copy())
+def test_lockstep_isolates_a_failing_denoiser_call(toy_model, sched100,
+                                                   monkeypatch):
+    # The update leaves seed 13's latent at 1e300, so the next stacked
+    # predict_noise overflows inside the network and raises; the pass is
+    # replayed window by window, so only that window leaves and the others
+    # keep their one-window bits and traces.
+    tau = make_subsequence(100, 4)
+    raised = []
+
+    def predict(params, x, n):
+        try:
+            return predict_noise(params, x, n)
+        except FloatingPointError:
+            raised.append(len(x))
+            raise
+
+    monkeypatch.setattr(sampler, "predict_noise", predict)
+
+    def run(seeds):
+        rngs = [np.random.default_rng(s) for s in seeds]
+
+        def update(rows, x, eps, sigma_bar, i, r, draw):
+            if i == 1:
+                return x - 0.1 * eps
+            x = 0.5 * x + 0.1 * eps + sigma_bar * draw()
+            if i == 3:
+                x[[seeds[b] == 13 for b in rows]] = 1e300
+            return x
+
+        return sampler.reverse_lockstep(toy_model, rngs, (4, 16), sched100,
+                                        tau, update, trace=True)
+
     with np.errstate(over="ignore"):
-        with pytest.raises(FloatingPointError):
-            predict_noise(toy_model, x, 50)
-        stack.step(toy_model, 50, lambda b, xb, eps: eps)
-    out = stack.outcomes()
-    assert isinstance(out[1], FloatingPointError)
-    for b in (0, 2):
-        assert np.array_equal(out[b], predict_noise(toy_model, x[b], 50))
-
-
-def test_lockstep_drops_a_window_whose_update_raises(toy_model):
-    x = np.random.default_rng(5).standard_normal((3, 4, 16))
-
-    def update(b, xb, eps):
-        if b == 0:
-            raise RuntimeError("bad window")
-        return xb + eps
-
-    stack = Lockstep(x.copy())
-    stack.step(toy_model, 10, update)
-    stack.step(toy_model, 5, update)
-    assert stack.rows == [1, 2]
-    out = stack.outcomes()
-    assert str(out[0]) == "bad window"
-    for b in (1, 2):
-        ref = x[b] + predict_noise(toy_model, x[b], 10)
-        ref = ref + predict_noise(toy_model, ref, 5)
-        assert np.array_equal(out[b], ref)
+        stacked = run([11, 13, 17])
+        assert raised == [3, 1]
+        assert isinstance(stacked[1], FloatingPointError)
+        for b, seed in enumerate([11, 13, 17]):
+            _assert_same_outcome(stacked[b], run([seed])[0])
 
 
 # ------------------------------------------- reverse loops against the prior
 # The three loops as they were before they became updates over
-# reverse_lockstep, kept as references: one reverse driver must give every
-# window the same bits, the same trace and the same failure as these.
+# reverse_lockstep, one window at a time, kept as references: one reverse
+# driver must give every window the same bits, the same trace and the same
+# failure as these.
 
 
 def _prior_unconditional_sample(params, shape, sched, tau, rng, trace=False):
@@ -366,84 +368,71 @@ def _prior_unconditional_sample(params, shape, sched, tau, rng, trace=False):
     return x0
 
 
-def _prior_stage1_stack(params, y0, cfg, sched, seeds):
+def _prior_stage1(params, y0, cfg, sched, rng):
     tau = cfg.tau
-    shape = y0.shape[1:]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    traces = [SamplerTrace() for _ in rngs]
-    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
+    x = rng.standard_normal(y0.shape)
+    rec = SamplerTrace()
     for i in range(tau.s, 0, -1):
         t0 = time.perf_counter()
         t_cur = int(tau.tau[i - 1])
-        sigma_bar = {}
-
-        def update(b, x, eps_pred):
-            y_noisy = condition_noisy(y0[b], eps_pred, i, sched, tau)
-            eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega,
-                                      sched, tau)
-            if i == 1:
-                x = estimate_x0(x, eps_hat, t_cur, sched)
-                sigma_bar[b] = 0.0
-            else:
-                eps_draw = rngs[b].standard_normal(shape)
-                x = improved_step(x, eps_hat, i, sched, tau, eps_draw)
-                sigma_bar[b] = math.sqrt(
-                    optimal_variance(eps_hat, t_cur, sched))
-            if not np.all(np.isfinite(x)):
-                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
-            return x
-
-        stack.step(params, t_cur, update)
-        elapsed_ms = (time.perf_counter() - t0) * 1e3
-        for b in stack.rows:
-            traces[b].add(t_cur, sigma_bar[b], elapsed_ms)
-    return [out if isinstance(out, Exception) else (out, traces[b])
-            for b, out in enumerate(stack.outcomes())]
+        eps_pred = predict_noise(params, x, t_cur)
+        y_noisy = condition_noisy(y0, eps_pred, i, sched, tau)
+        eps_hat = corrected_noise(eps_pred, y_noisy, x, i, cfg.omega, sched,
+                                  tau)
+        if i == 1:
+            x = estimate_x0(x, eps_hat, t_cur, sched)
+            sigma_bar = 0.0
+        else:
+            eps_draw = rng.standard_normal(y0.shape)
+            x = improved_step(x, eps_hat, i, sched, tau, eps_draw)
+            sigma_bar = math.sqrt(optimal_variance(eps_hat, t_cur, sched))
+        if not np.all(np.isfinite(x)):
+            raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+        rec.add(t_cur, sigma_bar, (time.perf_counter() - t0) * 1e3)
+    return x, rec
 
 
-def _prior_stage2_stack(params, y0, mask, cfg, sched, seeds):
+def _prior_stage1_stack(params, y0, cfg, sched, seeds):
+    return [_outcome(lambda: _prior_stage1(params, y0[b], cfg, sched,
+                                           np.random.default_rng(seed)))
+            for b, seed in enumerate(seeds)]
+
+
+def _prior_stage2(params, y0, mask, cfg, sched, rng):
     y0 = np.where(mask == 1.0, y0, 0.0)
     tau = cfg.tau
-    shape = y0.shape[1:]
-    rngs = [np.random.default_rng(s) for s in seeds]
-    stack = Lockstep(np.stack([rng.standard_normal(shape) for rng in rngs]))
-    for b in range(len(y0)):
-        if not np.all(np.isfinite(y0[b])):
-            stack.drop(b, ValueError("observed entries must be finite"))
+    shape = y0.shape
+    x = rng.standard_normal(shape)
+    if not np.all(np.isfinite(y0)):
+        raise ValueError("observed entries must be finite")
     for i in range(tau.s, 1, -1):
         t_cur = int(tau.tau[i - 1])
         for r in range(1, cfg.R + 1):
-
-            def update(b, x, eps_pred):
-                rng = rngs[b]
-                known = diffuse_known(y0[b], i, sched, tau,
-                                      rng.standard_normal(shape))
-                eps_draw = rng.standard_normal(shape)
-                generated = detailed_step(x, eps_pred, i, sched, tau,
-                                          eps_draw)
-                x = combine_masked(known, generated, mask[b])
-                if not np.all(np.isfinite(x)):
-                    raise RuntimeError(
-                        f"non-finite latent at step tau={t_cur}")
-                if r < cfg.R:
-                    x = renoise_to_level(x, i, sched, tau,
-                                         rng.standard_normal(shape))
-                return x
-
-            stack.step(params, t_cur, update)
+            eps_pred = predict_noise(params, x, t_cur)
+            known = diffuse_known(y0, i, sched, tau,
+                                  rng.standard_normal(shape))
+            eps_draw = rng.standard_normal(shape)
+            generated = detailed_step(x, eps_pred, i, sched, tau, eps_draw)
+            x = combine_masked(known, generated, mask)
+            if not np.all(np.isfinite(x)):
+                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+            if r < cfg.R:
+                x = renoise_to_level(x, i, sched, tau,
+                                     rng.standard_normal(shape))
     t1 = int(tau.tau[0])
     a1 = sched.alpha_bar_at(t1)
+    mu = estimate_x0(x, predict_noise(params, x, t1), t1, sched)
+    known_final = y0 if cfg.rescale_observed else np.sqrt(a1) * y0
+    out = np.where(mask == 1.0, known_final, mu)
+    if not np.all(np.isfinite(out)):
+        raise RuntimeError(f"non-finite latent at step tau={t1}")
+    return out
 
-    def close(b, x, eps_pred):
-        mu = estimate_x0(x, eps_pred, t1, sched)
-        known_final = y0[b] if cfg.rescale_observed else np.sqrt(a1) * y0[b]
-        out = np.where(mask[b] == 1.0, known_final, mu)
-        if not np.all(np.isfinite(out)):
-            raise RuntimeError(f"non-finite latent at step tau={t1}")
-        return out
 
-    stack.step(params, t1, close)
-    return stack.outcomes()
+def _prior_stage2_stack(params, y0, mask, cfg, sched, seeds):
+    return [_outcome(lambda: _prior_stage2(params, y0[b], mask[b], cfg, sched,
+                                           np.random.default_rng(seed)))
+            for b, seed in enumerate(seeds)]
 
 
 def _outcome(call):
@@ -552,27 +541,36 @@ def test_stage2_matches_prior_bits(toy_model, sched100, s, R, rescale, B):
 # ------------------------------------------------ the stacked update's parts
 
 def test_sigma_bar_rows_is_optimal_variance_row_by_row():
-    # Rows 1 and 3 overflow in optimal_variance (the square, the reduce);
-    # the NaN and inf rows come out NaN and clamped; the rest are plain.
+    # Alone, every row gives optimal_variance's bits or its error: rows 1
+    # and 3 overflow (the square, the reduce), the NaN and inf rows come
+    # out NaN and clamped, the rest are plain. The rows that pass alone
+    # give the same bits stacked, and the whole stack raises.
     rng = np.random.default_rng(13)
     eps = rng.standard_normal((7, 4, 16)) * rng.uniform(0.2, 1.5, (7, 1, 1))
     eps[1, 2, 3] = 1e155
     eps[3] = 1e154
     eps[4] = np.nan
     eps[5] = np.inf
-    col, failed = sampler.sigma_bar_rows(eps, 33, SCHED)
-    assert col.shape == (7, 1, 1)
+    alone, errors = {}, []
     for b in range(7):
         want = _outcome(lambda: math.sqrt(optimal_variance(eps[b], 33,
                                                            SCHED)))
+        got = _outcome(lambda: sampler.sigma_bar_rows(eps[b:b + 1], 33,
+                                                      SCHED))
         if isinstance(want, Exception):
-            _assert_same_outcome(failed[b], want)
-            assert np.isnan(col[b, 0, 0])
+            _assert_same_outcome(got, want)
+            errors.append(str(got))
         else:
-            assert b not in failed
-            assert col[b, 0, 0].tobytes() == np.float64(want).tobytes()
-    assert [str(failed[b]) for b in sorted(failed)] == [
-        "overflow encountered in square", "overflow encountered in reduce"]
+            assert got.shape == (1, 1, 1)
+            assert got.tobytes() == np.float64(want).tobytes()
+            alone[b] = got
+    assert errors == ["overflow encountered in square",
+                      "overflow encountered in reduce"]
+    col = sampler.sigma_bar_rows(eps[list(alone)], 33, SCHED)
+    assert col.tobytes() == np.concatenate(list(alone.values())).tobytes()
+    with pytest.raises(FloatingPointError,
+                       match="overflow encountered in square"):
+        sampler.sigma_bar_rows(eps, 33, SCHED)
 
 
 def _sharded_windows(seed):
