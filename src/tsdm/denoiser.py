@@ -13,12 +13,12 @@ Channel widths double per stage but are capped at 2x base_width.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +257,12 @@ class _Bound:
     (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
     a norm's group count and (C, 1) gamma and beta views; attention's
     projections; a block's layer names. Each row of a stack gets the bits
-    _TensorOps gives that row alone. Only attention checks its results
-    here; _predict_rows checks the end result.
+    _TensorOps gives that row alone. Each conv, norm, add and add_time
+    result passes through guard(result, op), which checks nothing here:
+    only attention checks its results, and _predict_rows the end result.
+    checked() is a copy whose guard is tc._guard, which checks each one
+    finite under the Tensor op's name, so the first layer with a
+    non-finite result raises what _TensorOps raises.
 
     `arrays` are the arrays of _bound_names(cfg), each of which must have
     its layout's shape (else a ValueError naming it); the kernels then
@@ -289,49 +293,33 @@ class _Bound:
                       for name, ns in layers["attn"].items()}
         self.blocks = layers["block"]
 
+    guard = staticmethod(lambda result, op: result)
+
+    def checked(self) -> _Bound:
+        bound = copy.copy(self)
+        bound.guard = tc._guard
+        return bound
+
     def conv(self, h, name):
-        return tc.conv1d_unchecked(h, *self.convs[name])
+        return self.guard(tc.conv1d_unchecked(h, *self.convs[name]), "conv1d")
 
     def norm_silu_conv(self, h, norm, conv):
         w2, b2, k, pad, _ = self.convs[conv]
-        return tc.silu_conv_unchecked(
-            tc.group_norm_unchecked(h, *self.norms[norm]), w2, b2, k, pad)
+        h = self.guard(tc.group_norm_unchecked(h, *self.norms[norm]),
+                       "group_norm")
+        return self.guard(tc.silu_conv_unchecked(h, w2, b2, k, pad), "conv1d")
 
     def attention(self, h, name):
         return tc.self_attention_kernel(h, *self.attns[name])
 
     def add(self, a, b):
-        return tc.add_unchecked(a, b)
+        return self.guard(tc.add_unchecked(a, b), "add")
 
     def add_time(self, x, v):
-        return tc.add_time_unchecked(x, v)
+        return self.guard(tc.add_time_unchecked(x, v), "add_time")
 
     upsample2 = staticmethod(tc.upsample2_kernel)
     concat = staticmethod(tc.concat_channels_kernel)
-
-
-class _Checked(_Bound):
-    """A binding whose layers check each kernel result finite (tc._guard)
-    under the Tensor op's name and in its order, so the first layer with
-    a non-finite result raises what _TensorOps raises."""
-
-    def __init__(self, bound: _Bound):
-        vars(self).update(vars(bound))
-
-    def conv(self, h, name):
-        return tc._guard(tc.conv1d_unchecked(h, *self.convs[name]), "conv1d")
-
-    def norm_silu_conv(self, h, norm, conv):
-        w2, b2, k, pad, _ = self.convs[conv]
-        h = tc._guard(tc.group_norm_unchecked(h, *self.norms[norm]),
-                      "group_norm")
-        return tc._guard(tc.silu_conv_unchecked(h, w2, b2, k, pad), "conv1d")
-
-    def add(self, a, b):
-        return tc._guard(tc.add_unchecked(a, b), "add")
-
-    def add_time(self, x, v):
-        return tc._guard(tc.add_time_unchecked(x, v), "add_time")
 
 
 _data = operator.attrgetter("data")
@@ -442,34 +430,12 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
 # rows, the GIL serialises numpy's per-op overhead; 16 keeps a margin.
 SHARD_ROWS = 16
 
-_pool = None  # ThreadPoolExecutor running every shard but the caller's
-_pool_lock = threading.Lock()
-
 
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
-
-
-def _shard_pool(workers: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=workers,
-                                       thread_name_prefix="tsdm-shard")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child has none of its parent's worker threads: work queued
-    # on the inherited pool would never run, so the child builds its own.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
@@ -482,8 +448,9 @@ def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
     an infinity in any of its results on to the rows' output (0 * inf,
     inf - inf and -inf * 0 are NaN; a stride-2 conv's skipped positions
     reach the output through the skip concat); attention checks its own.
-    A non-finite result, or any exception, replays the rows on _Checked,
-    which raises the first failing layer's error.
+    A non-finite result, or any exception, replays the rows on the
+    binding's checked() copy, which raises the first failing layer's
+    error.
     """
     with np.errstate(**(err or {})):
         try:
@@ -492,7 +459,7 @@ def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
                 return out
         except Exception:  # noqa: BLE001 - the replay raises it, or an earlier one
             pass
-        return _unet(depth, _Checked(bound), x, time)
+        return _unet(depth, bound.checked(), x, time)
 
 
 def _step_index(n) -> int:
@@ -527,10 +494,11 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
 
     A stack of at least 2 * SHARD_ROWS rows is cut into contiguous
     shards, one per usable core (at most one per SHARD_ROWS rows): the
-    calling thread runs the first shard and a shared thread pool the
-    others, so the result does not depend on the split. Every shard has
-    returned before this returns or raises; a failing shard raises its
-    exception, the first in row order.
+    calling thread runs the first shard and a thread pool made for this
+    call the others, one thread each, so the result does not depend on
+    the split. The pool is shut down, every shard returned and its
+    thread joined, before this returns or raises; a failing shard raises
+    its exception, the first in row order.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 2
@@ -552,14 +520,11 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
         out = _predict_rows(cfg.depth, bound, xb, time)
         return out[0] if squeeze else out
     cut = [B * s // shards for s in range(shards + 1)]
-    pool = _shard_pool(_usable_cores() - 1)
     err = np.geterr()
-    rest = [pool.submit(_predict_rows, cfg.depth, bound, xb[lo:hi], time, err)
-            for lo, hi in zip(cut[1:-1], cut[2:])]
-    try:
+    with ThreadPoolExecutor(shards - 1, thread_name_prefix="tsdm-shard") as pool:
+        rest = [pool.submit(_predict_rows, cfg.depth, bound, xb[lo:hi],
+                            time, err) for lo, hi in zip(cut[1:-1], cut[2:])]
         first = _predict_rows(cfg.depth, bound, xb[:cut[1]], time)
-    finally:
-        wait(rest)
     return np.concatenate([first] + [f.result() for f in rest])
 
 

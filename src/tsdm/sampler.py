@@ -220,7 +220,8 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
 
     A pass that raises anywhere is replayed window by window, each on
     the draws it took, so only the windows that fail alone leave, each
-    with the exception it raises alone. A window also leaves when its
+    with the exception it raises alone; a pass over one window is not
+    replayed, as it already ran alone. A window also leaves when its
     latent turns non-finite; failed[b] fails window b before the first
     pass. With trace, a window's result is (x0, SamplerTrace), holding
     its sigma_bar at each pass.
@@ -259,13 +260,16 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
         draw = _Normals(rngs, rows, shape)
         try:
             x_new, col = run(rows, x, draw)
-        except Exception:  # noqa: BLE001 - find the windows that fail alone
+        except Exception as e:  # noqa: BLE001 - find the windows that fail alone
             x_new, col = np.full_like(x, np.nan), np.zeros((len(rows), 1, 1))
-            for k, b in enumerate(rows):
-                try:
-                    x_new[k], col[k] = run([b], x[k:k + 1], draw.replay(k))
-                except Exception as e:  # noqa: BLE001 - isolated per window
-                    outs[b] = e
+            if len(rows) == 1:  # a lone window has already failed alone
+                outs[rows[0]] = e
+            else:
+                for k, b in enumerate(rows):
+                    try:
+                        x_new[k], col[k] = run([b], x[k:k + 1], draw.replay(k))
+                    except Exception as e:  # noqa: BLE001 - per window
+                        outs[b] = e
         if not np.isfinite(x_new).all():
             for k, b in enumerate(rows):
                 if b not in outs and not np.isfinite(x_new[k]).all():

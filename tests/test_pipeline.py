@@ -8,11 +8,14 @@ small toy net, so they stay fast and fixture-independent.
 import numpy as np
 import pytest
 
+from tsdm import sampler
+from tsdm.denoiser import predict_noise
 from tsdm.pipeline import (STAGE1_ONLY, STAGE1_PLUS_STAGE2, RecoveryResult,
                            TsdmConfig, WindowFailure, recover, recover_batch)
 from tsdm.schedule import make_subsequence
 from tsdm.stage1 import GuidanceConfig
 from tsdm.stage2 import ImputeConfig
+from tsdm.threatsim import synth_dataset
 
 TAU = make_subsequence(100, 10)
 
@@ -160,6 +163,27 @@ def test_stage_errors_carry_stage_tag(toy_model):
     y0 = np.full((4, 16), 1e308)
     with pytest.raises(RuntimeError, match="stage1"):
         recover(toy_model, y0, None, make_cfg())
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_failing_one_window_pass_runs_once(steady_fixture, monkeypatch):
+    # The 1e308 entry overflows stage 1's sigma_bar in the first pass, at
+    # tau = 100. A pass over one window is not replayed, so the denoiser
+    # runs once.
+    params, mean, std, spec = steady_fixture
+    calls = []
+
+    def predict(params, x, n):
+        calls.append(n)
+        return predict_noise(params, x, n)
+
+    monkeypatch.setattr(sampler, "predict_noise", predict)
+    y0 = np.asarray(synth_dataset(spec, 1)[0])
+    y0[3, 10] = 1e308
+    with pytest.raises(RuntimeError) as failed:
+        recover(params, y0, None, make_cfg(), mean, std)
+    assert str(failed.value) == "stage1: overflow encountered in square"
+    assert calls == [100]
 
 
 # ------------------------------------------------------------- recover_batch

@@ -1,8 +1,9 @@
 """Stacked predict_noise split across cores: same bits, same failures.
 
 A stack of at least 2 * SHARD_ROWS rows is cut into one shard per usable
-core; the caller runs the first and a thread pool the others. These
-tests pin that the split changes nothing a caller can see.
+core; the caller runs the first and a thread pool made for the call the
+others. These tests pin that the split changes nothing a caller can see
+and that no shard thread outlives its call.
 """
 
 import copy
@@ -10,7 +11,6 @@ import multiprocessing
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -159,15 +159,25 @@ def test_a_grad_tape_shards_and_records_only_a_cold_steps_projection(
     assert {c["thread"] for c in shards[2:]} != {"MainThread"}
 
 
-def test_concurrent_callers_share_one_pool(toy_model, monkeypatch):
-    made = []
+def _shard_threads():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("tsdm-shard")]
 
-    def counted(*args, **kwargs):
-        made.append(None)
-        return ThreadPoolExecutor(*args, **kwargs)
 
-    monkeypatch.setattr(dn, "_pool", None)
-    monkeypatch.setattr(dn, "ThreadPoolExecutor", counted)
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_no_shard_thread_outlives_its_call(toy_model, shards):
+    xb = np.random.default_rng(8).standard_normal((32, 4, 16))
+    dn.predict_noise(toy_model, xb, 50)
+    assert _shard_threads() == []
+    xb[-1] = 1e300  # in the worker's shard
+    with pytest.raises(FloatingPointError):
+        dn.predict_noise(toy_model, xb, 50)
+    assert _shard_threads() == []
+    assert len(shards) == 4
+    assert sum(c["thread"].startswith("tsdm-shard") for c in shards) == 2
+
+
+def test_concurrent_callers_get_their_own_bits(toy_model):
     stacks = [np.random.default_rng(70 + k).standard_normal((32, 4, 16))
               for k in range(6)]
     want = [[dn.predict_noise(toy_model, xb[b], 50).tobytes()
@@ -191,7 +201,6 @@ def test_concurrent_callers_share_one_pool(toy_model, monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
     assert got == want
-    assert len(made) == 1
 
 
 def _predict_in_child(params, xb, conn):
@@ -200,8 +209,7 @@ def _predict_in_child(params, xb, conn):
 
 def test_forked_child_makes_sharded_calls(toy_model):
     xb = np.random.default_rng(6).standard_normal((32, 4, 16))
-    want = dn.predict_noise(toy_model, xb, 50)  # the pool has a live worker
-    assert dn._pool is not None
+    want = dn.predict_noise(toy_model, xb, 50)
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
     child = ctx.Process(target=_predict_in_child, args=(toy_model, xb, send))
