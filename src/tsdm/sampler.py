@@ -14,16 +14,17 @@ The expectation is estimated per call from the provided prediction
 step is handed sigma_bar_rows' column. detailed_step is the same update
 expanded in (x, eps_pred, eps_draw); the two agree to rounding error.
 
-The final step to tau_1 is closed by estimate_x0, not another update.
+Position i on the subsequence names the level tau_i = tau.level(i);
+the final step to tau_1 is closed by estimate_x0, not another update.
 
 reverse_lockstep is the one reverse loop: unconditional sampling, stage
 1 and stage 2 each run it with their own update, a stack of windows in
 lockstep with one predict_noise call and one stacked update per pass.
 Each window still draws from its own generator and gets its own
 sigma_bar, so it ends with the bits of a one-window run. A window fails
-one way: a pass that raises anywhere (denoiser, guide, sigma_bar or
-update) is replayed window by window, and each window that raises alone
-leaves with its own error.
+one way: a pass that raises anywhere (denoiser, guide, sigma_bar, update,
+or a latent left non-finite) is replayed window by window, and each
+window that raises alone leaves with its own error.
 """
 
 from __future__ import annotations
@@ -88,9 +89,7 @@ def estimate_x0(x_n: np.ndarray, eps_pred: np.ndarray, n: int,
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if x_n.shape != eps_pred.shape:
         raise ValueError(f"shape mismatch {x_n.shape} vs {eps_pred.shape}")
-    if not 1 <= n <= sched.N:
-        raise ValueError(f"step {n} outside 1..{sched.N}")
-    a = sched.alpha_bar_at(n)
+    a = sched.alpha_bar_at(n, 1)
     return (x_n - np.sqrt(1.0 - a) * eps_pred) / np.sqrt(a)
 
 
@@ -103,9 +102,7 @@ def optimal_variance(eps_pred: np.ndarray, n: int,
     sample or batch. Clamped at zero for miscalibrated predictors.
     """
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
-    if not 1 <= n <= sched.N:
-        raise ValueError(f"step {n} outside 1..{sched.N}")
-    a = sched.alpha_bar_at(n)
+    a = sched.alpha_bar_at(n, 1)
     with np.errstate(over="raise"):
         msq = float(np.mean(eps_pred**2))
     return max((1.0 - a) / a * (1.0 - msq), 0.0)
@@ -117,9 +114,7 @@ def sigma_bar_rows(eps: np.ndarray, n: int,
     (B, M, T) stack, as a (B, 1, 1) column, from one reduction. Raises
     where optimal_variance raises on some row: its square or their mean
     overflows, with that function's error."""
-    if not 1 <= n <= sched.N:
-        raise ValueError(f"step {n} outside 1..{sched.N}")
-    a = sched.alpha_bar_at(n)
+    a = sched.alpha_bar_at(n, 1)
     with np.errstate(over="raise"):
         msq = np.mean(eps**2, axis=(1, 2))
     var = np.maximum((1.0 - a) / a * (1.0 - msq), 0.0)
@@ -128,10 +123,8 @@ def sigma_bar_rows(eps: np.ndarray, n: int,
 
 def capital_gamma(i: int, sched: VarianceSchedule, tau: Subsequence) -> float:
     """Mixing coefficient for the jump tau_i -> tau_{i-1}; defined for i >= 2."""
-    if not 2 <= i <= tau.s:
-        raise ValueError(f"subsequence position {i} outside 2..{tau.s}")
-    a_prev = sched.alpha_bar_at(int(tau.tau[i - 2]))
-    a_cur = sched.alpha_bar_at(int(tau.tau[i - 1]))
+    a_cur = sched.alpha_bar_at(tau.level(i, 2))
+    a_prev = sched.alpha_bar_at(tau.level(i - 1))
     return math.sqrt(a_prev) - math.sqrt(1.0 - a_prev) * math.sqrt(a_cur) / math.sqrt(
         1.0 - a_cur)
 
@@ -141,12 +134,11 @@ def step_coefficients(i: int, sched: VarianceSchedule, tau: Subsequence,
     """The coefficients of the jump tau_i -> tau_{i-1}. sigma_bar, a
     scalar or a (B, 1, 1) column (sigma_bar_rows), defaults to the root
     of eps_pred's optimal variance."""
-    a_prev = sched.alpha_bar_at(int(tau.tau[i - 2]))
-    a_cur = sched.alpha_bar_at(int(tau.tau[i - 1]))
     gamma = capital_gamma(i, sched, tau)
+    a_prev = sched.alpha_bar_at(tau.level(i - 1))
+    a_cur = sched.alpha_bar_at(tau.level(i))
     if sigma_bar is None:
-        sigma_bar = math.sqrt(
-            optimal_variance(eps_pred, int(tau.tau[i - 1]), sched))
+        sigma_bar = math.sqrt(optimal_variance(eps_pred, tau.level(i), sched))
     return StepCoefficients(a_prev=a_prev, a_cur=a_cur, gamma=gamma,
                             sigma_bar=sigma_bar)
 
@@ -157,7 +149,7 @@ def improved_step(x_cur: np.ndarray, eps_pred: np.ndarray, i: int,
     """One accelerated reverse update written through the x0 estimate;
     sigma_bar as in step_coefficients."""
     c = step_coefficients(i, sched, tau, eps_pred, sigma_bar)
-    mu = estimate_x0(x_cur, eps_pred, int(tau.tau[i - 1]), sched)
+    mu = estimate_x0(x_cur, eps_pred, tau.level(i), sched)
     lead = math.sqrt(1.0 - c.a_prev) / math.sqrt(1.0 - c.a_cur)
     return lead * x_cur + c.gamma * mu + c.gamma * c.sigma_bar * eps_draw
 
@@ -187,18 +179,19 @@ def unconditional_sample(params: DenoiserParams, shape: tuple,
 def window_rngs(y0: np.ndarray, seed: int, seeds=None):
     """The generator of an (M, T) window, default_rng(seed), or the list
     of a (B, M, T) stack's, default_rng(seeds[b]) with seed ^ b by
-    default."""
+    default. Raises ValueError unless seeds has one entry per window."""
     if y0.ndim == 2:
         return np.random.default_rng(seed)
     if seeds is None:
         seeds = [seed ^ b for b in range(len(y0))]
+    if len(seeds) != len(y0):
+        raise ValueError(f"{len(seeds)} seeds for {len(y0)} windows")
     return [np.random.default_rng(s) for s in seeds]
 
 
 def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
                      sched: VarianceSchedule, tau: Subsequence, update=None,
-                     guide=None, R: int = 1, trace: bool = False,
-                     failed=None):
+                     guide=None, R: int = 1, trace: bool = False):
     """Run the reverse process down tau for one window per generator in
     rngs, all windows in lockstep: one predict_noise call and one stacked
     update per pass.
@@ -218,12 +211,12 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     run does. The default update is the improved step, closed by
     estimate_x0.
 
-    A pass that raises anywhere is replayed window by window, each on
-    the draws it took, so only the windows that fail alone leave, each
-    with the exception it raises alone; a pass over one window is not
-    replayed, as it already ran alone. A window also leaves when its
-    latent turns non-finite; failed[b] fails window b before the first
-    pass. With trace, a window's result is (x0, SamplerTrace), holding
+    A pass raises RuntimeError("non-finite latent at step tau=...") when
+    it leaves any latent non-finite. A pass that raises anywhere is
+    replayed window by window, each on the draws it took, so only the
+    windows that fail alone leave, each with the exception it raises
+    alone; a pass over one window is not replayed, as it already ran
+    alone. With trace, a window's result is (x0, SamplerTrace), holding
     its sigma_bar at each pass.
 
     Returns per window its result or the exception it failed with. A
@@ -235,11 +228,11 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     if update is None:
         def update(rows, x, eps, sigma_bar, i, r, draw):
             if i == 1:
-                return estimate_x0(x, eps, int(tau.tau[0]), sched)
+                return estimate_x0(x, eps, tau.level(1), sched)
             return improved_step(x, eps, i, sched, tau, draw(), sigma_bar)
 
-    outs = dict(failed or {})  # window -> its result or its exception
-    rows = [b for b in range(len(rngs)) if b not in outs]
+    outs = {}  # window -> its result or its exception
+    rows = list(range(len(rngs)))
     x = _Normals(rngs, rows, shape)()
     traces = [SamplerTrace() for _ in rngs]
     passes = [(i, r) for i in range(tau.s, 0, -1)
@@ -248,14 +241,17 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
         if not rows:
             break
         t0 = time.perf_counter()
-        t_cur = int(tau.tau[i - 1])
+        t_cur = tau.level(i)
 
         def run(rows, x, draw):
             eps = predict_noise(params, x, t_cur)
             if guide is not None:
                 eps = guide(rows, x, eps, i)
             col = sigma_bar_rows(eps, t_cur, sched) if i > 1 else 0.0
-            return update(rows, x, eps, col, i, r, draw), col
+            x = update(rows, x, eps, col, i, r, draw)
+            if not np.isfinite(x).all():
+                raise RuntimeError(f"non-finite latent at step tau={t_cur}")
+            return x, col
 
         draw = _Normals(rngs, rows, shape)
         try:
@@ -270,20 +266,13 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
                         x_new[k], col[k] = run([b], x[k:k + 1], draw.replay(k))
                     except Exception as e:  # noqa: BLE001 - per window
                         outs[b] = e
-        if not np.isfinite(x_new).all():
-            for k, b in enumerate(rows):
-                if b not in outs and not np.isfinite(x_new[k]).all():
-                    outs[b] = RuntimeError(
-                        f"non-finite latent at step tau={t_cur}")
         keep = [k for k, b in enumerate(rows) if b not in outs]
         if trace:
             elapsed_ms = (time.perf_counter() - t0) * 1e3
             sigmas = np.broadcast_to(col, (len(rows), 1, 1)).ravel()
             for k in keep:
                 traces[rows[k]].add(t_cur, sigmas[k], elapsed_ms)
-        if len(keep) < len(rows):
-            x_new = x_new[keep]
-        rows, x = [rows[k] for k in keep], x_new
+        rows, x = [rows[k] for k in keep], x_new[keep]
     for b, xb in zip(rows, x):
         outs[b] = (xb, traces[b]) if trace else xb
     if one and isinstance(outs[0], Exception):

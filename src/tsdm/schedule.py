@@ -42,9 +42,9 @@ class VarianceSchedule:
     def N(self) -> int:
         return self.beta.size
 
-    def alpha_bar_at(self, n: int) -> float:
-        if not 0 <= n <= self.N:
-            raise ValueError(f"step {n} outside 0..{self.N}")
+    def alpha_bar_at(self, n: int, first: int = 0) -> float:
+        if not first <= n <= self.N:
+            raise ValueError(f"step {n} outside {first}..{self.N}")
         return 1.0 if n == 0 else float(self.alpha_bar[n - 1])
 
 
@@ -60,14 +60,13 @@ def linear_schedule(
         raise ValueError("beta endpoints must lie in (0, 1)")
     if n_steps > 1 and beta_start >= beta_end:
         raise ValueError("beta_start must be below beta_end")
-    if n_steps == 1:
-        return VarianceSchedule.from_betas(np.array([beta_start]))
     return VarianceSchedule.from_betas(np.linspace(beta_start, beta_end, n_steps))
 
 
 @dataclass(frozen=True)
 class Subsequence:
-    """Strictly increasing 1-based step indices ending at N."""
+    """Strictly increasing 1-based step indices ending at N; level(i)
+    is the one map from a position i on the subsequence to its step."""
 
     tau: np.ndarray
     n_steps: int
@@ -86,6 +85,12 @@ class Subsequence:
         tau.flags.writeable = False
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "s", int(tau.size))
+
+    def level(self, i: int, first: int = 1) -> int:
+        """tau_i for a position i in first..s (2 where i needs a predecessor)."""
+        if not first <= i <= self.s:
+            raise ValueError(f"subsequence position {i} outside {first}..{self.s}")
+        return int(self.tau[i - 1])
 
 
 def make_subsequence(n_steps: int, s: int, strategy: str = "uniform") -> Subsequence:

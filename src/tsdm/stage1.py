@@ -41,17 +41,10 @@ class OutlierReport:
     outlier_fraction: float
 
 
-def _alpha_at(i: int, sched: VarianceSchedule, tau: Subsequence) -> float:
-    if not 1 <= i <= tau.s:
-        raise ValueError(f"subsequence position {i} outside 1..{tau.s}")
-    return sched.alpha_bar_at(int(tau.tau[i - 1]))
-
-
 def condition_noisy(y0: np.ndarray, eps_pred: np.ndarray, i: int,
                     sched: VarianceSchedule, tau: Subsequence) -> np.ndarray:
     """Diffuse the conditioner to level tau_i reusing the predicted noise."""
-    _alpha_at(i, sched, tau)  # checks the position
-    return forward_diffuse(y0, int(tau.tau[i - 1]), eps_pred, sched)
+    return forward_diffuse(y0, tau.level(i), eps_pred, sched)
 
 
 def corrected_noise(eps_pred: np.ndarray, y_noisy: np.ndarray,
@@ -63,7 +56,7 @@ def corrected_noise(eps_pred: np.ndarray, y_noisy: np.ndarray,
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if omega == 0.0:
         return eps_pred
-    a = _alpha_at(i, sched, tau)
+    a = sched.alpha_bar_at(tau.level(i))
     return eps_pred - omega * np.sqrt(1.0 - a) * (
         np.asarray(y_noisy, dtype=np.float64) -
         np.asarray(x_cur, dtype=np.float64))
@@ -89,8 +82,7 @@ def stage1_recover(params: DenoiserParams, y0: np.ndarray,
     windows, tau = y0.reshape((-1,) + y0.shape[-2:]), cfg.tau
 
     def guide(rows, x, eps_pred, i):
-        y = windows if len(rows) == len(windows) else windows[rows]
-        y_noisy = condition_noisy(y, eps_pred, i, sched, tau)
+        y_noisy = condition_noisy(windows[rows], eps_pred, i, sched, tau)
         return corrected_noise(eps_pred, y_noisy, x, i, cfg.omega, sched,
                                tau)
 

@@ -46,9 +46,8 @@ class ImputeConfig:
 def diffuse_known(y0: np.ndarray, i: int, sched: VarianceSchedule,
                   tau: Subsequence, eps1: np.ndarray) -> np.ndarray:
     """Forward-diffuse the trusted data to level tau_{i-1}."""
-    if not 2 <= i <= tau.s:
-        raise ValueError(f"subsequence position {i} outside 2..{tau.s}")
-    return forward_diffuse(y0, int(tau.tau[i - 2]), eps1, sched)
+    tau.level(i, 2)  # checks that tau_i has a predecessor
+    return forward_diffuse(y0, tau.level(i - 1), eps1, sched)
 
 
 def combine_masked(known: np.ndarray, generated: np.ndarray,
@@ -74,14 +73,12 @@ def renoise_to_level(x_prev: np.ndarray, i: int, sched: VarianceSchedule,
     the subsequence jumps several schedule steps. When tau_i - tau_{i-1}
     == 1 this is sqrt(1-beta) x + sqrt(beta) eps with beta = beta(tau_i).
     """
-    if not 2 <= i <= tau.s:
-        raise ValueError(f"subsequence position {i} outside 2..{tau.s}")
+    a_cur = sched.alpha_bar_at(tau.level(i, 2))
+    a_prev = sched.alpha_bar_at(tau.level(i - 1))
     x_prev = np.asarray(x_prev, dtype=np.float64)
     eps2 = np.asarray(eps2, dtype=np.float64)
     if x_prev.shape != eps2.shape:
         raise ValueError(f"shape mismatch {x_prev.shape} vs {eps2.shape}")
-    a_cur = sched.alpha_bar_at(int(tau.tau[i - 1]))
-    a_prev = sched.alpha_bar_at(int(tau.tau[i - 2]))
     ratio = a_cur / a_prev
     return np.sqrt(ratio) * x_prev + np.sqrt(1.0 - ratio) * eps2
 
@@ -96,7 +93,8 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to imputing it
     alone with that seed. For a stack the result is a list holding, per
-    window, the imputed window or the exception that window failed with.
+    window, the imputed window or the exception that window failed with,
+    a ValueError in its first pass if an observed entry is not finite.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -112,13 +110,15 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
     # Missing entries are never read; zero-fill keeps arithmetic finite
     # even when they arrive as NaN sentinels.
     y0 = np.where(observed, y0.reshape(observed.shape), 0.0)
-    a1 = sched.alpha_bar_at(int(tau.tau[0]))
+    finite = np.isfinite(y0).all(axis=(1, 2))
+    a1 = sched.alpha_bar_at(tau.level(1))
 
     def update(rows, x, eps_pred, sigma_bar, i, r, draw):
-        y, obs = ((y0, observed) if len(rows) == len(y0)
-                  else (y0[rows], observed[rows]))
+        if not finite[rows].all():
+            raise ValueError("observed entries must be finite")
+        y, obs = y0[rows], observed[rows]
         if i == 1:
-            mu = estimate_x0(x, eps_pred, int(tau.tau[0]), sched)
+            mu = estimate_x0(x, eps_pred, tau.level(1), sched)
             known = y if cfg.rescale_observed else np.sqrt(a1) * y
             return np.where(obs, known, mu)
         known = diffuse_known(y, i, sched, tau, draw())
@@ -129,7 +129,4 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
             x = renoise_to_level(x, i, sched, tau, draw())
         return x
 
-    failed = {b: ValueError("observed entries must be finite")
-              for b in range(len(y0)) if not np.all(np.isfinite(y0[b]))}
-    return reverse_lockstep(params, rngs, shape, sched, tau, update,
-                            R=cfg.R, failed=failed)
+    return reverse_lockstep(params, rngs, shape, sched, tau, update, R=cfg.R)

@@ -162,6 +162,36 @@ def test_step_coefficients_invariants():
         StepCoefficients(a_prev=0.9, a_cur=0.5, gamma=1.0, sigma_bar=-0.1)
 
 
+_Z = np.zeros((2, 4))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: capital_gamma(1, SCHED, TAU),
+     "subsequence position 1 outside 2..10"),
+    (lambda: step_coefficients(1, SCHED, TAU, _Z),
+     "subsequence position 1 outside 2..10"),
+    (lambda: improved_step(_Z, _Z, 0, SCHED, TAU, _Z),
+     "subsequence position 0 outside 2..10"),
+    (lambda: diffuse_known(_Z, 1, SCHED, TAU, _Z),
+     "subsequence position 1 outside 2..10"),
+    (lambda: renoise_to_level(_Z, 11, SCHED, TAU, _Z),
+     "subsequence position 11 outside 2..10"),
+    (lambda: condition_noisy(_Z, _Z, 0, SCHED, TAU),
+     "subsequence position 0 outside 1..10"),
+    (lambda: corrected_noise(_Z, _Z, _Z, 11, 1.0, SCHED, TAU),
+     "subsequence position 11 outside 1..10"),
+    (lambda: estimate_x0(_Z, _Z, 0, SCHED), "step 0 outside 1..100"),
+    (lambda: optimal_variance(_Z, 101, SCHED), "step 101 outside 1..100"),
+    (lambda: sampler.sigma_bar_rows(_Z[None], 0, SCHED),
+     "step 0 outside 1..100"),
+    (lambda: forward_diffuse(_Z, 101, _Z, SCHED), "step 101 outside 0..100"),
+])
+def test_out_of_range_positions_and_steps_name_their_bounds(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
 # ------------------------------------------------------------ reverse steps
 
 def test_detailed_step_hand_value():
@@ -333,6 +363,54 @@ def test_lockstep_isolates_a_failing_denoiser_call(toy_model, sched100,
         assert isinstance(stacked[1], FloatingPointError)
         for b, seed in enumerate([11, 13, 17]):
             _assert_same_outcome(stacked[b], run([seed])[0])
+
+
+def test_lockstep_fails_only_the_window_whose_latent_turns_non_finite(
+        toy_model, sched100):
+    # The update leaves seed 13's latent NaN at i = 3, so that pass raises
+    # "non-finite latent" and is replayed window by window: only that
+    # window leaves, and the others keep their one-window bits and traces.
+    tau = make_subsequence(100, 4)
+
+    def run(seeds):
+        rngs = [np.random.default_rng(s) for s in seeds]
+
+        def update(rows, x, eps, sigma_bar, i, r, draw):
+            if i == 1:
+                return x - 0.1 * eps
+            x = 0.5 * x + 0.1 * eps + sigma_bar * draw()
+            if i == 3:
+                x[[seeds[b] == 13 for b in rows]] = np.nan
+            return x
+
+        return sampler.reverse_lockstep(toy_model, rngs, (4, 16), sched100,
+                                        tau, update, trace=True)
+
+    stacked = run([11, 13, 17])
+    assert isinstance(stacked[1], RuntimeError)
+    assert str(stacked[1]) == "non-finite latent at step tau=75"
+    for b, seed in enumerate([11, 13, 17]):
+        _assert_same_outcome(stacked[b], run([seed])[0])
+    assert [r.tau for r in stacked[0][1].records] == [100, 75, 50, 25]
+
+
+@pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4]])
+@pytest.mark.parametrize("stage", ["stage1", "stage2"])
+def test_a_seed_list_of_the_wrong_length_is_refused_up_front(
+        toy_model, sched100, monkeypatch, seeds, stage):
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args))
+    y0 = np.zeros((3, 4, 16))
+    with pytest.raises(ValueError) as err:
+        if stage == "stage1":
+            stage1_recover(toy_model, y0, GuidanceConfig(tau=TAU), sched100,
+                           seeds=seeds)
+        else:
+            stage2_impute(toy_model, y0, np.ones_like(y0),
+                          ImputeConfig(tau=TAU), sched100, seeds=seeds)
+    assert str(err.value) == f"{len(seeds)} seeds for 3 windows"
+    assert calls == []
 
 
 # ------------------------------------------- reverse loops against the prior

@@ -71,6 +71,21 @@ def test_accessors_are_one_based_and_range_checked():
             sched.alpha_bar_at(bad)
 
 
+@pytest.mark.parametrize("n, first", [(-1, 0), (11, 0), (0, 1), (11, 1)])
+def test_alpha_bar_at_refuses_steps_outside_first_to_n(n, first):
+    with pytest.raises(ValueError) as err:
+        linear_schedule(10).alpha_bar_at(n, first)
+    assert str(err.value) == f"step {n} outside {first}..10"
+
+
+def test_alpha_bar_at_first_bound_keeps_the_values_inside():
+    sched = linear_schedule(10)
+    assert sched.alpha_bar_at(0, 0) == 1.0
+    for n in (1, 5, 10):
+        assert (sched.alpha_bar_at(n, 1) == sched.alpha_bar_at(n)
+                == sched.alpha_bar[n - 1])
+
+
 # ---------------------------------------------------------- make_subsequence
 
 def test_make_subsequence_ten_of_hundred():
@@ -116,6 +131,20 @@ def test_subsequence_type_validates():
         Subsequence(np.array([0, 5, 10]), 10)
     with pytest.raises(ValueError):
         Subsequence(np.array([1, 5, 9]), 10)
+
+
+def test_subsequence_level_maps_a_position_to_its_step():
+    sub = make_subsequence(100, 10)
+    assert [sub.level(i) for i in range(1, 11)] == list(range(10, 101, 10))
+    assert sub.level(2, 2) == 20 and sub.level(10, 2) == 100
+    assert type(sub.level(1)) is int
+
+
+@pytest.mark.parametrize("i, first", [(0, 1), (11, 1), (1, 2), (11, 2)])
+def test_subsequence_level_refuses_positions_outside_first_to_s(i, first):
+    with pytest.raises(ValueError) as err:
+        make_subsequence(100, 10).level(i, first)
+    assert str(err.value) == f"subsequence position {i} outside {first}..10"
 
 
 # ------------------------------------------------------------- properties
