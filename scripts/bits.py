@@ -25,7 +25,10 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   stage 2's stacked denoiser call, a NaN observed entry that turns stage
   1's latent non-finite and fails stage 2 up front, and a guidance
   overflow under errstate(over="raise"); each result (with its trace's
-  tau and sigma_bar) or failure text.
+  tau and sigma_bar) or failure text;
+- synth: synth_dataset's windows, steady seed 42 x 2256 at (8, 64) (the
+  benchmark's draw), transient seed 7 x 300 at (8, 64), and both modes
+  at the odd shapes (1, 2) and (3, 5).
 
 A failure counts by its type and text. Run each checkout in its own
 process, from its repo root:
@@ -253,9 +256,18 @@ def lockstep_cases(models):
     return out
 
 
+def synth_cases(models):
+    specs = [(SynthSpec(mode="steady", M=8, T=64, seed=42), 2256),
+             (SynthSpec(mode="transient", M=8, T=64, seed=7), 300)]
+    for mode in ("steady", "transient"):
+        specs += [(SynthSpec(mode=mode, M=1, T=2, event_time=1, seed=3), 40),
+                  (SynthSpec(mode=mode, M=3, T=5, event_time=2, seed=1), 40)]
+    return [synth_dataset(spec, count) for spec, count in specs]
+
+
 GROUPS = {"predict": predict_cases, "adam": adam_cases, "loss": loss_cases,
           "recover_batch": recover_batch_cases, "recover": recover_cases,
-          "lockstep": lockstep_cases}
+          "lockstep": lockstep_cases, "synth": synth_cases}
 
 
 def main():

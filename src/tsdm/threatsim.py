@@ -8,6 +8,8 @@ are guaranteed bit-identical.
 
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,8 +177,41 @@ def make_loss_mask(M: int, T: int, spec: MaskSpec) -> np.ndarray:
 
 # ---------------------------------------------------------------- synthesis
 
+# windows whose arithmetic runs as one stacked array operation; at M=8,
+# T=64 the scratch is then about 100 KB (32 windows were a little faster
+# but read about 0.3 MB more peak RSS in short benchmark runs)
+_CHUNK = 8
+
+
+def _scratch(*shapes) -> list:
+    """One (_CHUNK, *shape) float64 array per shape, each in its own
+    anonymous memory map. Chunk temporaries on the malloc heap would be
+    freed among the windows and leave holes there, which changed where a
+    caller's later large arrays fit and raised the benchmark's peak RSS by
+    up to 8 MB."""
+    return [np.frombuffer(mmap.mmap(-1, 8 * _CHUNK * math.prod(shape)),
+                          dtype=np.float64).reshape(_CHUNK, *shape)
+            for shape in shapes]
+
+
 def synth_dataset(spec: SynthSpec, count: int) -> list:
-    """Generate `count` measurement windows of shape (M, T)."""
+    """Generate `count` measurement windows, each its own C-contiguous
+    (M, T) float64 array.
+
+    Window i is the same for every count above i: both modes draw from one
+    generator seeded with spec.seed, the shared per-dataset draws first and
+    then, per window in window order, steady takes 3k uniform doubles
+    (phase, weekly phase, slope; k = max(2, M // 2)) and then k + M*T
+    standard normals (level, noise), and transient takes a uniform, a
+    choice, a uniform and a normal. Ziggurat normals use a variable number
+    of generator words, so the stream cannot skip ahead: window 2000 still
+    costs drawing windows 0..1999. The draws stay per window while the
+    arithmetic runs over up to `_CHUNK` windows at once, elementwise and in
+    the per-window operation order, so each window has the bits that a
+    one-window-at-a-time loop gives it. A count below 1 is a ValueError.
+    """
+    if count < 1:
+        raise ValueError(f"synthesis count must be at least 1, got {count}")
     rng = np.random.default_rng(spec.seed)
     if spec.mode == "steady":
         return _steady_windows(spec, count, rng)
@@ -193,19 +228,38 @@ def _steady_windows(spec: SynthSpec, count: int, rng) -> list:
     t = np.arange(T)
     day = 2 * np.pi * t / spec.day_period
     week = day / 7.0
+    ramp = t / T - 0.5
+    r = spec.ramp_rate
+    bufs = _scratch((3 * k,), (k + M * T,), (k, T), (k, T), (M, T))
     windows = []
-    for _ in range(count):
-        phase = rng.uniform(0, 2 * np.pi, k)
-        wphase = rng.uniform(0, 2 * np.pi, k)
-        slope = rng.uniform(-spec.ramp_rate, spec.ramp_rate, k)
-        level = rng.normal(0.0, 1.0, k)
-        z = np.sin(day[None, :] + phase[:, None])
-        z *= 1.0 + spec.week_modulation * np.sin(week[None, :] + wphase[:, None])
-        z += slope[:, None] * (t[None, :] / T - 0.5)
-        x = mixing @ z + spec.offset_scale * (mixing @ level)[:, None]
-        x = base[:, None] + chan_scale[:, None] * x
-        x += spec.noise_amp * rng.normal(0.0, 1.0, (M, T))
-        windows.append(x)
+    for first in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - first)
+        u, g, z, w, x = (buf[:n] for buf in bufs)
+        for i in range(n):
+            rng.random(out=u[i])
+            rng.standard_normal(out=g[i])
+        # rng.uniform(low, high) is low + (high - low) * u, and
+        # rng.normal(0, 1) is 0.0 + 1.0 * g, where 1.0 * g is g. Each
+        # in-place step below is one IEEE operation of the per-window
+        # expression, in its order: a * b and a + b commute exactly.
+        phase = 0.0 + (2 * np.pi - 0.0) * u[:, :k, None]
+        wphase = 0.0 + (2 * np.pi - 0.0) * u[:, k : 2 * k, None]
+        slope = -r + (r - -r) * u[:, 2 * k :, None]
+        g += 0.0
+        np.sin(np.add(day, phase, out=z), out=z)
+        np.sin(np.add(week, wphase, out=w), out=w)
+        w *= spec.week_modulation
+        w += 1.0
+        z *= w
+        z += np.multiply(slope, ramp, out=w)
+        np.matmul(mixing, z, out=x)
+        x += spec.offset_scale * (mixing @ g[:, :k, None])
+        x *= chan_scale[:, None]
+        x += base[:, None]
+        noise = g[:, k:].reshape(n, M, T)
+        noise *= spec.noise_amp
+        x += noise
+        windows.extend(xi.copy() for xi in x)
     return windows
 
 
@@ -215,16 +269,24 @@ def _transient_windows(spec: SynthSpec, count: int, rng) -> list:
     omega = 2 * np.pi * spec.frequency
     zeta = spec.damping
     omega_d = omega * np.sqrt(max(1.0 - zeta**2, 0.0))
-    dt = np.arange(T) - spec.event_time
-    after = dt >= 0
+    dt = np.arange(T)[spec.event_time :] - spec.event_time
+    envelope = np.exp(-zeta * omega * dt)
+    swing = omega_d * dt
+    bufs = _scratch((M, 1), (M, 1), (M, T), (M, dt.size), (M, dt.size), (M, T))
     windows = []
-    for _ in range(count):
-        amp = rng.uniform(0.5, 1.5, M) * rng.choice([-1.0, 1.0], M)
-        phase = rng.uniform(0.2, np.pi - 0.2, M)
-        x = np.broadcast_to(level[:, None], (M, T)).copy()
-        envelope = np.exp(-zeta * omega * dt[after])
-        for m in range(M):
-            x[m, after] += amp[m] * envelope * np.sin(omega_d * dt[after] + phase[m])
-        x += spec.noise_amp * rng.normal(0.0, 1.0, (M, T))
-        windows.append(x)
+    for first in range(0, count, _CHUNK):
+        n = min(_CHUNK, count - first)
+        amp, phase, noise, ring, wave, x = (buf[:n] for buf in bufs)
+        for i in range(n):
+            amp[i, :, 0] = rng.uniform(0.5, 1.5, M) * rng.choice([-1.0, 1.0], M)
+            phase[i, :, 0] = rng.uniform(0.2, np.pi - 0.2, M)
+            noise[i] = rng.normal(0.0, 1.0, (M, T))
+        # in place, in the per-window order: amp * envelope * sin(...)
+        np.multiply(amp, envelope, out=ring)
+        ring *= np.sin(np.add(swing, phase, out=wave), out=wave)
+        x[...] = level[:, None]
+        x[:, :, spec.event_time :] += ring
+        noise *= spec.noise_amp
+        x += noise
+        windows.extend(xi.copy() for xi in x)
     return windows

@@ -369,6 +369,17 @@ def test_unknown_config_key_is_runtime_failure(cli_env, tmp_path):
     assert "not_a_real_key" in r.stderr
 
 
+@pytest.mark.parametrize("count", [0, -5])
+def test_synth_count_below_one_is_runtime_failure(cli_env, count):
+    cfg = write_config(cli_env / f"count{count}.cfg", synth_count=count)
+    r = run_cli("--config", cfg.name, "--out", f"n{count}", "synth",
+                cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [
+        f"error: synthesis count must be at least 1, got {count}"]
+    assert not (cli_env / f"n{count}" / "windows").exists()
+
+
 def test_rerun_reproduces_artifacts_byte_identically(cli_env):
     cfg = write_config(cli_env / "det.cfg",
                        checkpoint=cli_env / "base/model.tsdm")

@@ -9,6 +9,7 @@ from tsdm.threatsim import (
     make_loss_mask,
     synth_dataset,
 )
+from tsdm.threatsim import _CHUNK
 
 
 def _sine_matrix(m=4, t=64, period=16.0, amp=1.0):
@@ -250,3 +251,96 @@ def test_synth_spec_validation():
         SynthSpec(mode="chaotic", M=4, T=64)
     with pytest.raises(ValueError):
         SynthSpec(mode="steady", M=0, T=64)
+
+
+@pytest.mark.parametrize("count", [0, -5])
+def test_synth_count_below_one_is_rejected(count):
+    with pytest.raises(ValueError, match=f"got {count}"):
+        synth_dataset(SynthSpec(mode="steady", M=4, T=16), count)
+
+
+def _prior_steady_windows(spec, count, rng):
+    """The one-window-at-a-time steady loop, kept as the bit reference."""
+    M, T = spec.M, spec.T
+    k = max(2, M // 2)
+    mixing = rng.normal(0.0, 1.0, (M, k)) / np.sqrt(k)
+    base = rng.uniform(-0.5, 0.5, M)
+    chan_scale = rng.uniform(0.7, 1.3, M)
+    t = np.arange(T)
+    day = 2 * np.pi * t / spec.day_period
+    week = day / 7.0
+    windows = []
+    for _ in range(count):
+        phase = rng.uniform(0, 2 * np.pi, k)
+        wphase = rng.uniform(0, 2 * np.pi, k)
+        slope = rng.uniform(-spec.ramp_rate, spec.ramp_rate, k)
+        level = rng.normal(0.0, 1.0, k)
+        z = np.sin(day[None, :] + phase[:, None])
+        z *= 1.0 + spec.week_modulation * np.sin(week[None, :] + wphase[:, None])
+        z += slope[:, None] * (t[None, :] / T - 0.5)
+        x = mixing @ z + spec.offset_scale * (mixing @ level)[:, None]
+        x = base[:, None] + chan_scale[:, None] * x
+        x += spec.noise_amp * rng.normal(0.0, 1.0, (M, T))
+        windows.append(x)
+    return windows
+
+
+def _prior_transient_windows(spec, count, rng):
+    """The one-window, one-channel-at-a-time transient loop, kept as the
+    bit reference."""
+    M, T = spec.M, spec.T
+    level = rng.uniform(-0.5, 0.5, M)
+    omega = 2 * np.pi * spec.frequency
+    zeta = spec.damping
+    omega_d = omega * np.sqrt(max(1.0 - zeta**2, 0.0))
+    dt = np.arange(T) - spec.event_time
+    after = dt >= 0
+    windows = []
+    for _ in range(count):
+        amp = rng.uniform(0.5, 1.5, M) * rng.choice([-1.0, 1.0], M)
+        phase = rng.uniform(0.2, np.pi - 0.2, M)
+        x = np.broadcast_to(level[:, None], (M, T)).copy()
+        envelope = np.exp(-zeta * omega * dt[after])
+        for m in range(M):
+            x[m, after] += amp[m] * envelope * np.sin(omega_d * dt[after] + phase[m])
+        x += spec.noise_amp * rng.normal(0.0, 1.0, (M, T))
+        windows.append(x)
+    return windows
+
+
+_PRIOR = {"steady": _prior_steady_windows, "transient": _prior_transient_windows}
+_ODD_PARAMS = dict(day_period=5.0, week_modulation=0.7, ramp_rate=1.3,
+                   offset_scale=0.2, noise_amp=0.4, damping=0.5,
+                   frequency=0.3, event_time=3)
+
+
+@pytest.mark.parametrize("mode", ["steady", "transient"])
+@pytest.mark.parametrize("M,T,event_time", [(8, 64, 16), (1, 2, 1), (3, 5, 4)])
+@pytest.mark.parametrize("count", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 301])
+def test_chunked_synthesis_matches_per_window_loop_bit_for_bit(
+        mode, M, T, event_time, count):
+    spec = SynthSpec(mode=mode, M=M, T=T, event_time=event_time, seed=count)
+    got = synth_dataset(spec, count)
+    want = _PRIOR[mode](spec, count, np.random.default_rng(spec.seed))
+    assert len(got) == count
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["steady", "transient"])
+def test_chunked_synthesis_matches_with_non_default_parameters(mode):
+    spec = SynthSpec(mode=mode, M=5, T=17, seed=9, **_ODD_PARAMS)
+    got = synth_dataset(spec, 2 * _CHUNK + 3)
+    want = _PRIOR[mode](spec, 2 * _CHUNK + 3, np.random.default_rng(9))
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+@pytest.mark.parametrize("mode", ["steady", "transient"])
+def test_each_window_owns_its_memory(mode):
+    ws = synth_dataset(SynthSpec(mode=mode, M=3, T=5, event_time=2),
+                       2 * _CHUNK + 1)
+    assert all(w.flags.c_contiguous and w.flags.owndata for w in ws)
+    for i, a in enumerate(ws):
+        for b in ws[i + 1:]:
+            assert not np.shares_memory(a, b)
