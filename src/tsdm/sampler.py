@@ -24,7 +24,12 @@ Each window still draws from its own generator and gets its own
 sigma_bar, so it ends with the bits of a one-window run. A window fails
 one way: a pass that raises anywhere (denoiser, guide, sigma_bar, update,
 or a latent left non-finite) is replayed window by window, and each
-window that raises alone leaves with its own error.
+window that raises alone leaves with its own error. The replay restores
+each window's generator state from the start of the pass and reuses its
+row of the pass's prediction when predict_noise returned, so a failure
+after the network costs no extra denoiser call. That rests on two
+conditions: guides and updates never write into eps, and each window has
+its own generator, shared with no other window.
 """
 
 from __future__ import annotations
@@ -213,11 +218,17 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
 
     A pass raises RuntimeError("non-finite latent at step tau=...") when
     it leaves any latent non-finite. A pass that raises anywhere is
-    replayed window by window, each on the draws it took, so only the
-    windows that fail alone leave, each with the exception it raises
-    alone; a pass over one window is not replayed, as it already ran
-    alone. With trace, a window's result is (x0, SamplerTrace), holding
-    its sigma_bar at each pass.
+    replayed window by window, so only the windows that fail alone leave,
+    each with the exception it raises alone; a pass over one window is
+    not replayed, as it already ran alone. Each replay first restores the
+    window's generator to its state at the start of the pass, so it draws
+    again what it took, and steps on its row of the stacked prediction
+    when predict_noise returned, as predict_noise gives each row the bits
+    it gives it alone; only a pass that raised inside predict_noise calls
+    it again, once per window. So guides and updates must never write
+    into eps, and no generator may appear twice in rngs. With trace, a
+    window's result is (x0, SamplerTrace), holding its sigma_bar at each
+    pass.
 
     Returns per window its result or the exception it failed with. A
     lone Generator for rngs is a one-window call: it returns that
@@ -233,7 +244,7 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
 
     outs = {}  # window -> its result or its exception
     rows = list(range(len(rngs)))
-    x = _Normals(rngs, rows, shape)()
+    x = _normals(rngs, rows, shape)
     traces = [SamplerTrace() for _ in rngs]
     passes = [(i, r) for i in range(tau.s, 0, -1)
               for r in range(1, (R if i > 1 else 1) + 1)]
@@ -242,28 +253,33 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
             break
         t0 = time.perf_counter()
         t_cur = tau.level(i)
+        states = [rngs[b].bit_generator.state for b in rows]
 
-        def run(rows, x, draw):
-            eps = predict_noise(params, x, t_cur)
+        def run(rows, x, eps):
             if guide is not None:
                 eps = guide(rows, x, eps, i)
             col = sigma_bar_rows(eps, t_cur, sched) if i > 1 else 0.0
-            x = update(rows, x, eps, col, i, r, draw)
+            x = update(rows, x, eps, col, i, r,
+                       lambda: _normals(rngs, rows, shape))
             if not np.isfinite(x).all():
                 raise RuntimeError(f"non-finite latent at step tau={t_cur}")
             return x, col
 
-        draw = _Normals(rngs, rows, shape)
+        eps = None
         try:
-            x_new, col = run(rows, x, draw)
+            eps = predict_noise(params, x, t_cur)
+            x_new, col = run(rows, x, eps)
         except Exception as e:  # noqa: BLE001 - find the windows that fail alone
             x_new, col = np.full_like(x, np.nan), np.zeros((len(rows), 1, 1))
             if len(rows) == 1:  # a lone window has already failed alone
                 outs[rows[0]] = e
             else:
                 for k, b in enumerate(rows):
+                    rngs[b].bit_generator.state = states[k]
                     try:
-                        x_new[k], col[k] = run([b], x[k:k + 1], draw.replay(k))
+                        eps_k = (predict_noise(params, x[k:k + 1], t_cur)
+                                 if eps is None else eps[k:k + 1])
+                        x_new[k], col[k] = run([b], x[k:k + 1], eps_k)
                     except Exception as e:  # noqa: BLE001 - per window
                         outs[b] = e
         keep = [k for k, b in enumerate(rows) if b not in outs]
@@ -280,26 +296,9 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     return outs[0] if one else [outs[b] for b in range(len(rngs))]
 
 
-class _Normals:
-    """A pass's draw(): each call returns a fresh stack of standard
-    normals, row k drawn from rngs[rows[k]]. replay(k) is the draw() of
-    window rows[k] alone, which first hands back the rows it took."""
-
-    def __init__(self, rngs, rows, shape, taken=()):
-        self.rngs, self.rows, self.shape = rngs, rows, tuple(shape)
-        self.ahead = list(taken)
-        self.taken = []
-
-    def __call__(self) -> np.ndarray:
-        if self.ahead:
-            out = self.ahead.pop(0)
-        else:
-            out = np.empty((len(self.rows),) + self.shape)
-            for k, b in enumerate(self.rows):
-                self.rngs[b].standard_normal(out=out[k])
-        self.taken.append(out)
-        return out
-
-    def replay(self, k: int) -> "_Normals":
-        return _Normals(self.rngs, [self.rows[k]], self.shape,
-                        [out[k:k + 1] for out in self.taken])
+def _normals(rngs, rows, shape) -> np.ndarray:
+    """A fresh stack of standard normals, row k drawn from rngs[rows[k]]."""
+    out = np.empty((len(rows),) + tuple(shape))
+    for k, b in enumerate(rows):
+        rngs[b].standard_normal(out=out[k])
+    return out

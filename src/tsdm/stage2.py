@@ -5,7 +5,7 @@ reverse step composes three updates:
 
     known part:  x^K = sqrt(a') y0 + sqrt(1-a') eps1        (diffuse_known)
     missing part: x^G = accelerated reverse update of x     (detailed step)
-    combine:     x'  = mask * x^K + (1-mask) * x^G          (combine_masked)
+    combine:     x'  = mask * x^K + (1-mask) * x^G
 
 and, on all but the last of R inner passes, renoises the combined latent
 back to level tau_i so the next pass re-denoises it. The loop renoises
@@ -48,20 +48,6 @@ def diffuse_known(y0: np.ndarray, i: int, sched: VarianceSchedule,
     """Forward-diffuse the trusted data to level tau_{i-1}."""
     tau.level(i, 2)  # checks that tau_i has a predecessor
     return forward_diffuse(y0, tau.level(i - 1), eps1, sched)
-
-
-def combine_masked(known: np.ndarray, generated: np.ndarray,
-                   mask: np.ndarray) -> np.ndarray:
-    """Elementwise select: known where mask=1, generated where mask=0."""
-    known = np.asarray(known, dtype=np.float64)
-    generated = np.asarray(generated, dtype=np.float64)
-    mask = np.asarray(mask, dtype=np.float64)
-    if not (known.shape == generated.shape == mask.shape):
-        raise ValueError(
-            f"shape mismatch {known.shape}/{generated.shape}/{mask.shape}")
-    if not np.all((mask == 0.0) | (mask == 1.0)):
-        raise ValueError("mask must be binary (0/1)")
-    return np.where(mask == 1.0, known, generated)
 
 
 def renoise_to_level(x_prev: np.ndarray, i: int, sched: VarianceSchedule,
@@ -124,7 +110,7 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
         known = diffuse_known(y, i, sched, tau, draw())
         generated = detailed_step(x, eps_pred, i, sched, tau, draw(),
                                   sigma_bar)
-        x = np.where(obs, known, generated)  # combine_masked, checked above
+        x = np.where(obs, known, generated)
         if r < cfg.R:  # keeps a non-finite x non-finite for the check
             x = renoise_to_level(x, i, sched, tau, draw())
         return x

@@ -159,6 +159,18 @@ def test_recover_validates_inputs(toy_model):
                 norm_std=np.zeros(4))
 
 
+def test_recover_refuses_a_nonbinary_mask_before_the_denoiser(
+        toy_model, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args))
+    mask = np.ones((4, 16))
+    mask[2, 9] = 0.5
+    with pytest.raises(ValueError, match=r"^mask must be binary \(0/1\)$"):
+        recover(toy_model, toy_window(8), mask, make_cfg())
+    assert calls == []
+
+
 def test_stage_errors_carry_stage_tag(toy_model):
     y0 = np.full((4, 16), 1e308)
     with pytest.raises(RuntimeError, match="stage1"):

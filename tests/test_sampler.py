@@ -29,8 +29,8 @@ from tsdm.schedule import (
 )
 from tsdm.stage1 import (GuidanceConfig, condition_noisy, corrected_noise,
                          stage1_recover)
-from tsdm.stage2 import (ImputeConfig, combine_masked, diffuse_known,
-                         renoise_to_level, stage2_impute)
+from tsdm.stage2 import (ImputeConfig, diffuse_known, renoise_to_level,
+                         stage2_impute)
 
 SCHED = linear_schedule(100)
 TAU = make_subsequence(100, 10)
@@ -491,7 +491,7 @@ def _prior_stage2(params, y0, mask, cfg, sched, rng):
                                   rng.standard_normal(shape))
             eps_draw = rng.standard_normal(shape)
             generated = detailed_step(x, eps_pred, i, sched, tau, eps_draw)
-            x = combine_masked(known, generated, mask)
+            x = np.where(mask == 1.0, known, generated)
             if not np.all(np.isfinite(x)):
                 raise RuntimeError(f"non-finite latent at step tau={t_cur}")
             if r < cfg.R:
@@ -725,6 +725,46 @@ def test_a_raising_pass_fails_only_the_window_that_raises_alone(
     assert str(got[1]) == "overflow encountered in multiply"
     assert not isinstance(got[0], Exception)
     assert not isinstance(got[2], Exception)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("stage, bad, error", [
+    ("stage1", 2, "overflow encountered in square"),
+    ("stage2", 3, "observed entries must be finite")])
+def test_a_failure_after_the_network_costs_no_denoiser_call(
+        toy_model, sched100, monkeypatch, stage, bad, error):
+    # _loop_windows' 1e308 window fails stage 1 in sigma_bar and its NaN
+    # window fails stage 2 in the update, both after the stacked
+    # predict_noise returned. The replay steps each window on its row of
+    # that prediction, so the stack makes as many denoiser calls as it
+    # does without the failing window, and the others keep their bits.
+    y0, mask = _loop_windows(5, 50)
+    tau = make_subsequence(100, 4)
+    calls = []
+
+    def predict(params, x, n):
+        calls.append(len(x))
+        return predict_noise(params, x, n)
+
+    monkeypatch.setattr(sampler, "predict_noise", predict)
+
+    def run(rows):
+        calls.clear()
+        seeds = [3 ^ b for b in rows]
+        if stage == "stage1":
+            out = stage1_recover(toy_model, y0[rows], GuidanceConfig(tau=tau),
+                                 sched100, seeds=seeds)
+        else:
+            out = stage2_impute(toy_model, y0[rows], mask[rows],
+                                ImputeConfig(tau=tau), sched100, seeds=seeds)
+        return dict(zip(rows, out)), len(calls)
+
+    failing, failing_calls = run(sorted([0, 1, 4, bad]))
+    clean, clean_calls = run([0, 1, 4])
+    assert str(failing.pop(bad)) == error
+    assert failing_calls == clean_calls
+    for b in clean:
+        _assert_same_outcome(failing[b], clean[b])
 
 
 def test_a_replayed_window_takes_its_draws_again(toy_model, sched100):

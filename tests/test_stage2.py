@@ -12,9 +12,10 @@ import copy
 import numpy as np
 import pytest
 
+from tsdm import sampler
 from tsdm.schedule import linear_schedule, make_subsequence
-from tsdm.stage2 import (ImputeConfig, combine_masked, diffuse_known,
-                         renoise_to_level, stage2_impute)
+from tsdm.stage2 import (ImputeConfig, diffuse_known, renoise_to_level,
+                         stage2_impute)
 
 SCHED = linear_schedule(100)
 TAU = make_subsequence(100, 10)
@@ -61,43 +62,6 @@ def test_diffuse_known_monte_carlo_variance():
     a_prev = SCHED.alpha_bar_at(int(TAU.tau[i - 2]))
     out = diffuse_known(y0, i, SCHED, TAU, rng.standard_normal((100, 100)))
     assert out.var() == pytest.approx(1.0 - a_prev, rel=0.05)
-
-
-# ---------------------------------------------------------- combine_masked
-
-
-def test_combine_masked_all_ones_returns_known():
-    rng = np.random.default_rng(2)
-    known = rng.standard_normal((4, 8))
-    gen = rng.standard_normal((4, 8))
-    assert np.array_equal(combine_masked(known, gen, np.ones((4, 8))), known)
-
-
-def test_combine_masked_all_zeros_returns_generated():
-    rng = np.random.default_rng(3)
-    known = rng.standard_normal((4, 8))
-    gen = rng.standard_normal((4, 8))
-    assert np.array_equal(combine_masked(known, gen, np.zeros((4, 8))), gen)
-
-
-def test_combine_masked_checkerboard_exhaustive():
-    rng = np.random.default_rng(4)
-    known = rng.standard_normal((6, 10))
-    gen = rng.standard_normal((6, 10))
-    mask = np.indices((6, 10)).sum(axis=0) % 2
-    out = combine_masked(known, gen, mask.astype(np.float64))
-    for m in range(6):
-        for t in range(10):
-            src = known if mask[m, t] == 1 else gen
-            assert out[m, t] == src[m, t]
-
-
-def test_combine_masked_rejects_nonbinary_mask():
-    z = np.zeros((2, 3))
-    mask = np.zeros((2, 3))
-    mask[0, 0] = 0.5
-    with pytest.raises(ValueError):
-        combine_masked(z, z, mask)
 
 
 def test_renoise_to_level_zero_noise_scales_by_level_ratio():
@@ -224,6 +188,20 @@ def test_stage2_shape_mismatch_raises(toy_model):
     with pytest.raises(ValueError):
         stage2_impute(toy_model, np.zeros((4, 16)), np.zeros((4, 8)),
                       cfg, SCHED)
+
+
+@pytest.mark.parametrize("shape", [(4, 16), (3, 4, 16)])
+def test_stage2_refuses_a_nonbinary_mask_before_the_denoiser(
+        toy_model, monkeypatch, shape):
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args))
+    mask = np.ones(shape)
+    mask.flat[-1] = 0.5
+    with pytest.raises(ValueError, match=r"^mask must be binary \(0/1\)$"):
+        stage2_impute(toy_model, np.zeros(shape), mask, ImputeConfig(tau=TAU),
+                      SCHED)
+    assert calls == []
 
 
 def test_stage2_stack_is_bitwise_one_window_runs(toy_model):
