@@ -423,11 +423,14 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
     return _unet(p.config.depth, _TensorOps(p), x, _embed(p, levels))
 
 
-# Rows a shard of a stacked predict_noise call needs before the stack is
-# split across cores. Two-way split against one call (steady fixture, 2
-# cores, four runs): 1.40-2.10x the time at 2 rows a shard, 0.90-1.04x
-# at 8, 0.60-1.05x at 16, 0.52-0.68x at 32. Below the break-even, near 8
-# rows, the GIL serialises numpy's per-op overhead; 16 keeps a margin.
+# Rows per shard of a stacked predict_noise call: a stack of B rows runs
+# in B / SHARD_ROWS shards, halves rounded up, so it splits from 24 rows.
+# Two-way split against one call (steady fixture, 2 cores, four runs):
+# 1.40-2.10x the time at 2 rows a shard, 0.90-1.04x at 8, 0.60-1.05x at
+# 16, 0.52-0.68x at 32. A whole stage 2 (R 2, s 10), unsplit -> split,
+# read medians 239 -> 263 ms on 17 rows (8.5 a shard), 437 -> 327 on 24
+# and 511 -> 399 on 31: with few rows a shard the GIL serialises numpy's
+# per-op overhead.
 SHARD_ROWS = 16
 
 
@@ -492,11 +495,11 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     an infinity raises the FloatingPointError of the first layer whose
     result holds one, as _forward raises it.
 
-    A stack of at least 2 * SHARD_ROWS rows is cut into contiguous
-    shards, one per usable core (at most one per SHARD_ROWS rows): the
-    calling thread runs the first shard and a thread pool made for this
-    call the others, one thread each, so the result does not depend on
-    the split. The pool is shut down, every shard returned and its
+    A stack of B rows is cut into B / SHARD_ROWS contiguous shards,
+    halves rounded up, at most one per usable core, so it splits from
+    1.5 * SHARD_ROWS rows on: the calling thread runs the first shard
+    and a thread pool made for this call the others, one thread each, so
+    the result does not depend on the split. The pool is shut down, every shard returned and its
     thread joined, before this returns or raises; a failing shard raises
     its exception, the first in row order.
     """
@@ -515,7 +518,7 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     bound = _bound(params)
     time = _step_projections(params, n)
     B = xb.shape[0]
-    shards = min(B // SHARD_ROWS, _usable_cores())
+    shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
     if shards < 2:
         out = _predict_rows(cfg.depth, bound, xb, time)
         return out[0] if squeeze else out

@@ -15,19 +15,20 @@ FloatingPointError.
 
 The denoiser's bound model runs array kernels instead: functions that
 take and return numpy arrays and never record. add, add_time, upsample2
-and concat_channels share their kernel with their Tensor op. The conv1d,
-group_norm then silu_conv, and self_attention kernels cut numpy calls:
-one product per sample, so a sample gets the same bits in a batch as
-alone; a result written into the buffer the next op reads (silu into
-conv1d's zero-bordered input, attention's scale and softmax into the
-score array); affine steps in place. A kernel takes each parameter in
-the layout its arithmetic reads (a conv weight as its (Cout, Cin*K)
-matrix, a bias or a norm's affine as a (C, 1) column) and checks no
-shape but the kernel width against the input length.
+and concat_channels share their kernel with their Tensor op, and
+self_attention its arithmetic, _attend (softmax is no op of its own).
+The conv1d, group_norm then silu_conv, and self_attention kernels cut
+numpy calls: one product per sample, so a sample gets the same bits in
+a batch as alone; a result written into the buffer the next op reads
+(silu into conv1d's zero-bordered input, attention's scale and softmax
+into the score array); affine steps in place. A kernel takes each
+parameter in the layout its arithmetic reads (a conv weight as its
+(Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1) column) and
+checks no shape but the kernel width against the input length.
 
 The `*_unchecked` kernels check nothing; their caller checks, with
-_guard (denoiser._predict_rows). self_attention_kernel checks its own
-results, since its softmax can turn a -inf score into a weight of 0: a
+_guard (denoiser._predict_rows). _attend checks its own scores and
+result, since its softmax can turn a -inf score into a weight of 0: a
 non-finite score need not reach its result. Its scaled scores and their
 softmax go unchecked, as does silu inside silu_conv_unchecked, because
 each is finite whenever its checked input is.
@@ -170,14 +171,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _guard(out.data, "mul")
     ad, bd = a.data, b.data
     _record(out, (a, b), lambda g: (g * bd, g * ad))
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c)
-    _guard(out.data, "scale")
-    _record(out, (a,), lambda g: (g * c,))
     return out
 
 
@@ -496,83 +489,58 @@ def _softmax_rows(z: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def softmax_last(z: Tensor) -> Tensor:
-    yd = _softmax_rows(z.data)
-    out = Tensor(yd)
-    _guard(out.data, "softmax")
-    _record(out, (z,), lambda g: (yd * (g - (g * yd).sum(axis=-1, keepdims=True)),))
-    return out
-
-
-def attn_scores(q: Tensor, k: Tensor) -> Tensor:
-    """Query-key inner products: (B,C,T),(B,C,U) -> (B,T,U)."""
-    out = Tensor(np.einsum("bct,bcu->btu", q.data, k.data))
-    _guard(out.data, "attn_scores")
-    qd, kd = q.data, k.data
-    _record(out, (q, k), lambda g: (np.einsum("bcu,btu->bct", kd, g),
-                                    np.einsum("bct,btu->bcu", qd, g)))
-    return out
-
-
-def attn_apply(v: Tensor, a: Tensor) -> Tensor:
-    """Weighted value combination: (B,C,U),(B,T,U) -> (B,C,T)."""
-    out = Tensor(np.einsum("bcu,btu->bct", v.data, a.data))
-    _guard(out.data, "attn_apply")
-    vd, ad = v.data, a.data
-    _record(out, (v, a), lambda g: (np.einsum("bct,btu->bcu", g, ad),
-                                    np.einsum("bct,bcu->btu", g, vd)))
-    return out
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """Scaled dot-product attention of the (B, C, T) projections: the
+    result and the (B, T, T) softmax weights, which the scale and the
+    softmax build in place in the score array."""
+    a = _guard(np.einsum("bct,bcu->btu", q, k), "attn_scores")
+    # unguarded: a factor 1/sqrt(C) <= 1 keeps the checked scores finite
+    a *= 1.0 / math.sqrt(q.shape[-2])
+    # unguarded: finite rows give exp(z - max) in [0, 1] and a sum >= 1
+    _softmax_rows(a, out=a)
+    return _guard(np.einsum("bcu,btu->bct", v, a), "attn_apply"), a
 
 
 def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    """Single-head scaled dot-product attention over time positions.
+    """Single-head scaled dot-product attention over time positions, for
+    a (C, T) matrix or a (..., C, T) stack: three channel_linear
+    projections, then one recorded op over them.
 
     Output is the attention result only; the caller adds it residually.
     """
-    squeeze = x.data.ndim == 2
-    if squeeze:
-        x = _lift(x)
-    C = x.data.shape[-2]
+    *_, C, T = x.data.shape
     for w in (wq, wk, wv):
         if w.data.shape != (C, C):
             raise ValueError(f"self_attention: projection shape {w.data.shape} vs C={C}")
-    q = channel_linear(wq, x)
-    k = channel_linear(wk, x)
-    v = channel_linear(wv, x)
-    a = softmax_last(scale(attn_scores(q, k), 1.0 / math.sqrt(C)))
-    out = attn_apply(v, a)
-    return _squeeze(out) if squeeze else out
+    q, k, v = (channel_linear(w, x) for w in (wq, wk, wv))
+    qd, kd, vd = (t.data.reshape(-1, C, T) for t in (q, k, v))
+    od, a = _attend(qd, kd, vd)
+    out = Tensor(od.reshape(x.data.shape))
+
+    def bw(g):
+        g = g.reshape(od.shape)
+        dv = np.einsum("bct,btu->bcu", g, a)
+        # the softmax gradient a * (da - sum(da * a)), then the scale,
+        # in place in da
+        da = np.einsum("bct,bcu->btu", g, vd)
+        da -= (da * a).sum(axis=-1, keepdims=True)
+        da *= a
+        da *= 1.0 / math.sqrt(C)
+        dq = np.einsum("bcu,btu->bct", kd, da)
+        dk = np.einsum("bct,btu->bcu", qd, da)
+        return tuple(d.reshape(x.data.shape) for d in (dq, dk, dv))
+
+    _record(out, (q, k, v), bw)
+    return out
 
 
 def self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                           wv: np.ndarray) -> np.ndarray:
-    """Inference self_attention of the (B, C, T) x: the chain's kernels and
-    checks, with the T x T temporaries in one buffer (the scale and the
-    softmax run in place on the scores)."""
-    q, k, v = (_channel_major(w, x) for w in (wq, wk, wv))
-    for t in (q, k, v):
-        _guard(t, "channel_linear")
-    a = np.einsum("bct,bcu->btu", q, k)
-    _guard(a, "attn_scores")
-    # unguarded: a factor 1/sqrt(C) <= 1 keeps the checked scores finite
-    a *= 1.0 / math.sqrt(x.shape[-2])
-    # unguarded: finite rows give exp(z - max) in [0, 1] and a sum >= 1
-    _softmax_rows(a, out=a)
-    od = np.einsum("bcu,btu->bct", v, a)
-    _guard(od, "attn_apply")
-    return od
-
-
-def _lift(x: Tensor) -> Tensor:
-    out = Tensor(x.data[None])
-    _record(out, (x,), lambda g: (g[0],))
-    return out
-
-
-def _squeeze(x: Tensor) -> Tensor:
-    out = Tensor(x.data[0])
-    _record(out, (x,), lambda g: (g[None],))
-    return out
+    """Inference self_attention of the (B, C, T) x: the op's projections,
+    arithmetic and checks, without recording."""
+    q, k, v = (_guard(_channel_major(w, x), "channel_linear")
+               for w in (wq, wk, wv))
+    return _attend(q, k, v)[0]
 
 
 # ---------------------------------------------------------------- structural

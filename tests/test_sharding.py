@@ -1,9 +1,10 @@
 """Stacked predict_noise split across cores: same bits, same failures.
 
-A stack of at least 2 * SHARD_ROWS rows is cut into one shard per usable
-core; the caller runs the first and a thread pool made for the call the
-others. These tests pin that the split changes nothing a caller can see
-and that no shard thread outlives its call.
+A stack of B rows is cut into B / SHARD_ROWS shards, halves rounded up
+(two from 24 rows on), at most one per usable core; the caller runs the
+first and a thread pool made for the call the others. These tests pin
+that the split changes nothing a caller can see and that no shard thread
+outlives its call.
 """
 
 import copy
@@ -32,7 +33,9 @@ TAU = make_subsequence(100, 10)
 @pytest.fixture()
 def shards(monkeypatch):
     """Record every shard a predict_noise call runs: (thread name, rows,
-    errstate its layers run under, ended)."""
+    errstate its layers run under, ended). Two usable cores, the count
+    the shard counts below are written for, on any machine with two or
+    more."""
     calls = []
     predict_rows, unet = dn._predict_rows, dn._unet
     current = threading.local()
@@ -53,6 +56,7 @@ def shards(monkeypatch):
 
     monkeypatch.setattr(dn, "_predict_rows", spy)
     monkeypatch.setattr(dn, "_unet", layers)
+    monkeypatch.setattr(dn, "_usable_cores", lambda: 2)
     return calls
 
 
@@ -77,6 +81,18 @@ def test_sharded_predict_is_bit_identical_to_single(
     for b in range(B):
         alone = dn.predict_noise(params, xb[b], 37)
         assert stacked[b].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("B, split", [(31, 2), (24, 2), (23, 1)])
+def test_shard_count_rounds_rows_per_shard_half_up(toy_model, shards,
+                                                   monkeypatch, B, split):
+    # a 32-row stack that loses a window keeps its two shards
+    xb = np.random.default_rng(B).standard_normal((B, 4, 16))
+    stacked = dn.predict_noise(toy_model, xb, 37)
+    assert len(shards) == split and sum(c["rows"] for c in shards) == B
+    unsplit = _unsharded(monkeypatch,
+                         lambda: dn.predict_noise(toy_model, xb, 37))
+    assert stacked.tobytes() == unsplit.tobytes()
 
 
 def test_sharded_recover_batch_is_bitwise_one_window_recovery(toy_model,

@@ -48,12 +48,6 @@ def test_add_values():
     np.testing.assert_array_equal(out.data, [4.0, 6.0])
 
 
-def test_scale_identity_exact():
-    x = np.array([0.3, -1.7, 2.2])
-    out = tc.scale(Tensor(x), 1.0)
-    assert np.array_equal(out.data, x)
-
-
 def test_add_shape_mismatch():
     with pytest.raises(ValueError):
         tc.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
@@ -81,7 +75,6 @@ def test_elementwise_grads_vs_fd():
     _check_against_fd(lambda x, y: tc.add(x, y), a, b)
     _check_against_fd(lambda x, y: tc.sub(x, y), a, b)
     _check_against_fd(lambda x, y: tc.mul(x, y), a, b)
-    _check_against_fd(lambda x: tc.scale(x, -1.7), a)
     _check_against_fd(lambda x: tc.silu(x), a)
     _check_against_fd(lambda x: tc.sqrt(x), np.abs(a) + 0.5)
 
@@ -681,14 +674,6 @@ def test_channel_linear_matches_prior_bits(shape, grad):
     _against_prior(tc.channel_linear, _prior_channel_linear, (w, x), grad, rng)
 
 
-@pytest.mark.parametrize("shape", [(1, 16, 16), (3, 5, 7), (4, 9), (2, 64, 64)])
-def test_softmax_matches_prior_bits(shape):
-    rng = np.random.default_rng(list(shape))
-    z = rng.standard_normal(shape) * 30.0
-    z.flat[:3] = (700.0, -700.0, 0.0)
-    _against_prior(tc.softmax_last, _prior_softmax_last, (z,), (True,), rng)
-
-
 # ------------------------------------------- fused norm -> silu -> conv (bits)
 # The bound model's norm -> silu -> conv, group_norm_unchecked then
 # silu_conv_unchecked, must give the reference conv1d's inference bits over
@@ -821,11 +806,31 @@ def test_windows_refuses_a_buffer_it_would_misread():
         tc._windows(xp, 3, 1, 33)
 
 
-def _prior_self_attention(xd, wq, wk, wv):
-    q, k, v = (_prior_channel_linear(w, xd, None)[0] for w in (wq, wk, wv))
-    z = np.einsum("...ct,...cu->...tu", q, k) * (1.0 / np.sqrt(xd.shape[-2]))
+def _prior_self_attention(xd, wq, wk, wv, g=None):
+    """The chain of ops attention once recorded: channel_linear for q, k
+    and v, then scores, a scale by 1/sqrt(C), softmax and the weighted
+    values, over x lifted to (B, C, T). With g, also the gradients a tape
+    gave x, wq, wk and wv, x's terms summed v, then k, then q."""
+    x3 = xd.reshape(-1, *xd.shape[-2:])
+    q, k, v = (_prior_channel_linear(w, x3, None)[0] for w in (wq, wk, wv))
+    c = 1.0 / math.sqrt(xd.shape[-2])
+    z = np.einsum("bct,bcu->btu", q, k) * c
     a, _ = _prior_softmax_last(z, None)
-    return np.einsum("...cu,...tu->...ct", v, a)
+    out = np.einsum("bcu,btu->bct", v, a).reshape(xd.shape)
+    if g is None:
+        return out, None
+    g3 = g.reshape(x3.shape)
+    dv = np.einsum("bct,btu->bcu", g3, a)
+    _, (dz,) = _prior_softmax_last(z, np.einsum("bct,bcu->btu", g3, v))
+    dz = dz * c
+    dq = np.einsum("bcu,btu->bct", k, dz)
+    dk = np.einsum("bct,btu->bcu", q, dz)
+    dw, dx = [], None
+    for w, d in ((wv, dv), (wk, dk), (wq, dq)):
+        _, (dwi, dxi) = _prior_channel_linear(w, x3, d)
+        dw.append(dwi)
+        dx = dxi if dx is None else dx + dxi
+    return out, (dx.reshape(xd.shape), *dw[::-1])
 
 
 @pytest.mark.parametrize("shape", [(1, 48, 16), (16, 48, 16), (48, 16),
@@ -839,7 +844,20 @@ def test_self_attention_matches_prior_bits(shape, taped):
     with GradTape():
         out = tc.self_attention(Tensor(x, requires_grad=taped),
                                 *[Tensor(w, requires_grad=taped) for w in ws])
-    _assert_same_bits(out.data, _prior_self_attention(x, *ws))
+    _assert_same_bits(out.data, _prior_self_attention(x, *ws)[0])
+
+
+@pytest.mark.parametrize("shape", [(32, 48, 16),  # the steady bottleneck
+                                   (1, 48, 16), (48, 16),
+                                   (3, 32, 4),    # the toy bottleneck
+                                   (32, 4), (2, 5, 7)])
+def test_self_attention_gradients_match_prior_bits(shape):
+    rng = np.random.default_rng([7] + list(shape))
+    C = shape[-2]
+    x = rng.standard_normal(shape)
+    ws = [rng.standard_normal((C, C)) / np.sqrt(C) for _ in range(3)]
+    _against_prior(tc.self_attention, _prior_self_attention, (x, *ws),
+                   (True,) * 4, rng)
 
 
 # ------------------------------------- off-tape results that go unchecked
