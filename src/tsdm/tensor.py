@@ -7,9 +7,16 @@ acceptance criterion 4's gradient suite. Ops are pure functions over
 immutable values, and each has one formula, the one a gradient tape
 differentiates: it gives the same bits inside a GradTape as outside any.
 When a GradTape is active and an input requires gradients, the op
-appends a record to the tape. GradTape.backward replays the records in
-reverse creation order, which is a valid topological order because
-every input of a node was created before the node itself. Every op but
+appends a record to the tape. A record holds keys, not Tensors, and a
+backward closure that captures only the arrays its formula reads
+(conv1d's, its zero-bordered input, from which backward rebuilds the
+im2col columns), so an intermediate no formula reads is freed once its
+caller drops it: one B = 32 diffusion_loss and backward on the steady
+fixture's architecture peaks at 39.5 MB under tracemalloc, against
+87.9 MB when records held every op's input and output Tensors.
+GradTape.backward replays the records in reverse creation order, which
+is a valid topological order because every input of a node was created
+before the node itself, and drops each once replayed. Every op but
 sqrt and the structural ones checks its result finite: NaN/Inf raise
 FloatingPointError.
 
@@ -36,6 +43,7 @@ each is finite whenever its checked input is.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -44,14 +52,24 @@ GN_EPS = 1e-5
 
 
 class Tensor:
-    """Immutable-by-convention float64 array with an autodiff flag."""
+    """Immutable-by-convention float64 array with an autodiff flag.
 
-    __slots__ = ("data", "requires_grad", "grad")
+    `key` is the serial number a gradient tape gives the Tensor the first
+    time it records it, as an op's output or as a leaf; None before.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "key")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.key = None
+
+    def __getstate__(self):
+        # a copy (deepcopy, pickle) is a new Tensor to every tape
+        return None, {"data": self.data, "requires_grad": self.requires_grad,
+                      "grad": self.grad, "key": None}
 
     @property
     def shape(self):
@@ -66,13 +84,24 @@ class Tensor:
 
 
 _TAPES: list["GradTape"] = []
+_SERIALS = itertools.count()
 
 
 class GradTape:
-    """Ordered op records; single-owner, consumed by one backward pass."""
+    """Ordered op records; single-owner, consumed by one backward pass.
+
+    A record is (output key, input keys, backward closure): it holds no
+    Tensor, and each closure holds only the arrays its formula reads, so
+    an intermediate that no formula reads is freed as soon as its caller
+    drops it. An input that takes no gradient has key None. The tape
+    holds its leaves, the grad-requiring inputs it did not produce (an
+    output of an earlier tape included), as Tensors in first-use order.
+    """
 
     def __init__(self):
-        self._nodes = []  # (out, inputs, backward_fn)
+        self._nodes = []  # (out key, input keys, backward_fn)
+        self._produced = set()  # the keys of the outputs recorded here
+        self._leaves = {}  # key -> leaf Tensor, in first-use order
         self._consumed = False
 
     def __enter__(self):
@@ -83,11 +112,23 @@ class GradTape:
         _TAPES.pop()
         return False
 
+    def _key(self, t: Tensor):
+        """t's key as an input of a record: None if t takes no gradient,
+        and t held as a leaf if this tape did not produce it."""
+        if not t.requires_grad:
+            return None
+        if t.key not in self._produced and t.key not in self._leaves:
+            if t.key is None:
+                t.key = next(_SERIALS)
+            self._leaves[t.key] = t
+        return t.key
+
     def backward(self, loss: Tensor):
         """Gradients of a scalar loss w.r.t. every requires_grad leaf.
 
         Returns a dict keyed by id(tensor); leaves untouched by the loss
-        get zero gradients. Also populates each leaf's .grad.
+        get zero gradients. Also populates each leaf's .grad. Each record
+        is dropped once replayed, and with it the arrays it held.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward")
@@ -95,33 +136,29 @@ class GradTape:
             raise ValueError(f"loss must be scalar, got shape {loss.data.shape}")
         self._consumed = True
 
-        produced = {id(out) for out, _, _ in self._nodes}
-        leaves = {}
-        for _, inputs, _ in self._nodes:
-            for t in inputs:
-                if t.requires_grad and id(t) not in produced:
-                    leaves[id(t)] = t
-
-        acc = {id(loss): np.ones_like(loss.data)}
-        for out, inputs, bw in reversed(self._nodes):
-            g = acc.pop(id(out), None)
+        # a loss no op recorded may have key None, which no record reads
+        acc = {loss.key: np.ones_like(loss.data)}
+        nodes = self._nodes
+        while nodes:
+            out, inputs, bw = nodes.pop()
+            g = acc.pop(out, None)
             if g is None:
                 continue
-            for t, contrib in zip(inputs, bw(g)):
-                if contrib is None or not t.requires_grad:
+            for key, contrib in zip(inputs, bw(g)):
+                if contrib is None or key is None:
                     continue
                 _guard(contrib, "backward")
-                prev = acc.get(id(t))
-                acc[id(t)] = contrib if prev is None else prev + contrib
+                prev = acc.get(key)
+                acc[key] = contrib if prev is None else prev + contrib
 
         result = {}
-        for tid, t in leaves.items():
-            g = acc.get(tid)
+        for key, t in self._leaves.items():
+            g = acc.get(key)
             if g is None:
                 g = np.zeros_like(t.data)
             t.grad = g
-            result[tid] = g
-        self._nodes = []
+            result[id(t)] = g
+        self._produced, self._leaves = set(), {}
         return result
 
 
@@ -133,10 +170,15 @@ def _guard(arr: np.ndarray, op: str) -> np.ndarray:
 
 
 def _record(out: Tensor, inputs: tuple, bw) -> None:
-    """Record out on the active tape if any input requires gradients."""
+    """Record out on the active tape if any input requires gradients,
+    under a new serial key."""
     if _TAPES and any(t.requires_grad for t in inputs):
+        tape = _TAPES[-1]
+        keys = tuple(tape._key(t) for t in inputs)
         out.requires_grad = True
-        _TAPES[-1]._nodes.append((out, inputs, bw))
+        out.key = next(_SERIALS)
+        tape._produced.add(out.key)
+        tape._nodes.append((out.key, keys, bw))
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -366,24 +408,29 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     P = (K - 1) // 2
     W2 = w.data.reshape(Cout, Cin * K)
     inputs = (x, w) if b is None else (x, w, b)
-    # one product over all B*T' columns, whose columns backward reuses
+    # one product over all B*T' columns; backward rebuilds them (same
+    # values, so same bits) from xp, which holds a third of their entries
     xp = np.zeros((B, Cin, T + 2 * P))
     xp[:, :, P : P + T] = xd
-    cols = np.ascontiguousarray(_windows(xp, K, stride, Tp).transpose(1, 2, 0, 3))
-    cols = cols.reshape(Cin * K, B * Tp)
-    o2 = W2 @ cols
+
+    def columns():
+        cols = np.ascontiguousarray(_windows(xp, K, stride, Tp).transpose(1, 2, 0, 3))
+        return cols.reshape(Cin * K, B * Tp)
+
+    o2 = W2 @ columns()
     od = np.ascontiguousarray(o2.reshape(Cout, B, Tp).transpose(1, 0, 2))
     if b is not None:
         od += b.data[:, None]
     out = Tensor(od[0] if squeeze else od)
     _guard(out.data, "conv1d")
+    x_grad, has_bias = x.requires_grad, b is not None
 
     def bw(g):
         gd = g[None] if squeeze else g
         g2 = np.ascontiguousarray(gd.transpose(1, 0, 2)).reshape(Cout, B * Tp)
-        dW = (g2 @ cols.T).reshape(w.data.shape)
+        dW = (g2 @ columns().T).reshape(Cout, Cin, K)
         dx = None  # the stem's input, x_n, takes no gradient
-        if x.requires_grad:
+        if x_grad:
             dcols = (W2.T @ g2).reshape(Cin, K, B, Tp)
             dxp = np.zeros((B, Cin, T + 2 * P))
             for k in range(K):
@@ -391,8 +438,7 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
             dx = dxp[:, :, P : P + T] if P else dxp
             if squeeze:
                 dx = dx[0]
-        db = None if b is None else gd.sum(axis=(0, 2))
-        return (dx, dW, db) if b is not None else (dx, dW)
+        return (dx, dW, gd.sum(axis=(0, 2))) if has_bias else (dx, dW)
 
     _record(out, inputs, bw)
     return out
@@ -446,12 +492,13 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     B, C, T = xd.shape
     xh4 = xh.reshape(B, groups, C // groups, T)
     inv = inv.reshape(B, groups, 1, 1)
+    gamma2 = gamma.data[:, None]
 
     def bw(g):
         gd = g[None] if squeeze else g
         dgamma = (gd * xh).sum(axis=(0, 2))
         dbeta = gd.sum(axis=(0, 2))
-        dxh4 = (gd * gamma.data[:, None]).reshape(B, groups, C // groups, T)
+        dxh4 = (gd * gamma2).reshape(B, groups, C // groups, T)
         mean_d = dxh4.mean(axis=(2, 3), keepdims=True)
         mean_dx = (dxh4 * xh4).mean(axis=(2, 3), keepdims=True)
         # ((dxh4 - mean_d - xh4 * mean_dx) * inv), in place in dxh4
@@ -515,10 +562,11 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     q, k, v = (channel_linear(w, x) for w in (wq, wk, wv))
     qd, kd, vd = (t.data.reshape(-1, C, T) for t in (q, k, v))
     od, a = _attend(qd, kd, vd)
-    out = Tensor(od.reshape(x.data.shape))
+    x_shape = x.data.shape
+    out = Tensor(od.reshape(x_shape))
 
     def bw(g):
-        g = g.reshape(od.shape)
+        g = g.reshape(qd.shape)
         dv = np.einsum("bct,btu->bcu", g, a)
         # the softmax gradient a * (da - sum(da * a)), then the scale,
         # in place in da
@@ -528,7 +576,7 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
         da *= 1.0 / math.sqrt(C)
         dq = np.einsum("bcu,btu->bct", kd, da)
         dk = np.einsum("bct,btu->bcu", qd, da)
-        return tuple(d.reshape(x.data.shape) for d in (dq, dk, dv))
+        return tuple(d.reshape(x_shape) for d in (dq, dk, dv))
 
     _record(out, (q, k, v), bw)
     return out

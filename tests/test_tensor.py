@@ -1,8 +1,11 @@
 """Autodiff engine checks: every op against central differences, plus the
 algebraic identity and purity contracts."""
 
+import copy
 import math
+import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -253,12 +256,14 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_constant_gives_zeros():
-    x = _leaf(np.ones((2, 2)))
+    x, w = _leaf(np.ones((2, 2))), _leaf(np.full((2, 3), 0.5))
     with GradTape() as tape:
-        tc.silu(x)  # recorded but unconnected to the loss
-        loss = Tensor(np.array(5.0))
+        tc.matmul(tc.silu(x), w)  # recorded but unconnected to the loss
+        loss = Tensor(np.array(5.0), requires_grad=True)
     grads = tape.backward(loss)
-    np.testing.assert_array_equal(grads[id(x)], np.zeros((2, 2)))
+    assert list(grads) == [id(x), id(w)]
+    for t in (x, w):
+        np.testing.assert_array_equal(grads[id(t)], np.zeros_like(t.data))
 
 
 def test_backward_nonscalar_loss_rejected():
@@ -316,6 +321,86 @@ def test_grad_accumulates_over_reuse():
         loss = tc.sum_all(tc.mul(x, x))
     g = tape.backward(loss)[id(x)]
     assert abs(g[0] - 4.0) < 1e-12
+    # and over two ops
+    x, a, b = _leaf([1.0, -3.0]), Tensor([0.25, 7.0]), Tensor([-1.5, 0.125])
+    with GradTape() as tape:
+        loss = tc.sum_all(tc.add(tc.mul(x, a), tc.mul(x, b)))
+    g = tape.backward(loss)[id(x)]
+    np.testing.assert_array_equal(g, a.data + b.data)
+
+
+def test_leaves_are_keyed_by_id_in_first_use_order():
+    a, b, c = _leaf([1.0, 2.0]), _leaf([3.0, -1.0]), _leaf([0.5, 4.0])
+    const = Tensor([2.0, 2.0])  # takes no gradient, so is no leaf
+    with GradTape() as tape:
+        h = tc.mul(c, const)
+        h = tc.add(tc.mul(h, a), b)
+        loss = tc.sum_all(tc.mul(h, a))
+    grads = tape.backward(loss)
+    assert list(grads) == [id(c), id(a), id(b)]
+    assert all(t.grad is grads[id(t)] for t in (a, b, c))
+    assert const.grad is None and h.grad is None
+
+
+def test_an_output_of_a_consumed_tape_is_a_leaf_of_the_next():
+    x = _leaf([1.5, -2.0])
+    with GradTape() as first:
+        y = tc.mul(x, x)
+        first.backward(tc.sum_all(y))
+    with GradTape() as second:
+        loss = tc.sum_all(tc.mul(y, y))
+    grads = second.backward(loss)
+    assert list(grads) == [id(y)]
+    np.testing.assert_array_equal(grads[id(y)], 2.0 * y.data)
+    assert y.grad is grads[id(y)]
+
+
+def test_a_copy_of_a_leaf_is_a_leaf_of_its_own():
+    x = _leaf([1.0, -2.0])
+    with GradTape() as first:
+        first.backward(tc.sum_all(x))  # x now carries a tape's key
+    for y in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        with GradTape() as tape:
+            loss = tc.sum_all(tc.add(tc.mul(x, x), y))
+        grads = tape.backward(loss)
+        assert list(grads) == [id(x), id(y)]
+        np.testing.assert_array_equal(grads[id(x)], 2.0 * x.data)
+        np.testing.assert_array_equal(grads[id(y)], np.ones(2))
+
+
+def _norm_chain(keep):
+    """Gradients of sum(conv1d(silu(group_norm(x + y)))) on a tape, and
+    whether the .data of the add, group_norm and silu outputs is alive
+    just before backward; `keep` holds those outputs until then."""
+    rng = np.random.default_rng(23)
+    x, y = _leaf(rng.normal(size=(2, 4, 8))), _leaf(rng.normal(size=(2, 4, 8)))
+    gamma, beta = _leaf(rng.uniform(0.5, 1.5, 4)), _leaf(rng.normal(size=4))
+    w, b = _leaf(rng.normal(size=(3, 4, 3))), _leaf(rng.normal(size=3))
+    with GradTape() as tape:
+        h = tc.add(x, y)
+        refs = [weakref.ref(h.data)]
+        kept = [h]
+        for op in (lambda h: tc.group_norm(h, gamma, beta, 2), tc.silu):
+            h = op(h)
+            refs.append(weakref.ref(h.data))
+            kept.append(h)
+        loss = tc.sum_all(tc.conv1d(h, w, b))
+        del h
+        if not keep:
+            del kept
+        alive = [r() is not None for r in refs]
+        grads = tape.backward(loss)
+    return [grads[id(t)].tobytes() for t in (x, y, gamma, beta, w, b)], alive
+
+
+def test_a_tape_keeps_only_the_arrays_backward_reads():
+    kept, alive = _norm_chain(keep=True)
+    assert alive == [True, True, True]
+    grads, alive = _norm_chain(keep=False)
+    # silu's backward reads its input, group_norm's output; nothing reads
+    # add's output or silu's, since conv1d copies its input
+    assert alive == [False, True, False]
+    assert grads == kept
 
 
 @settings(max_examples=25, deadline=None)
