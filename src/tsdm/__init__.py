@@ -7,8 +7,8 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataio import (load_mask_csv, load_matrix_csv, save_mask_csv,
                      save_matrix_csv)
 from .denoiser import DenoiserConfig, DenoiserParams, TrainConfig, train
-from .metrics import (MetricReport, baseline_interpolate, detection_metrics,
-                      masked_rmse, weighted_rmse)
+from .metrics import (baseline_interpolate, detection_metrics, masked_rmse,
+                      weighted_rmse)
 from .pipeline import (RecoveryResult, TsdmConfig, WindowFailure, recover,
                        recover_batch)
 from .runconfig import RunConfig, load_runconfig, save_runconfig
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AttackSpec", "DenoiserConfig", "DenoiserParams", "GuidanceConfig",
-    "ImputeConfig", "MaskSpec", "MetricReport", "RecoveryResult",
+    "ImputeConfig", "MaskSpec", "RecoveryResult",
     "RunConfig", "SynthSpec", "TrainConfig", "TsdmConfig",
     "VarianceSchedule", "WindowFailure", "baseline_interpolate",
     "detect_outliers", "detection_metrics", "inject_fdia",

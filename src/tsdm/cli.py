@@ -33,7 +33,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .dataio import (load_mask_csv, load_matrix_csv, save_mask_csv,
                      save_matrix_csv)
 from .denoiser import train
-from .metrics import MetricReport, detection_metrics, masked_rmse, weighted_rmse
+from .metrics import detection_metrics, masked_rmse, weighted_rmse
 from .pipeline import recover
 from .runconfig import (RunConfig, format_runconfig, load_runconfig,
                         make_attack_spec, make_denoiser_config,
@@ -233,18 +233,10 @@ def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
                   if np.any(missing == 0.0) else 0.0)
         corrupt = np.isfinite(y0) & (y0 != truth)
         precision, recall = detection_metrics(1.0 - res.outlier_mask, corrupt)
-        metrics = MetricReport(
-            weighted_rmse=weighted_rmse(truth, res.x_tilde,
-                                        make_weights(cfg, y0.shape[0])),
-            masked_rmse=m_rmse,
-            detection_precision=precision,
-            detection_recall=recall,
-            runtime_ms=runtime_ms,
-        )
-        report.update(weighted_rmse=metrics.weighted_rmse,
-                      masked_rmse=metrics.masked_rmse,
-                      detection_precision=metrics.detection_precision,
-                      detection_recall=metrics.detection_recall)
+        weights = make_weights(cfg, y0.shape[0])
+        report.update(weighted_rmse=weighted_rmse(truth, res.x_tilde, weights),
+                      masked_rmse=m_rmse, detection_precision=precision,
+                      detection_recall=recall)
     _write_json(out / "report.json", report)
     # Wall-clock sidecar, deliberately outside report.json so reruns stay
     # byte-identical.

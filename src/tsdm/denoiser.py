@@ -13,7 +13,6 @@ Channel widths double per stage but are capped at 2x base_width.
 
 from __future__ import annotations
 
-import copy
 import functools
 import math
 import operator
@@ -214,12 +213,13 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
 
 
 class _TensorOps:
-    """The layers of _unet as Tensor ops over p's tensors, looked up by
-    name on every call: what a gradient tape records."""
+    """The layers of _unet as Tensor ops over `tensors` (name -> Tensor),
+    looked up by name on every call: what a gradient tape records when
+    the tensors require gradients."""
 
-    def __init__(self, p: DenoiserParams):
-        self.p = p.tensors
-        layers = _layers(p.config)
+    def __init__(self, cfg: DenoiserConfig, tensors: dict):
+        self.p = tensors
+        layers = _layers(cfg)
         self.convs, self.norms = layers["conv"], layers["norm"]
         self.attns, self.blocks = layers["attn"], layers["block"]
 
@@ -257,12 +257,9 @@ class _Bound:
     (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
     a norm's group count and (C, 1) gamma and beta views; attention's
     projections; a block's layer names. Each row of a stack gets the bits
-    _TensorOps gives that row alone. Each conv, norm, add and add_time
-    result passes through guard(result, op), which checks nothing here:
-    only attention checks its results, and _predict_rows the end result.
-    checked() is a copy whose guard is tc._guard, which checks each one
-    finite under the Tensor op's name, so the first layer with a
-    non-finite result raises what _TensorOps raises.
+    _TensorOps gives that row alone. The layers run kernels only: just
+    attention checks its results, and _predict_rows the end result; a
+    failing shard replays its rows through the Tensor ops.
 
     `arrays` are the arrays of _bound_names(cfg), each of which must have
     its layout's shape (else a ValueError naming it); the kernels then
@@ -293,31 +290,19 @@ class _Bound:
                       for name, ns in layers["attn"].items()}
         self.blocks = layers["block"]
 
-    guard = staticmethod(lambda result, op: result)
-
-    def checked(self) -> _Bound:
-        bound = copy.copy(self)
-        bound.guard = tc._guard
-        return bound
-
     def conv(self, h, name):
-        return self.guard(tc.conv1d_unchecked(h, *self.convs[name]), "conv1d")
+        return tc.conv1d_unchecked(h, *self.convs[name])
 
     def norm_silu_conv(self, h, norm, conv):
         w2, b2, k, pad, _ = self.convs[conv]
-        h = self.guard(tc.group_norm_unchecked(h, *self.norms[norm]),
-                       "group_norm")
-        return self.guard(tc.silu_conv_unchecked(h, w2, b2, k, pad), "conv1d")
+        h = tc.group_norm_unchecked(h, *self.norms[norm])
+        return tc.silu_conv_unchecked(h, w2, b2, k, pad)
 
     def attention(self, h, name):
         return tc.self_attention_kernel(h, *self.attns[name])
 
-    def add(self, a, b):
-        return self.guard(tc.add_unchecked(a, b), "add")
-
-    def add_time(self, x, v):
-        return self.guard(tc.add_time_unchecked(x, v), "add_time")
-
+    add = staticmethod(tc.add_unchecked)
+    add_time = staticmethod(tc.add_time_unchecked)
     upsample2 = staticmethod(tc.upsample2_kernel)
     concat = staticmethod(tc.concat_channels_kernel)
 
@@ -420,7 +405,8 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
     (_embed). They record on a gradient tape and give the same bits off
     one, so off-tape diffusion_loss is the function the tape
     differentiates."""
-    return _unet(p.config.depth, _TensorOps(p), x, _embed(p, levels))
+    return _unet(p.config.depth, _TensorOps(p.config, p.tensors), x,
+                 _embed(p, levels))
 
 
 # Rows per shard of a stacked predict_noise call: a stack of B rows runs
@@ -441,8 +427,8 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
-                  err=None) -> np.ndarray:
+def _predict_rows(cfg: DenoiserConfig, bound: _Bound, x: np.ndarray,
+                  time: dict, err=None) -> np.ndarray:
     """_unet over the rows x on a binding, under the np.errstate `err` (a
     worker thread does not inherit the caller's), with one finite check
     of the result.
@@ -451,18 +437,23 @@ def _predict_rows(depth: int, bound: _Bound, x: np.ndarray, time: dict,
     an infinity in any of its results on to the rows' output (0 * inf,
     inf - inf and -inf * 0 are NaN; a stride-2 conv's skipped positions
     reach the output through the skip concat); attention checks its own.
-    A non-finite result, or any exception, replays the rows on the
-    binding's checked() copy, which raises the first failing layer's
-    error.
+    A non-finite result, or any exception, replays the rows one at a
+    time through the Tensor ops, over Tensors that wrap the binding's
+    arrays and the step's projections and so never record: the first
+    failing row raises what _forward raises for it alone, and a replay
+    that does not raise returns the Tensor ops' rows.
     """
     with np.errstate(**(err or {})):
         try:
-            out = _unet(depth, bound, x, time)
+            out = _unet(cfg.depth, bound, x, time)
             if np.isfinite(out).all():
                 return out
         except Exception:  # noqa: BLE001 - the replay raises it, or an earlier one
             pass
-        return _unet(depth, bound.checked(), x, time)
+        ops = _TensorOps(cfg, dict(zip(bound.names, map(Tensor, bound.arrays))))
+        time = {name: Tensor(v) for name, v in time.items()}
+        return np.concatenate([_unet(cfg.depth, ops, Tensor(x[b : b + 1]),
+                                     time).data for b in range(len(x))])
 
 
 def _step_index(n) -> int:
@@ -491,9 +482,9 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     config's is a ValueError that names it, and so is an empty stack.
 
     Each shard checks its result finite once, and a failing shard
-    replays its rows with every layer checked (_predict_rows): a NaN or
-    an infinity raises the FloatingPointError of the first layer whose
-    result holds one, as _forward raises it.
+    replays its rows through the Tensor ops (_predict_rows): a NaN or an
+    infinity raises the FloatingPointError of the first failing row's
+    first layer whose result holds one, as _forward raises it.
 
     A stack of B rows is cut into B / SHARD_ROWS contiguous shards,
     halves rounded up, at most one per usable core, so it splits from
@@ -520,14 +511,14 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     B = xb.shape[0]
     shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
     if shards < 2:
-        out = _predict_rows(cfg.depth, bound, xb, time)
+        out = _predict_rows(cfg, bound, xb, time)
         return out[0] if squeeze else out
     cut = [B * s // shards for s in range(shards + 1)]
     err = np.geterr()
     with ThreadPoolExecutor(shards - 1, thread_name_prefix="tsdm-shard") as pool:
-        rest = [pool.submit(_predict_rows, cfg.depth, bound, xb[lo:hi],
+        rest = [pool.submit(_predict_rows, cfg, bound, xb[lo:hi],
                             time, err) for lo, hi in zip(cut[1:-1], cut[2:])]
-        first = _predict_rows(cfg.depth, bound, xb[:cut[1]], time)
+        first = _predict_rows(cfg, bound, xb[:cut[1]], time)
     return np.concatenate([first] + [f.result() for f in rest])
 
 

@@ -8,30 +8,7 @@ interpolation between observed neighbors with edge hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    weighted_rmse: float
-    masked_rmse: float
-    detection_precision: float
-    detection_recall: float
-    runtime_ms: int
-
-    def __post_init__(self):
-        for name in ("weighted_rmse", "masked_rmse"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v >= 0):
-                raise ValueError(f"{name} must be finite and nonnegative")
-        for name in ("detection_precision", "detection_recall"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.runtime_ms < 0:
-            raise ValueError("runtime_ms must be nonnegative")
 
 
 def weighted_rmse(truth: np.ndarray, recovered: np.ndarray,

@@ -118,8 +118,10 @@ def _normalize(y0, known_mask, config, norm_mean, norm_std):
                                                             dtype=np.float64)
     std = np.ones(M) if norm_std is None else np.asarray(norm_std,
                                                          dtype=np.float64)
-    if mean.shape != (M,) or std.shape != (M,) or np.any(std <= 0):
-        raise ValueError("normalization stats must be positive per-channel")
+    if (mean.shape != (M,) or std.shape != (M,) or not np.isfinite(mean).all()
+            or not np.all((std > 0) & (std < np.inf))):
+        raise ValueError("normalization stats must be finite per-channel, "
+                         "std positive")
     if known_mask is None:
         known = np.ones_like(y0)
     else:

@@ -12,8 +12,7 @@ backward closure that captures only the arrays its formula reads
 (conv1d's, its zero-bordered input, from which backward rebuilds the
 im2col columns), so an intermediate no formula reads is freed once its
 caller drops it: one B = 32 diffusion_loss and backward on the steady
-fixture's architecture peaks at 39.5 MB under tracemalloc, against
-87.9 MB when records held every op's input and output Tensors.
+fixture's architecture peaks at 39.5 MB under tracemalloc.
 GradTape.backward replays the records in reverse creation order, which
 is a valid topological order because every input of a node was created
 before the node itself, and drops each once replayed. Every op but
@@ -33,12 +32,13 @@ parameter in the layout its arithmetic reads (a conv weight as its
 (Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1) column) and
 checks no shape but the kernel width against the input length.
 
-The `*_unchecked` kernels check nothing; their caller checks, with
-_guard (denoiser._predict_rows). _attend checks its own scores and
-result, since its softmax can turn a -inf score into a weight of 0: a
-non-finite score need not reach its result. Its scaled scores and their
-softmax go unchecked, as does silu inside silu_conv_unchecked, because
-each is finite whenever its checked input is.
+The kernels check nothing but attention: a failing shard replays its
+rows through the Tensor ops (denoiser._predict_rows), which raise the
+first failing layer's error. _attend checks its own scores and result,
+since its softmax can turn a -inf score into a weight of 0: a non-finite
+score need not reach its result. Its scaled scores and their softmax go
+unchecked, as does silu inside silu_conv_unchecked, because each is
+finite whenever its checked input is.
 """
 
 from __future__ import annotations
@@ -584,10 +584,10 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
 
 def self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                           wv: np.ndarray) -> np.ndarray:
-    """Inference self_attention of the (B, C, T) x: the op's projections,
-    arithmetic and checks, without recording."""
-    q, k, v = (_guard(_channel_major(w, x), "channel_linear")
-               for w in (wq, wk, wv))
+    """Inference self_attention of the (B, C, T) x: the op's projections
+    and arithmetic, without recording. The projections go unchecked: a
+    non-finite one makes _attend's checked scores or result non-finite."""
+    q, k, v = (_channel_major(w, x) for w in (wq, wk, wv))
     return _attend(q, k, v)[0]
 
 

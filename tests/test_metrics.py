@@ -9,8 +9,8 @@ rules.
 import numpy as np
 import pytest
 
-from tsdm.metrics import (MetricReport, baseline_interpolate,
-                          detection_metrics, masked_rmse, weighted_rmse)
+from tsdm.metrics import (baseline_interpolate, detection_metrics,
+                          masked_rmse, weighted_rmse)
 
 
 # ---------------------------------------------------------- weighted_rmse
@@ -172,18 +172,3 @@ def test_baseline_fully_missing_channel_with_explicit_means():
     mask = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
     out = baseline_interpolate(x, mask, channel_means=np.array([0.0, 7.5]))
     assert np.allclose(out[1], 7.5)
-
-
-def test_metric_report_validates_ranges():
-    rep = MetricReport(weighted_rmse=0.5, masked_rmse=0.2,
-                       detection_precision=0.9, detection_recall=0.8,
-                       runtime_ms=12)
-    assert rep.runtime_ms == 12
-    with pytest.raises(ValueError):
-        MetricReport(weighted_rmse=-1.0, masked_rmse=0.0,
-                     detection_precision=0.0, detection_recall=0.0,
-                     runtime_ms=0)
-    with pytest.raises(ValueError):
-        MetricReport(weighted_rmse=0.0, masked_rmse=0.0,
-                     detection_precision=1.5, detection_recall=0.0,
-                     runtime_ms=0)

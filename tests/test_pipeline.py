@@ -171,6 +171,27 @@ def test_recover_refuses_a_nonbinary_mask_before_the_denoiser(
     assert calls == []
 
 
+@pytest.mark.parametrize("stat, value", [
+    ("norm_mean", np.nan), ("norm_mean", np.inf), ("norm_mean", -np.inf),
+    ("norm_std", np.nan), ("norm_std", np.inf),
+])
+def test_non_finite_normalization_stats_fail_before_the_denoiser(
+        toy_model, monkeypatch, stat, value):
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args))
+    stats = {"norm_mean": np.zeros(4), "norm_std": np.ones(4)}
+    stats[stat][1] = value
+    message = "normalization stats must be finite per-channel, std positive"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        recover(toy_model, toy_window(8), None, make_cfg(), **stats)
+    batch = recover_batch(toy_model, [toy_window(8), toy_window(9)],
+                          make_cfg(), **stats)
+    assert batch == [WindowFailure(index=0, error=message),
+                     WindowFailure(index=1, error=message)]
+    assert calls == []
+
+
 def test_stage_errors_carry_stage_tag(toy_model):
     y0 = np.full((4, 16), 1e308)
     with pytest.raises(RuntimeError, match="stage1"):

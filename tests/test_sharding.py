@@ -40,13 +40,13 @@ def shards(monkeypatch):
     predict_rows, unet = dn._predict_rows, dn._unet
     current = threading.local()
 
-    def spy(depth, bound, x, time, err=None):
+    def spy(cfg, bound, x, time, err=None):
         entry = current.entry = {"thread": threading.current_thread().name,
                                  "rows": x.shape[0], "err": None,
                                  "ended": False}
         calls.append(entry)
         try:
-            return predict_rows(depth, bound, x, time, err)
+            return predict_rows(cfg, bound, x, time, err)
         finally:
             entry["ended"] = True
 
