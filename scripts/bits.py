@@ -30,8 +30,12 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   benchmark's draw), transient seed 7 x 300 at (8, 64), and both modes
   at the odd shapes (1, 2) and (3, 5).
 
-A failure counts by its type and text. Run each checkout in its own
-process, from its repo root:
+A failure counts by its type and text. The last line, all-by-type, is
+one hash over all groups that counts a failure by its type alone (a
+recover_batch failure, which keeps only its text, as a failure): two
+checkouts whose failures differ only in text agree on it, so a change to
+error messages can still show unchanged success bits. Run each checkout
+in its own process, from its repo root:
 
     PYTHONPATH=src python3 scripts/bits.py
 """
@@ -66,21 +70,28 @@ def fixture(tag):
     return load_checkpoint(paths[0])
 
 
-def feed(h, obj):
+class FailureText(str):
+    """A failure's text where a result keeps only its text."""
+
+
+def feed(h, obj, by_type=False):
     """Hash obj's value: arrays by dtype, shape and bytes, floats by repr,
-    failures by type and text."""
+    failures by type and text, or by type alone."""
     if isinstance(obj, np.ndarray):
         h.update(f"{obj.dtype}{obj.shape}".encode())
         h.update(np.ascontiguousarray(obj).tobytes())
     elif isinstance(obj, BaseException):
-        h.update(f"{type(obj).__name__}: {obj}".encode())
+        text = "" if by_type else f": {obj}"
+        h.update(f"{type(obj).__name__}{text}".encode())
+    elif isinstance(obj, FailureText) and by_type:
+        h.update(b"failure")
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            feed(h, item)
+            feed(h, item, by_type)
     elif isinstance(obj, dict):
         for key in sorted(obj):
-            feed(h, key)
-            feed(h, obj[key])
+            feed(h, key, by_type)
+            feed(h, obj[key], by_type)
     else:
         h.update(repr(obj).encode())
     h.update(b"|")
@@ -215,6 +226,8 @@ def recover_batch_cases(models):
                                     norm_mean=mean, norm_std=std)
         for res in results:  # a RecoveryResult or a WindowFailure
             fields = dict(vars(res))
+            if "error" in fields:
+                fields["error"] = FailureText(fields["error"])
             traces = fields.pop("traces", {})  # tau and sigma_bar, not times
             out.append((fields, [[(r.tau, r.sigma_bar) for r in t.records]
                                  for t in traces.values()]))
@@ -272,13 +285,17 @@ GROUPS = {"predict": predict_cases, "adam": adam_cases, "loss": loss_cases,
 
 def main():
     models = {tag: fixture(tag) for tag in TAGS}
-    total = hashlib.sha256()
+    total, by_type = hashlib.sha256(), hashlib.sha256()
     for name, cases in GROUPS.items():
-        h = hashlib.sha256()
-        feed(h, cases(models))
+        out = cases(models)
+        h, t = hashlib.sha256(), hashlib.sha256()
+        feed(h, out)
+        feed(t, out, by_type=True)
         total.update(h.digest())
+        by_type.update(t.digest())
         print(f"{name:14s} {h.hexdigest()}")
     print(f"{'all':14s} {total.hexdigest()}")
+    print(f"{'all-by-type':14s} {by_type.hexdigest()}")
 
 
 if __name__ == "__main__":

@@ -257,9 +257,8 @@ class _Bound:
     (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
     a norm's group count and (C, 1) gamma and beta views; attention's
     projections; a block's layer names. Each row of a stack gets the bits
-    _TensorOps gives that row alone. The layers run kernels only: just
-    attention checks its results, and _predict_rows the end result; a
-    failing shard replays its rows through the Tensor ops.
+    _TensorOps gives that row alone. The layers run kernels only, which
+    check nothing but attention; predict_noise checks the end result.
 
     `arrays` are the arrays of _bound_names(cfg), each of which must have
     its layout's shape (else a ValueError naming it); the kernels then
@@ -370,7 +369,8 @@ def _step_tensor_names(cfg: DenoiserConfig) -> tuple:
 def _step_projections(p: DenoiserParams, n: int) -> dict:
     """Step n's time projections, {block name: (C, 1) projection}, from
     p's memo (step index -> projections); a step the memo lacks is
-    projected alone (_embed) and stored, unless that raises.
+    projected alone (_embed) and stored, unless that raises or gives a
+    NaN or an infinity, which raises FloatingPointError.
 
     The memo is valid for the exact bytes of the tensors it is computed
     from, so one comparison per call empties it after any edit of them,
@@ -382,7 +382,11 @@ def _step_projections(p: DenoiserParams, n: int) -> dict:
     if held is None or held[0] != key:
         held = p._step_memo = (key, {})
     if n not in held[1]:
-        held[1][n] = {name: tv.data for name, tv in _embed(p, [n]).items()}
+        time = {name: tv.data for name, tv in _embed(p, [n]).items()}
+        if not all(np.isfinite(v).all() for v in time.values()):
+            raise FloatingPointError("denoiser: non-finite time projection "
+                                     f"at step {n}")
+        held[1][n] = time
     return held[1][n]
 
 
@@ -430,30 +434,9 @@ def _usable_cores() -> int:
 def _predict_rows(cfg: DenoiserConfig, bound: _Bound, x: np.ndarray,
                   time: dict, err=None) -> np.ndarray:
     """_unet over the rows x on a binding, under the np.errstate `err` (a
-    worker thread does not inherit the caller's), with one finite check
-    of the result.
-
-    One check suffices because every layer but attention carries a NaN or
-    an infinity in any of its results on to the rows' output (0 * inf,
-    inf - inf and -inf * 0 are NaN; a stride-2 conv's skipped positions
-    reach the output through the skip concat); attention checks its own.
-    A non-finite result, or any exception, replays the rows one at a
-    time through the Tensor ops, over Tensors that wrap the binding's
-    arrays and the step's projections and so never record: the first
-    failing row raises what _forward raises for it alone, and a replay
-    that does not raise returns the Tensor ops' rows.
-    """
+    worker thread does not inherit the caller's)."""
     with np.errstate(**(err or {})):
-        try:
-            out = _unet(cfg.depth, bound, x, time)
-            if np.isfinite(out).all():
-                return out
-        except Exception:  # noqa: BLE001 - the replay raises it, or an earlier one
-            pass
-        ops = _TensorOps(cfg, dict(zip(bound.names, map(Tensor, bound.arrays))))
-        time = {name: Tensor(v) for name, v in time.items()}
-        return np.concatenate([_unet(cfg.depth, ops, Tensor(x[b : b + 1]),
-                                     time).data for b in range(len(x))])
+        return _unet(cfg.depth, bound, x, time)
 
 
 def _step_index(n) -> int:
@@ -481,18 +464,20 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     bits _forward gives it alone. A tensor whose shape is not its
     config's is a ValueError that names it, and so is an empty stack.
 
-    Each shard checks its result finite once, and a failing shard
-    replays its rows through the Tensor ops (_predict_rows): a NaN or an
-    infinity raises the FloatingPointError of the first failing row's
-    first layer whose result holds one, as _forward raises it.
+    The result is checked finite once: a NaN or an infinity raises
+    FloatingPointError("denoiser: non-finite output at step n"). Once
+    suffices, as every layer but attention, which checks its own, carries
+    a NaN or an infinity on to the output (0 * inf, inf - inf and -inf * 0
+    are NaN; a stride-2 conv's skipped positions reach it through the
+    skip concat).
 
     A stack of B rows is cut into B / SHARD_ROWS contiguous shards,
     halves rounded up, at most one per usable core, so it splits from
     1.5 * SHARD_ROWS rows on: the calling thread runs the first shard
     and a thread pool made for this call the others, one thread each, so
-    the result does not depend on the split. The pool is shut down, every shard returned and its
-    thread joined, before this returns or raises; a failing shard raises
-    its exception, the first in row order.
+    the result does not depend on the split. The pool is shut down, every
+    shard returned and its thread joined, before this returns or raises;
+    a failing shard raises its exception, the first in row order.
     """
     x = np.asarray(x, dtype=np.float64)
     squeeze = x.ndim == 2
@@ -512,14 +497,18 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
     if shards < 2:
         out = _predict_rows(cfg, bound, xb, time)
-        return out[0] if squeeze else out
-    cut = [B * s // shards for s in range(shards + 1)]
-    err = np.geterr()
-    with ThreadPoolExecutor(shards - 1, thread_name_prefix="tsdm-shard") as pool:
-        rest = [pool.submit(_predict_rows, cfg, bound, xb[lo:hi],
-                            time, err) for lo, hi in zip(cut[1:-1], cut[2:])]
-        first = _predict_rows(cfg, bound, xb[:cut[1]], time)
-    return np.concatenate([first] + [f.result() for f in rest])
+    else:
+        cut = [B * s // shards for s in range(shards + 1)]
+        err = np.geterr()
+        with ThreadPoolExecutor(shards - 1,
+                                thread_name_prefix="tsdm-shard") as pool:
+            rest = [pool.submit(_predict_rows, cfg, bound, xb[lo:hi], time,
+                                err) for lo, hi in zip(cut[1:-1], cut[2:])]
+            first = _predict_rows(cfg, bound, xb[:cut[1]], time)
+        out = np.concatenate([first] + [f.result() for f in rest])
+    if not np.isfinite(out).all():
+        raise FloatingPointError(f"denoiser: non-finite output at step {n}")
+    return out[0] if squeeze else out
 
 
 def diffusion_loss(params: DenoiserParams, x0: np.ndarray, n_vec: np.ndarray,
@@ -587,6 +576,7 @@ def training_step(params: DenoiserParams, batch: np.ndarray,
     try:
         with GradTape() as tape:
             loss = diffusion_loss(params, batch, n_vec, eps, sched)
+            tc._guard(loss.data, "diffusion_loss")
             grads = tape.backward(loss)
     except FloatingPointError as e:
         raise RuntimeError(f"non-finite loss at optimizer step {opt.t + 1}: {e}") from e

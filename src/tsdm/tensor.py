@@ -15,9 +15,7 @@ caller drops it: one B = 32 diffusion_loss and backward on the steady
 fixture's architecture peaks at 39.5 MB under tracemalloc.
 GradTape.backward replays the records in reverse creation order, which
 is a valid topological order because every input of a node was created
-before the node itself, and drops each once replayed. Every op but
-sqrt and the structural ones checks its result finite: NaN/Inf raise
-FloatingPointError.
+before the node itself, and drops each once replayed.
 
 The denoiser's bound model runs array kernels instead: functions that
 take and return numpy arrays and never record. add, add_time, upsample2
@@ -32,13 +30,10 @@ parameter in the layout its arithmetic reads (a conv weight as its
 (Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1) column) and
 checks no shape but the kernel width against the input length.
 
-The kernels check nothing but attention: a failing shard replays its
-rows through the Tensor ops (denoiser._predict_rows), which raise the
-first failing layer's error. _attend checks its own scores and result,
-since its softmax can turn a -inf score into a weight of 0: a non-finite
-score need not reach its result. Its scaled scores and their softmax go
-unchecked, as does silu inside silu_conv_unchecked, because each is
-finite whenever its checked input is.
+Two places check finiteness: _attend its scores and its result, since
+its softmax can turn a -inf score into a weight of 0, and backward each
+leaf's gradient. Elsewhere a NaN or an infinity is carried on to the
+result, which its caller checks once (denoiser.predict_noise, training).
 """
 
 from __future__ import annotations
@@ -128,7 +123,9 @@ class GradTape:
 
         Returns a dict keyed by id(tensor); leaves untouched by the loss
         get zero gradients. Also populates each leaf's .grad. Each record
-        is dropped once replayed, and with it the arrays it held.
+        is dropped once replayed, and with it the arrays it held. A leaf
+        gradient that holds a NaN or an infinity raises FloatingPointError
+        before any .grad is set.
         """
         if self._consumed:
             raise RuntimeError("tape already consumed by a previous backward")
@@ -147,10 +144,11 @@ class GradTape:
             for key, contrib in zip(inputs, bw(g)):
                 if contrib is None or key is None:
                     continue
-                _guard(contrib, "backward")
                 prev = acc.get(key)
                 acc[key] = contrib if prev is None else prev + contrib
 
+        for key in acc.keys() & self._leaves.keys():
+            _guard(acc[key], "backward")
         result = {}
         for key, t in self._leaves.items():
             g = acc.get(key)
@@ -193,7 +191,7 @@ add_unchecked = np.add
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = Tensor(_guard(add_unchecked(a.data, b.data), "add"))
+    out = Tensor(add_unchecked(a.data, b.data))
     _record(out, (a, b), lambda g: (g, g))
     return out
 
@@ -201,7 +199,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
-    _guard(out.data, "sub")
     _record(out, (a, b), lambda g: (g, -g))
     return out
 
@@ -210,7 +207,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
     with np.errstate(all="ignore"):
         out = Tensor(a.data * b.data)
-    _guard(out.data, "mul")
     ad, bd = a.data, b.data
     _record(out, (a, b), lambda g: (g * bd, g * ad))
     return out
@@ -248,7 +244,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 def silu(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
     out = Tensor(a.data * s)
-    _guard(out.data, "silu")
     ad = a.data
 
     def bw(g):
@@ -272,7 +267,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul: inner dims {a.data.shape} vs {b.data.shape}")
     out = Tensor(a.data @ b.data)
-    _guard(out.data, "matmul")
     ad, bd = a.data, b.data
     _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
     return out
@@ -293,7 +287,6 @@ def channel_linear(w: Tensor, x: Tensor) -> Tensor:
     if w.data.ndim != 2 or w.data.shape[1] != x.data.shape[-2]:
         raise ValueError(f"channel_linear: {w.data.shape} vs {x.data.shape}")
     out = Tensor(_channel_major(w.data, x.data))
-    _guard(out.data, "channel_linear")
     wd, xd = w.data, x.data
 
     def bw(g):
@@ -312,7 +305,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim != 1 or x.data.shape[-2] != b.data.size:
         raise ValueError(f"add_bias: {x.data.shape} vs {b.data.shape}")
     out = Tensor(x.data + b.data[:, None])
-    _guard(out.data, "add_bias")
     axes = tuple(range(x.data.ndim - 2)) + (x.data.ndim - 1,)
     _record(out, (x, b), lambda g: (g, g.sum(axis=axes)))
     return out
@@ -329,7 +321,7 @@ def add_time(x: Tensor, v: Tensor) -> Tensor:
     T, sample b taking column b of v."""
     if x.data.ndim != 3 or v.data.shape != x.data.shape[1::-1]:
         raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-    out = Tensor(_guard(add_time_unchecked(x.data, v.data), "add_time"))
+    out = Tensor(add_time_unchecked(x.data, v.data))
     _record(out, (x, v), lambda g: (g, g.sum(axis=-1).T))
     return out
 
@@ -422,7 +414,6 @@ def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Te
     if b is not None:
         od += b.data[:, None]
     out = Tensor(od[0] if squeeze else od)
-    _guard(out.data, "conv1d")
     x_grad, has_bias = x.requires_grad, b is not None
 
     def bw(g):
@@ -488,7 +479,6 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     od = xh * gamma.data[:, None]
     od += beta.data[:, None]
     out = Tensor(od[0] if squeeze else od)
-    _guard(out.data, "group_norm")
     B, C, T = xd.shape
     xh4 = xh.reshape(B, groups, C // groups, T)
     inv = inv.reshape(B, groups, 1, 1)
@@ -521,7 +511,6 @@ def silu_conv_unchecked(h: np.ndarray, w2: np.ndarray, b2: np.ndarray,
     B, C, T = h.shape
     Tp = _out_len(T, K, 1)
     xp = np.zeros((B, C, T + 2 * P))
-    # unguarded: sigmoid lies in [0, 1], so |h * sigmoid(h)| <= |h|, finite
     np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
     return _conv_rows(xp, w2, b2, K, 1, Tp)
 
@@ -620,7 +609,6 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(np.array(x.data.sum()))
-    _guard(out.data, "sum_all")
     shp = x.data.shape
     _record(out, (x,), lambda g: (np.broadcast_to(g, shp).copy(),))
     return out
@@ -629,7 +617,6 @@ def sum_all(x: Tensor) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     n = x.data.size
     out = Tensor(np.array(x.data.mean()))
-    _guard(out.data, "mean_all")
     shp = x.data.shape
     _record(out, (x,), lambda g: (np.broadcast_to(g / n, shp).copy(),))
     return out

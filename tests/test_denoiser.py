@@ -216,8 +216,8 @@ def test_overflowing_projection_raises_on_every_call(toy_model):
     w[0] = 1e308
     for _ in range(3):
         with np.errstate(over="ignore"):
-            with pytest.raises(FloatingPointError,
-                               match="^matmul: non-finite values in result$"):
+            with pytest.raises(FloatingPointError, match="^denoiser: "
+                               "non-finite time projection at step 30$"):
                 predict_noise(model, x, 30)
         assert model._step_memo[1] == {}  # never kept
 
@@ -396,27 +396,34 @@ def _overflow_residual(m):
 
 @pytest.mark.parametrize("B", [1, 33])
 @pytest.mark.parametrize("edit, message", [
-    (_overflow_conv, "conv1d: non-finite values in result"),
-    (_nan_gamma, "group_norm: non-finite values in result"),
+    (_overflow_conv, "attn_scores: non-finite values in result"),
+    (_nan_gamma, "attn_scores: non-finite values in result"),
     (_overflow_attention, "attn_scores: non-finite values in result"),
-    (_overflow_add_time, "add_time: non-finite values in result"),
-    (_overflow_residual, "add: non-finite values in result"),
+    (_overflow_add_time, "attn_scores: non-finite values in result"),
+    (_overflow_residual, "denoiser: non-finite output at step 12"),
 ])
 def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit, message):
+    # only attention checks its results: an edit before it fails there on
+    # both paths, and one after it fails predict_noise's end check, which
+    # the Tensor ops leave to their caller: they return the rows non-finite
     x = np.random.default_rng(23).standard_normal((B, 8, 64))
     with np.errstate(over="ignore", invalid="ignore"):
         bound, tensor_ops = _both_paths(steady_fixture[0], x, 12, edit)
-    assert bound == tensor_ops == [(FloatingPointError, message)] * 2
+    assert bound == [(FloatingPointError, message)] * 2
+    if message.startswith("denoiser: "):
+        assert not np.isfinite(np.frombuffer(tensor_ops[0])).all()
+    else:
+        assert tensor_ops == bound
 
 
 @pytest.mark.parametrize("B", [1, 33])
 def test_a_failing_warm_step_records_nothing(steady_fixture, B):
-    # the replay wraps the binding's arrays in Tensors that take no
-    # gradient, so a failing call records nothing on an active tape
+    # the layers run on the binding, so a failing call records nothing
+    # on an active tape
     model = _copied(steady_fixture[0])
     _overflow_conv(model)
     x = np.random.default_rng(24).standard_normal((B, 8, 64))
-    fails = pytest.raises(FloatingPointError, match="^conv1d: ")
+    fails = pytest.raises(FloatingPointError, match="^attn_scores: ")
     with np.errstate(over="ignore", invalid="ignore"), GradTape() as tape:
         with fails:
             predict_noise(model, x, 12)
@@ -430,11 +437,9 @@ def test_a_failing_warm_step_records_nothing(steady_fixture, B):
 
 # ------------------------------------------ one check per predict_noise run
 # predict_noise runs its layers unchecked, attention's checks apart, and
-# checks the result once; a failing run is replayed row by row through
-# the Tensor ops. So a NaN or an infinity that a bound kernel alone puts
-# in any one layer result of any one row, alone or in a shard worker's
-# rows, must never reach the caller: the replay gives the Tensor ops'
-# rows.
+# checks the result once. So a NaN or an infinity that a bound kernel
+# alone puts in any one layer result of any one row, alone or in a shard
+# worker's rows, must make the call raise: no later layer may drop it.
 
 # each bound kernel: where _Bound looks it up at call time, and its calls
 # in one run. add and add_time are bound when _Bound is defined, and tc's
@@ -475,7 +480,7 @@ def test_a_poisoned_kernel_result_never_escapes(small_model, monkeypatch,
     real, unet = getattr(owner, name), dn._unet
     run, poison, seen = threading.local(), {}, []
 
-    def counting(*args):  # each run (a replay too) counts from 0
+    def counting(*args):  # each run counts from 0
         run.k = 0
         return unet(*args)
 
@@ -497,22 +502,39 @@ def test_a_poisoned_kernel_result_never_escapes(small_model, monkeypatch,
     assert seen == list(range(calls))
     for k in range(calls):
         poison.update(k=k, value=(np.nan, np.inf, -np.inf)[k % 3])
-        with np.errstate(invalid="ignore"):
-            assert predict_noise(small_model, x, 40).tobytes() == want
+        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+            predict_noise(small_model, x, 40)
+
+
+def test_a_failing_stacked_call_runs_each_shard_once(toy_model, monkeypatch):
+    # a failing call is not replayed row by row: the layers run once on
+    # each shard's rows, and reverse_lockstep isolates the failing window
+    rows, unet = [], dn._unet
+
+    def spy(depth, ops, h, time):
+        rows.append(h.shape[0])
+        return unet(depth, ops, h, time)
+
+    monkeypatch.setattr(dn, "_unet", spy)
+    x = np.random.default_rng(25).standard_normal((33, 4, 16))
+    x[-1] = 1e300
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            predict_noise(toy_model, x, 50)
+    assert sorted(rows) == ([16, 17] if dn._usable_cores() > 1 else [33])
 
 
 def test_a_run_that_fails_twice_raises_the_first_failure():
-    # a NaN input fails the stem's check; an unchecked run gets past the
-    # stem and fails later, at the first conv whose kernel is wider than
-    # its input (4 steps at the second level)
+    # a NaN input is checked only in the result, so the run fails first
+    # at the first conv whose kernel is wider than its input (4 steps at
+    # the second level)
     model = init_params(DenoiserConfig(channels_in=2, base_width=4, depth=2,
                                        time_embed_dim=4, kernel=5), seed=1)
     x = np.zeros((2, 8))
     with pytest.raises(ValueError, match="^conv1d: kernel wider than input$"):
         predict_noise(model, x, 3)
     x[0, 3] = np.nan
-    with pytest.raises(FloatingPointError,
-                       match="^conv1d: non-finite values in result$"):
+    with pytest.raises(ValueError, match="^conv1d: kernel wider than input$"):
         predict_noise(model, x, 3)
 
 
@@ -650,6 +672,27 @@ def test_train_divergence_aborts():
     tcfg = TrainConfig(epochs=5, batch_size=8, learning_rate=1e6, seed=1)
     with pytest.raises(RuntimeError):
         train(data, TOY_CFG, tcfg, sched)
+
+
+@pytest.mark.parametrize("layer", ["enc0.rb1.conv1.w", "dec0.rb1.conv1.w"])
+def test_a_non_finite_training_step_changes_nothing(toy_model, sched100,
+                                                    layer):
+    # an encoder layer fails attention's check, a decoder layer the loss's
+    model = _copied(toy_model)
+    model[layer].data *= 1e308
+    opt = Adam(model, 1e-3)
+    params = {k: t.data.tobytes() for k, t in model.items()}
+    state = [{k: a.tobytes() for k, a in d.items()} for d in (opt.m, opt.v)]
+    batch = np.random.default_rng(26).standard_normal((8, 4, 16))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RuntimeError,
+                           match="^non-finite loss at optimizer step 1: "):
+            training_step(model, batch, sched100,
+                          np.random.default_rng(27), opt)
+    assert {k: t.data.tobytes() for k, t in model.items()} == params
+    assert opt.t == 0
+    assert [{k: a.tobytes() for k, a in d.items()}
+            for d in (opt.m, opt.v)] == state
 
 
 def test_train_rejects_bad_dataset():

@@ -92,12 +92,6 @@ def test_purity_inputs_unmodified():
     assert np.array_equal(out1.data, out2.data)
 
 
-def test_nonfinite_result_trips():
-    big = Tensor(np.full(3, 1e308))
-    with pytest.raises(FloatingPointError):
-        tc.mul(big, big)
-
-
 # ------------------------------------------------------------------- matmul
 
 def test_matmul_identity():
@@ -272,6 +266,18 @@ def test_backward_nonscalar_loss_rejected():
         out = tc.silu(x)
     with pytest.raises(ValueError):
         tape.backward(out)
+
+
+def test_an_overflowing_gradient_trips_backward():
+    # the loss a*b*c is finite; d/db = a*c is not, and no .grad is set
+    a, b, c = (_leaf(np.array([v])) for v in (1e300, 1e-300, 1e300))
+    with GradTape() as tape:
+        loss = tc.sum_all(tc.mul(tc.mul(a, b), c))
+    assert np.isfinite(loss.data)
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match="^backward: non-finite values in result$"):
+        tape.backward(loss)
+    assert a.grad is b.grad is c.grad is None
 
 
 def test_tape_consumed_once():
@@ -556,9 +562,8 @@ def test_conv1d_matches_reference_bits(K, stride, T, B):
         lambda xx, ww, bb, g, on_tape: _ref_conv1d(xx, ww, bb, stride, g,
                                                    on_tape),
         (x, w, b), rng,
-        kernel=lambda xx, ww, bb: tc._guard(tc.conv1d_unchecked(
-            xx, ww.reshape(5, -1), bb[:, None], K, (K - 1) // 2, stride),
-            "conv1d"))
+        kernel=lambda xx, ww, bb: tc.conv1d_unchecked(
+            xx, ww.reshape(5, -1), bb[:, None], K, (K - 1) // 2, stride))
 
 
 def test_silu_matches_reference_bits_in_the_tails():
@@ -567,11 +572,6 @@ def test_silu_matches_reference_bits_in_the_tails():
                         rng.uniform(-30, 30, 25)]).reshape(4, 8)
     _against_reference(tc.silu, lambda xx, g, on_tape: _ref_silu(xx, g),
                        (x,), rng)
-
-
-def test_silu_nan_input_still_trips():
-    with pytest.raises(FloatingPointError):
-        tc.silu(Tensor(np.array([0.5, np.nan, -0.5])))
 
 
 @pytest.mark.parametrize("offset,spread", [(0.0, 1.0), (1e6, 1e-3),
@@ -800,11 +800,9 @@ def _fused_inputs(rng, B, C, T):
 
 def _fused_kernels(x, gamma, beta, w, b):
     """The bound model's norm -> silu -> conv at 8 groups."""
-    h = tc._guard(tc.group_norm_unchecked(x, 8, gamma[:, None],
-                                          beta[:, None]), "group_norm")
-    return tc._guard(tc.silu_conv_unchecked(h, w.reshape(len(w), -1),
-                                            b[:, None], w.shape[2],
-                                            (w.shape[2] - 1) // 2), "conv1d")
+    h = tc.group_norm_unchecked(x, 8, gamma[:, None], beta[:, None])
+    return tc.silu_conv_unchecked(h, w.reshape(len(w), -1), b[:, None],
+                                  w.shape[2], (w.shape[2] - 1) // 2)
 
 
 def _chain(x, gamma, beta, w, b):
@@ -838,9 +836,10 @@ def _outcome(fn):
                                   "kernel"])
 @pytest.mark.parametrize("taped", [False, True])
 def test_norm_silu_conv_fails_as_the_chain(case, taped):
-    # the kernels fail with the chain's text, whether the chain records or
-    # not; a misshapen parameter, which the binding rejects before any
-    # kernel runs, still makes the kernels raise rather than return
+    # neither checks its result finite, so a NaN or an infinity comes out
+    # of both at the same entries, whether the chain records or not; a
+    # misshapen parameter, which the binding rejects before any kernel
+    # runs, still makes the kernels raise rather than return
     rng = np.random.default_rng(16)
     x, gamma, beta, w, b = _fused_inputs(rng, 2, 16, 16)
     if case == "nan":
@@ -870,8 +869,10 @@ def test_norm_silu_conv_fails_as_the_chain(case, taped):
         assert want[0] is got[0] is ValueError
         assert want[1].startswith(("group_norm: ", "conv1d: "))
     else:
-        assert isinstance(want, tuple)
-        assert got == want
+        with np.errstate(all="ignore"):
+            want, got = chain().data, _fused_kernels(x, gamma, beta, w, b)
+        assert not np.isfinite(want).all()
+        _assert_same_bits(np.isfinite(got), np.isfinite(want))
 
 
 @pytest.mark.parametrize("K, stride", [(1, 1), (3, 1), (3, 2), (5, 2)])
