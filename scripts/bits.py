@@ -4,10 +4,12 @@ over all groups.
 
 Two checkouts whose hashes agree give the same outputs bit for bit on:
 - predict: predict_noise on each fixture at B 1, 5 and 33 and steps 1,
-  37 and 100, memo cold then warm, and with a 2-D input; and at B 1 and
-  33 the failures of a conv weight scaled by 1e308, of a NaN norm gain
-  in an encoder and in a decoder block, and of attention's query and key
-  weights scaled by 1e200;
+  37 and 100, memo cold then warm, and with a 2-D input; at B 1 and 33
+  the failures of a conv weight scaled by 1e308, of a NaN norm gain in
+  an encoder and in a decoder block, and of attention's query and key
+  weights scaled by 1e200; and twice on the steady fixture with a
+  Fortran-ordered conv weight, which the model cannot keep a binding
+  of, so the binding is built anew on each call;
 - adam: two Adam training steps per fixture config (each loss and every
   parameter after each step);
 - loss: diffusion_loss on a gradient tape on each fixture at B 1 and 8
@@ -123,6 +125,14 @@ def predict_cases(models):
             edit(bad)
             out += [outcome(lambda: predict_noise(bad, x[:B], 12))
                     for B in (1, 33)]
+    fortran = copy.deepcopy(models["steady"][0])
+    w = fortran["enc0.rb1.conv1.w"]
+    w.data = np.asfortranarray(w.data)
+    x = np.random.default_rng(list(b"fortran")).standard_normal((5, 8, 64))
+    for _ in ("cold", "warm"):
+        out.append(outcome(lambda: predict_noise(fortran, x, 37)))
+        if fortran._binding is not None:
+            raise SystemExit("the model kept a binding that holds a copy")
     return out
 
 

@@ -212,35 +212,37 @@ def init_params(cfg: DenoiserConfig, seed: int = 0) -> DenoiserParams:
                                 for name, _, init in _param_specs(cfg)[0]})
 
 
-class _TensorOps:
-    """The layers of _unet as Tensor ops over `tensors` (name -> Tensor),
-    looked up by name on every call: what a gradient tape records when
-    the tensors require gradients."""
+class _Ops:
+    """The layers of _unet as `ops`' functions over `params` (name ->
+    parameter), each layer's parameters looked up by name on every call:
+    tc's Tensor ops over a model's tensors, which a gradient tape records
+    when they require gradients, or tc.kernels over a model's binding
+    (_bound), which never records. `ops`' functions are read once, here,
+    so build an _Ops per forward: one built earlier misses a later patch
+    of tc's functions."""
 
-    def __init__(self, cfg: DenoiserConfig, tensors: dict):
-        self.p = tensors
+    def __init__(self, cfg: DenoiserConfig, params: dict, ops):
+        self.p = params
         layers = _layers(cfg)
         self.convs, self.norms = layers["conv"], layers["norm"]
         self.attns, self.blocks = layers["attn"], layers["block"]
+        self._conv1d, self._norm_silu_conv = ops.conv1d, ops.norm_silu_conv
+        self._self_attention = ops.self_attention
+        self.add, self.add_time = ops.add, ops.add_time
+        self.upsample2, self.concat = ops.upsample2, ops.concat_channels
 
     def conv(self, h, name):
         w, b, stride = self.convs[name]
-        return tc.conv1d(h, self.p[w], self.p[b], stride=stride)
+        return self._conv1d(h, self.p[w], self.p[b], stride)
 
     def norm_silu_conv(self, h, norm, conv):
-        g, b, groups = self.norms[norm]
-        w, bias, _ = self.convs[conv]
+        g, beta, groups = self.norms[norm]
+        w, b, _ = self.convs[conv]
         p = self.p
-        return tc.conv1d(tc.silu(tc.group_norm(h, p[g], p[b], groups)),
-                         p[w], p[bias])
+        return self._norm_silu_conv(h, p[g], p[beta], groups, p[w], p[b])
 
     def attention(self, h, name):
-        return tc.self_attention(h, *(self.p[n] for n in self.attns[name]))
-
-    add = staticmethod(tc.add)
-    add_time = staticmethod(tc.add_time)
-    upsample2 = staticmethod(tc.upsample2)
-    concat = staticmethod(tc.concat_channels)
+        return self._self_attention(h, *(self.p[n] for n in self.attns[name]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,78 +253,40 @@ def _bound_names(cfg: DenoiserConfig) -> tuple:
     return tuple(k for k in param_layout(cfg) if k not in step)
 
 
-class _Bound:
-    """The layers of _unet as tc's array kernels over views of a
-    model's arrays, each layer's fixed per-call work done once: a conv's
-    (Cout, Cin*K) weight and (Cout, 1) bias views, K, padding and stride;
-    a norm's group count and (C, 1) gamma and beta views; attention's
-    projections; a block's layer names. Each row of a stack gets the bits
-    _TensorOps gives that row alone. The layers run kernels only, which
-    check nothing but attention; predict_noise checks the end result.
-
-    `arrays` are the arrays of _bound_names(cfg), each of which must have
-    its layout's shape (else a ValueError naming it); the kernels then
-    need no shape check but the kernel width against the input length.
-    `views` is whether every weight matrix is a view: a reshape of a
-    non-contiguous array copies, and a copy misses in-place edits.
-    """
-
-    def __init__(self, cfg: DenoiserConfig, arrays: list):
-        self.names, self.arrays = _bound_names(cfg), arrays
-        layout = param_layout(cfg)
-        a = dict(zip(self.names, arrays))
-        for name, arr in a.items():
-            if arr.shape != layout[name]:
-                raise ValueError(f"parameter {name} has shape {arr.shape}, "
-                                 f"the config's layout has {layout[name]}")
-        layers = _layers(cfg)
-        self.convs = {}
-        for name, (w, b, stride) in layers["conv"].items():
-            cout, cin, k = layout[w]
-            self.convs[name] = (a[w].reshape(cout, cin * k), a[b][:, None], k,
-                                (k - 1) // 2, stride)
-        self.views = all(np.may_share_memory(self.convs[name][0], a[w])
-                         for name, (w, _, _) in layers["conv"].items())
-        self.norms = {name: (groups, a[g][:, None], a[b][:, None])
-                      for name, (g, b, groups) in layers["norm"].items()}
-        self.attns = {name: tuple(a[n] for n in ns)
-                      for name, ns in layers["attn"].items()}
-        self.blocks = layers["block"]
-
-    def conv(self, h, name):
-        return tc.conv1d_unchecked(h, *self.convs[name])
-
-    def norm_silu_conv(self, h, norm, conv):
-        w2, b2, k, pad, _ = self.convs[conv]
-        h = tc.group_norm_unchecked(h, *self.norms[norm])
-        return tc.silu_conv_unchecked(h, w2, b2, k, pad)
-
-    def attention(self, h, name):
-        return tc.self_attention_kernel(h, *self.attns[name])
-
-    add = staticmethod(tc.add_unchecked)
-    add_time = staticmethod(tc.add_time_unchecked)
-    upsample2 = staticmethod(tc.upsample2_kernel)
-    concat = staticmethod(tc.concat_channels_kernel)
-
-
 _data = operator.attrgetter("data")
 
 
-def _bound(p: DenoiserParams) -> _Bound:
-    """p's binding, rebuilt when any bound tensor's array is not the one
-    it bound (`is`, and the binding keeps the arrays, so an id cannot be
-    reused). In-place edits are seen through its views. predict_noise
-    calls it in the calling thread, never in a shard."""
+def _bound(p: DenoiserParams) -> dict:
+    """p's binding: name -> array of each tensor of _bound_names, in the
+    layout tc.kernels read, each a view of p's array where a reshape
+    gives one: a conv weight as its (Cout, Cin*K) matrix, a bias or a
+    norm's affine as a (C, 1) column, attention's projections as they
+    are. An array whose shape is not its layout's is a ValueError that
+    names it.
+
+    p keeps its binding, with the arrays it bound, unless a reshape
+    copied, as a non-contiguous conv weight's does, since a copy misses
+    in-place edits. A kept binding is used until any bound tensor's array
+    is not the one it bound (`is`, and the binding keeps the arrays, so
+    an id cannot be reused); in-place edits are seen through its views.
+    predict_noise calls it in the calling thread, never in a shard.
+    """
     held = p._binding
     names = _bound_names(p.config)
     arrays = list(map(_data, map(p.tensors.__getitem__, names)))
-    if (held is None or held.names is not names
-            or not all(map(operator.is_, arrays, held.arrays))):
-        held = _Bound(p.config, arrays)
-        if held.views:
-            p._binding = held
-    return held
+    if (held is not None and held[0] is names
+            and all(map(operator.is_, arrays, held[1]))):
+        return held[2]
+    layout = param_layout(p.config)
+    bound = {}
+    for name, arr in zip(names, arrays):
+        if arr.shape != layout[name]:
+            raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                             f"the config's layout has {layout[name]}")
+        bound[name] = arr.reshape(len(arr), -1)
+    if all(map(np.may_share_memory, bound.values(), arrays)):
+        p._binding = names, arrays, bound
+    return bound
 
 
 def _resblock(ops, name: str, x, time: dict):
@@ -336,10 +300,11 @@ def _resblock(ops, name: str, x, time: dict):
 
 
 def _unet(depth: int, ops, h, time: dict):
-    """The U-Net's layer order, written once, over `ops`: the Tensor ops
-    (_TensorOps), which a gradient tape records, or a model's binding
-    (_Bound). `time` maps each residual block to its time projection,
-    (C, B) with one column per sample or (C, 1) for every sample."""
+    """The U-Net's layer order, written once, over an _Ops: the Tensor
+    ops over a model's tensors, which a gradient tape records, or the
+    kernels over its binding. `time` maps each residual block to its time
+    projection, (C, B) with one column per sample or (C, 1) for every
+    sample."""
     h = ops.conv(h, "stem")
     skips = []
     for j in range(depth):
@@ -409,7 +374,7 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
     (_embed). They record on a gradient tape and give the same bits off
     one, so off-tape diffusion_loss is the function the tape
     differentiates."""
-    return _unet(p.config.depth, _TensorOps(p.config, p.tensors), x,
+    return _unet(p.config.depth, _Ops(p.config, p.tensors, tc), x,
                  _embed(p, levels))
 
 
@@ -431,12 +396,12 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _predict_rows(cfg: DenoiserConfig, bound: _Bound, x: np.ndarray,
+def _predict_rows(cfg: DenoiserConfig, ops: _Ops, x: np.ndarray,
                   time: dict, err=None) -> np.ndarray:
-    """_unet over the rows x on a binding, under the np.errstate `err` (a
-    worker thread does not inherit the caller's)."""
+    """_unet over the rows x, under the np.errstate `err` (a worker thread
+    does not inherit the caller's)."""
     with np.errstate(**(err or {})):
-        return _unet(cfg.depth, bound, x, time)
+        return _unet(cfg.depth, ops, x, time)
 
 
 def _step_index(n) -> int:
@@ -459,17 +424,20 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     thread, the model's binding is fetched (_bound) and step n's time
     projections are read from its memo (_step_projections): the first
     call at a step projects it, and an edit of the embedding or
-    projection weights is seen on the next call. The layers then run on
-    the binding and never record, on a tape or off; each row gets the
-    bits _forward gives it alone. A tensor whose shape is not its
-    config's is a ValueError that names it, and so is an empty stack.
+    projection weights is seen on the next call. The layers then run
+    tc.kernels over the binding and never record, on a tape or off; each
+    row gets the bits _forward gives it alone. A tensor whose shape is
+    not its config's is a ValueError that names it, and so is an empty
+    stack.
 
-    The result is checked finite once: a NaN or an infinity raises
-    FloatingPointError("denoiser: non-finite output at step n"). Once
-    suffices, as every layer but attention, which checks its own, carries
-    a NaN or an infinity on to the output (0 * inf, inf - inf and -inf * 0
-    are NaN; a stride-2 conv's skipped positions reach it through the
-    skip concat).
+    Every failure to stay finite raises FloatingPointError("denoiser:
+    non-finite output at step n"): a NaN or an infinity in the result,
+    which is checked once, and any FloatingPointError of a layer (from
+    attention's checks, or an np.errstate that raises), which it is
+    chained from. One check suffices, as every layer but attention, which
+    checks its own, carries a NaN or an infinity on to the output (0 *
+    inf, inf - inf and -inf * 0 are NaN; a stride-2 conv's skipped
+    positions reach it through the skip concat).
 
     A stack of B rows is cut into B / SHARD_ROWS contiguous shards,
     halves rounded up, at most one per usable core, so it splits from
@@ -491,23 +459,27 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
                          "no window to predict")
     cfg.validate_window(xb.shape[2])
     n = _step_index(n)
-    bound = _bound(params)
+    ops = _Ops(cfg, _bound(params), tc.kernels)
     time = _step_projections(params, n)
     B = xb.shape[0]
     shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
-    if shards < 2:
-        out = _predict_rows(cfg, bound, xb, time)
-    else:
-        cut = [B * s // shards for s in range(shards + 1)]
-        err = np.geterr()
-        with ThreadPoolExecutor(shards - 1,
-                                thread_name_prefix="tsdm-shard") as pool:
-            rest = [pool.submit(_predict_rows, cfg, bound, xb[lo:hi], time,
-                                err) for lo, hi in zip(cut[1:-1], cut[2:])]
-            first = _predict_rows(cfg, bound, xb[:cut[1]], time)
-        out = np.concatenate([first] + [f.result() for f in rest])
+    failed = f"denoiser: non-finite output at step {n}"
+    try:
+        if shards < 2:
+            out = _predict_rows(cfg, ops, xb, time)
+        else:
+            cut = [B * s // shards for s in range(shards + 1)]
+            err = np.geterr()
+            with ThreadPoolExecutor(shards - 1,
+                                    thread_name_prefix="tsdm-shard") as pool:
+                rest = [pool.submit(_predict_rows, cfg, ops, xb[lo:hi], time,
+                                    err) for lo, hi in zip(cut[1:-1], cut[2:])]
+                first = _predict_rows(cfg, ops, xb[:cut[1]], time)
+            out = np.concatenate([first] + [f.result() for f in rest])
+    except FloatingPointError as e:
+        raise FloatingPointError(failed) from e
     if not np.isfinite(out).all():
-        raise FloatingPointError(f"denoiser: non-finite output at step {n}")
+        raise FloatingPointError(failed)
     return out[0] if squeeze else out
 
 

@@ -17,18 +17,21 @@ GradTape.backward replays the records in reverse creation order, which
 is a valid topological order because every input of a node was created
 before the node itself, and drops each once replayed.
 
-The denoiser's bound model runs array kernels instead: functions that
-take and return numpy arrays and never record. add, add_time, upsample2
-and concat_channels share their kernel with their Tensor op, and
-self_attention its arithmetic, _attend (softmax is no op of its own).
-The conv1d, group_norm then silu_conv, and self_attention kernels cut
-numpy calls: one product per sample, so a sample gets the same bits in
-a batch as alone; a result written into the buffer the next op reads
-(silu into conv1d's zero-bordered input, attention's scale and softmax
-into the score array); affine steps in place. A kernel takes each
-parameter in the layout its arithmetic reads (a conv weight as its
-(Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1) column) and
-checks no shape but the kernel width against the input length.
+The denoiser's bound model runs array kernels instead: `kernels` holds
+one under the name of each Tensor op the U-Net calls (norm_silu_conv is
+group_norm, silu and conv1d in a row). A kernel takes and returns numpy
+arrays and never records. add, add_time, upsample2 and concat_channels
+share their arithmetic with their Tensor op, and self_attention its
+arithmetic, _attend (softmax is no op of its own). The conv1d,
+norm_silu_conv and self_attention kernels cut numpy calls: one product
+per sample, so a sample gets the same bits in a batch as alone; a result
+written into the buffer the next op reads (silu into conv1d's
+zero-bordered input, attention's scale and softmax into the score
+array); affine steps in place. A kernel takes each parameter in the
+layout its arithmetic reads (a conv weight as its (Cout, Cin*K) matrix,
+from which it works out K and the padding, a bias or a norm's affine as
+a (C, 1) column) and checks no shape but the kernel width against the
+input length.
 
 Two places check finiteness: _attend its scores and its result, since
 its softmax can turn a -inf score into a weight of 0, and backward each
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -186,12 +190,9 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 # ----------------------------------------------------------------- elementwise
 
-add_unchecked = np.add
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = Tensor(add_unchecked(a.data, b.data))
+    out = Tensor(a.data + b.data)
     _record(out, (a, b), lambda g: (g, g))
     return out
 
@@ -310,7 +311,7 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def add_time_unchecked(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _add_time(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     """x (B,C,T) + v.T broadcast over T: v is (C, B), or (C, 1) for every
     sample."""
     return x + v.T[:, :, None]
@@ -321,7 +322,7 @@ def add_time(x: Tensor, v: Tensor) -> Tensor:
     T, sample b taking column b of v."""
     if x.data.ndim != 3 or v.data.shape != x.data.shape[1::-1]:
         raise ValueError(f"add_time: {x.data.shape} vs {v.data.shape}")
-    out = Tensor(add_time_unchecked(x.data, v.data))
+    out = Tensor(_add_time(x.data, v.data))
     _record(out, (x, v), lambda g: (g, g.sum(axis=-1).T))
     return out
 
@@ -351,31 +352,30 @@ def _windows(xp: np.ndarray, K: int, stride: int, Tp: int) -> np.ndarray:
                       (s0, s1, s2, stride * s2))
 
 
-def _conv_rows(xp: np.ndarray, w2: np.ndarray, b2, K: int, stride: int,
-               Tp: int) -> np.ndarray:
-    """conv1d's inference product over the zero-bordered input xp.
+def _conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2: np.ndarray,
+                   stride: int = 1, silu: bool = False) -> np.ndarray:
+    """Inference conv1d of the (B, Cin, T) x, or with silu set of silu(x),
+    which is written straight into the zero-bordered input: w2 is the
+    (Cout, Cin*K) weight matrix, from which K and the padding follow, and
+    b2 the (Cout, 1) bias.
 
     One product per sample, since the bits of a single product over all
     B*T' columns can depend on B and a sample must get the same bits in a
     batch as alone.
     """
-    B = xp.shape[0]
-    cols = _windows(xp, K, stride, Tp).copy()
-    od = np.matmul(w2, cols.reshape(B, -1, Tp))
-    if b2 is not None:
-        od += b2
-    return od
-
-
-def conv1d_unchecked(x: np.ndarray, w2: np.ndarray, b2, K: int, P: int,
-                     stride: int) -> np.ndarray:
-    """Inference conv1d of the (B, Cin, T) x: w2 is the (Cout, Cin*K)
-    weight matrix, b2 the (Cout, 1) bias or None, P = (K-1)/2."""
     B, Cin, T = x.shape
+    K = w2.shape[1] // Cin
+    P = (K - 1) // 2
     Tp = _out_len(T, K, stride)
     xp = np.zeros((B, Cin, T + 2 * P))
-    xp[:, :, P : P + T] = x
-    return _conv_rows(xp, w2, b2, K, stride, Tp)
+    if silu:
+        np.multiply(x, _sigmoid(x), out=xp[:, :, P : P + T])
+    else:
+        xp[:, :, P : P + T] = x
+    cols = _windows(xp, K, stride, Tp).copy()
+    od = np.matmul(w2, cols.reshape(B, -1, Tp))
+    od += b2
+    return od
 
 
 def conv1d(x: Tensor, w: Tensor, b: Tensor | None = None, stride: int = 1) -> Tensor:
@@ -455,17 +455,6 @@ def _standardize(xd: np.ndarray, groups: int):
     return xh.reshape(B, C, T), inv
 
 
-def group_norm_unchecked(x: np.ndarray, groups: int, gamma2: np.ndarray,
-                         beta2: np.ndarray) -> np.ndarray:
-    """Inference group_norm of the (B, C, T) x with (C, 1) affine columns;
-    nothing keeps the standardized values, so the affine step runs in
-    place."""
-    h, _ = _standardize(x, groups)
-    h *= gamma2
-    h += beta2
-    return h
-
-
 def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     """Per-(sample,group) standardization with affine, eps added to variance."""
     squeeze = x.data.ndim == 2
@@ -504,15 +493,23 @@ def group_norm(x: Tensor, gamma: Tensor, beta: Tensor, groups: int) -> Tensor:
     return out
 
 
-def silu_conv_unchecked(h: np.ndarray, w2: np.ndarray, b2: np.ndarray,
-                        K: int, P: int) -> np.ndarray:
-    """conv1d_unchecked(silu(h), ..., stride 1), with silu written straight
-    into conv1d's zero-bordered input."""
-    B, C, T = h.shape
-    Tp = _out_len(T, K, 1)
-    xp = np.zeros((B, C, T + 2 * P))
-    np.multiply(h, _sigmoid(h), out=xp[:, :, P : P + T])
-    return _conv_rows(xp, w2, b2, K, 1, Tp)
+def norm_silu_conv(x: Tensor, gamma: Tensor, beta: Tensor, groups: int,
+                   w: Tensor, b: Tensor) -> Tensor:
+    """conv1d(silu(group_norm(x, gamma, beta, groups)), w, b): the three
+    ops, each recorded as itself."""
+    return conv1d(silu(group_norm(x, gamma, beta, groups)), w, b)
+
+
+def _norm_silu_conv_kernel(x: np.ndarray, gamma2: np.ndarray,
+                           beta2: np.ndarray, groups: int, w2: np.ndarray,
+                           b2: np.ndarray) -> np.ndarray:
+    """Inference norm_silu_conv of the (B, C, T) x, with (C, 1) affine
+    columns and conv1d's kernel weights; nothing keeps the standardized
+    values, so the affine step runs in place."""
+    h, _ = _standardize(x, groups)
+    h *= gamma2
+    h += beta2
+    return _conv1d_kernel(h, w2, b2, silu=True)
 
 
 # ----------------------------------------------------------------- attention
@@ -571,8 +568,8 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     return out
 
 
-def self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
-                          wv: np.ndarray) -> np.ndarray:
+def _self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
+                           wv: np.ndarray) -> np.ndarray:
     """Inference self_attention of the (B, C, T) x: the op's projections
     and arithmetic, without recording. The projections go unchecked: a
     non-finite one makes _attend's checked scores or result non-finite."""
@@ -582,19 +579,19 @@ def self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
 
 # ---------------------------------------------------------------- structural
 
-def upsample2_kernel(x: np.ndarray) -> np.ndarray:
+def _upsample2(x: np.ndarray) -> np.ndarray:
     return np.repeat(x, 2, axis=-1)
 
 
 def upsample2(x: Tensor) -> Tensor:
     """Nearest-neighbor 2x upsampling along the last axis."""
-    out = Tensor(upsample2_kernel(x.data))
+    out = Tensor(_upsample2(x.data))
     T = x.data.shape[-1]
     _record(out, (x,), lambda g: (g.reshape(*g.shape[:-1], T, 2).sum(axis=-1),))
     return out
 
 
-def concat_channels_kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([a, b], axis=-2)
 
 
@@ -602,7 +599,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[:-2] != b.data.shape[:-2] or a.data.shape[-1] != b.data.shape[-1]:
         raise ValueError(f"concat_channels: {a.data.shape} vs {b.data.shape}")
     Ca = a.data.shape[-2]
-    out = Tensor(concat_channels_kernel(a.data, b.data))
+    out = Tensor(_concat_channels(a.data, b.data))
     _record(out, (a, b), lambda g: (g[..., :Ca, :], g[..., Ca:, :]))
     return out
 
@@ -620,3 +617,12 @@ def mean_all(x: Tensor) -> Tensor:
     shp = x.data.shape
     _record(out, (x,), lambda g: (np.broadcast_to(g / n, shp).copy(),))
     return out
+
+
+# The array kernels, under the names of the Tensor ops they run the
+# inference arithmetic of: what the denoiser's bound model calls
+kernels = SimpleNamespace(
+    add=np.add, add_time=_add_time, conv1d=_conv1d_kernel,
+    norm_silu_conv=_norm_silu_conv_kernel,
+    self_attention=_self_attention_kernel, upsample2=_upsample2,
+    concat_channels=_concat_channels)

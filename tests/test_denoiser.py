@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import math
+import pickle
 import threading
 import tracemalloc
 
@@ -301,14 +302,16 @@ def test_binding_sees_a_replaced_array_or_tensor(toy_model, replaced):
 
 
 def test_binding_sees_an_edit_after_deepcopy(toy_model):
+    # and after a pickle round trip, the other copy __getstate__ serves
     model = _copied(toy_model)
     x = np.random.default_rng(22).standard_normal((4, 16))
     before = _warm(model, x, 44)
-    dup = copy.deepcopy(model)
-    dup["up0.w"].data[0, 0, 0] -= 0.5
-    got = predict_noise(dup, x, 44)
-    assert _same(got, predict_noise(_copied(dup), x, 44))
-    assert not _same(got, before)
+    for dup in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert dup._binding is None
+        dup["up0.w"].data[0, 0, 0] -= 0.5
+        got = predict_noise(dup, x, 44)
+        assert _same(got, predict_noise(_copied(dup), x, 44))
+        assert not _same(got, before)
     assert _same(predict_noise(model, x, 44), before)  # the original is untouched
 
 
@@ -337,11 +340,10 @@ def _taped_rows(model, x, n):
                          for b in range(len(x))])
 
 
-def _both_paths(model, x, n, edit=lambda m: None):
+def _both_paths(model, x, n):
     """predict_noise(x, n) on the bound kernels, memo cold and then warm,
-    and the tape path's rows, on a fresh copy of model changed by edit."""
+    and the tape path's rows, on a fresh copy of model."""
     fresh = _copied(model)
-    edit(fresh)
     bound = [_outcome(lambda: predict_noise(fresh, x, n)) for _ in ("cold", "warm")]
     return bound, [_outcome(lambda: _taped_rows(fresh, x, n))] * 2
 
@@ -394,26 +396,39 @@ def _overflow_residual(m):
     m["dec0.rb0.skip.b"].data[0] = 1.7e308
 
 
+_STEP_12 = "denoiser: non-finite output at step 12"
+
+
 @pytest.mark.parametrize("B", [1, 33])
-@pytest.mark.parametrize("edit, message", [
+@pytest.mark.parametrize("edit, first_check", [
     (_overflow_conv, "attn_scores: non-finite values in result"),
     (_nan_gamma, "attn_scores: non-finite values in result"),
     (_overflow_attention, "attn_scores: non-finite values in result"),
     (_overflow_add_time, "attn_scores: non-finite values in result"),
-    (_overflow_residual, "denoiser: non-finite output at step 12"),
+    (_overflow_residual, _STEP_12),
 ])
-def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit, message):
+def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit,
+                                            first_check):
     # only attention checks its results: an edit before it fails there on
     # both paths, and one after it fails predict_noise's end check, which
-    # the Tensor ops leave to their caller: they return the rows non-finite
+    # the Tensor ops leave to their caller: they return the rows
+    # non-finite. predict_noise names the step either way, chained from
+    # attention's error where that raised
+    model = _copied(steady_fixture[0])
+    edit(model)
     x = np.random.default_rng(23).standard_normal((B, 8, 64))
     with np.errstate(over="ignore", invalid="ignore"):
-        bound, tensor_ops = _both_paths(steady_fixture[0], x, 12, edit)
-    assert bound == [(FloatingPointError, message)] * 2
-    if message.startswith("denoiser: "):
-        assert not np.isfinite(np.frombuffer(tensor_ops[0])).all()
+        for _ in ("cold", "warm"):
+            with pytest.raises(FloatingPointError,
+                               match=f"^{_STEP_12}$") as failed:
+                predict_noise(model, x, 12)
+            cause = failed.value.__cause__
+            assert str(cause or failed.value) == first_check
+        tensor_ops = _outcome(lambda: _taped_rows(model, x, 12))
+    if cause is None:
+        assert not np.isfinite(np.frombuffer(tensor_ops)).all()
     else:
-        assert tensor_ops == bound
+        assert tensor_ops == (FloatingPointError, first_check)
 
 
 @pytest.mark.parametrize("B", [1, 33])
@@ -423,7 +438,7 @@ def test_a_failing_warm_step_records_nothing(steady_fixture, B):
     model = _copied(steady_fixture[0])
     _overflow_conv(model)
     x = np.random.default_rng(24).standard_normal((B, 8, 64))
-    fails = pytest.raises(FloatingPointError, match="^attn_scores: ")
+    fails = pytest.raises(FloatingPointError, match=f"^{_STEP_12}$")
     with np.errstate(over="ignore", invalid="ignore"), GradTape() as tape:
         with fails:
             predict_noise(model, x, 12)
@@ -441,15 +456,19 @@ def test_a_failing_warm_step_records_nothing(steady_fixture, B):
 # alone puts in any one layer result of any one row, alone or in a shard
 # worker's rows, must make the call raise: no later layer may drop it.
 
-# each bound kernel: where _Bound looks it up at call time, and its calls
-# in one run. add and add_time are bound when _Bound is defined, and tc's
-# Tensor ops call them too, so they are patched on _Bound
-_KERNELS = {"conv1d_unchecked": (tc, "conv1d_unchecked", 7),
-            "group_norm_unchecked": (tc, "group_norm_unchecked", 21),
-            "silu_conv_unchecked": (tc, "silu_conv_unchecked", 21),
-            "add_unchecked": (dn._Bound, "add", 11),
-            "add_time_unchecked": (dn._Bound, "add_time", 10),
-            "self_attention_kernel": (tc, "self_attention_kernel", 1)}
+# each case: the kernel it poisons, its calls in one run, and whether it
+# poisons the kernel's first argument rather than its result. Each entry
+# of tc.kernels is poisoned, norm_silu_conv at both of its stages: the
+# group_norm result its _conv1d_kernel call takes, and the silu-conv
+# result it returns
+_KERNELS = {"conv1d": (tc.kernels, "conv1d", 7, False),
+            "group_norm_unchecked": (tc, "_conv1d_kernel", 21, True),
+            "silu_conv_unchecked": (tc.kernels, "norm_silu_conv", 21, False),
+            "add": (tc.kernels, "add", 11, False),
+            "add_time": (tc.kernels, "add_time", 10, False),
+            "self_attention": (tc.kernels, "self_attention", 1, False),
+            "upsample2": (tc.kernels, "upsample2", 2, False),
+            "concat_channels": (tc.kernels, "concat_channels", 2, False)}
 
 
 @pytest.fixture(params=["toy", "kernel1"])
@@ -476,7 +495,7 @@ def _last_rows(B):
 def test_a_poisoned_kernel_result_never_escapes(small_model, monkeypatch,
                                                 kernel, B):
     last_rows = _last_rows(B)
-    owner, name, calls = _KERNELS[kernel]
+    owner, name, calls, on_input = _KERNELS[kernel]
     real, unet = getattr(owner, name), dn._unet
     run, poison, seen = threading.local(), {}, []
 
@@ -484,25 +503,29 @@ def test_a_poisoned_kernel_result_never_escapes(small_model, monkeypatch,
         run.k = 0
         return unet(*args)
 
-    def poisoned(*args):
-        out = real(*args)
-        if last_rows():
+    def poisoned(*args, **kwargs):
+        hit = last_rows()
+        if hit:
             seen.append(run.k)
-            if run.k == poison.get("k"):  # at an odd time position
-                out[-1, 0, -1] = poison["value"]
-            run.k += 1
+            hit, run.k = run.k == poison.get("k"), run.k + 1
+        if hit and on_input:  # at an odd time position
+            args[0][-1, 0, -1] = poison["value"]
+        out = real(*args, **kwargs)
+        if hit and not on_input:
+            out[-1, 0, -1] = poison["value"]
         return out
 
     monkeypatch.setattr(dn, "_unet", counting)
-    monkeypatch.setattr(owner, name, staticmethod(poisoned)
-                        if owner is dn._Bound else poisoned)
+    monkeypatch.setattr(owner, name, poisoned)
     x = np.random.default_rng(B).standard_normal((B, 4, 16))
     want = _taped_rows(small_model, x, 40).tobytes()
     assert predict_noise(small_model, x, 40).tobytes() == want
     assert seen == list(range(calls))
     for k in range(calls):
         poison.update(k=k, value=(np.nan, np.inf, -np.inf)[k % 3])
-        with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        with np.errstate(invalid="ignore"), pytest.raises(
+                FloatingPointError, match="^denoiser: non-finite output "
+                "at step 40$"):
             predict_noise(small_model, x, 40)
 
 

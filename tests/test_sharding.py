@@ -152,8 +152,10 @@ def test_workers_run_under_the_callers_errstate(toy_model, shards,
             _unsharded(monkeypatch,
                        lambda: dn.predict_noise(toy_model, xb, 50))
     assert len(shards) == 3 and all(c["err"] == caller for c in shards)
-    assert "overflow" in str(alone.value)
+    # the step's error, chained from the overflow the errstate raised
+    assert "overflow" in str(alone.value.__cause__)
     assert str(sharded.value) == str(alone.value)
+    assert str(sharded.value.__cause__) == str(alone.value.__cause__)
 
 
 def test_a_grad_tape_shards_and_records_only_a_cold_steps_projection(

@@ -562,8 +562,8 @@ def test_conv1d_matches_reference_bits(K, stride, T, B):
         lambda xx, ww, bb, g, on_tape: _ref_conv1d(xx, ww, bb, stride, g,
                                                    on_tape),
         (x, w, b), rng,
-        kernel=lambda xx, ww, bb: tc.conv1d_unchecked(
-            xx, ww.reshape(5, -1), bb[:, None], K, (K - 1) // 2, stride))
+        kernel=lambda xx, ww, bb: tc.kernels.conv1d(
+            xx, ww.reshape(5, -1), bb[:, None], stride))
 
 
 def test_silu_matches_reference_bits_in_the_tails():
@@ -760,10 +760,10 @@ def test_channel_linear_matches_prior_bits(shape, grad):
 
 
 # ------------------------------------------- fused norm -> silu -> conv (bits)
-# The bound model's norm -> silu -> conv, group_norm_unchecked then
-# silu_conv_unchecked, must give the reference conv1d's inference bits over
-# the prior silu and group_norm; the chain of ops on a tape must give the
-# prior output and every gradient.
+# The bound model's norm -> silu -> conv, the norm_silu_conv kernel, must
+# give the reference conv1d's inference bits over the prior silu and
+# group_norm; the norm_silu_conv op on a tape must give the prior output
+# and every gradient.
 
 def _prior_sigmoid(x):
     e = np.exp(-np.abs(x))
@@ -800,13 +800,12 @@ def _fused_inputs(rng, B, C, T):
 
 def _fused_kernels(x, gamma, beta, w, b):
     """The bound model's norm -> silu -> conv at 8 groups."""
-    h = tc.group_norm_unchecked(x, 8, gamma[:, None], beta[:, None])
-    return tc.silu_conv_unchecked(h, w.reshape(len(w), -1), b[:, None],
-                                  w.shape[2], (w.shape[2] - 1) // 2)
+    return tc.kernels.norm_silu_conv(x, gamma[:, None], beta[:, None], 8,
+                                     w.reshape(len(w), -1), b[:, None])
 
 
 def _chain(x, gamma, beta, w, b):
-    return tc.conv1d(tc.silu(tc.group_norm(x, gamma, beta, 8)), w, b)
+    return tc.norm_silu_conv(x, gamma, beta, 8, w, b)
 
 
 @pytest.mark.parametrize("B", [1, 16, 33])
@@ -958,7 +957,7 @@ _finite = st.one_of(st.sampled_from(_EXTREMES),
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_finite, min_size=1, max_size=64))
 def test_silu_of_finite_is_finite_and_no_larger(values):
-    # why silu_conv_unchecked's callers need not check silu's result
+    # why the norm_silu_conv kernel need not check silu's result
     h = np.array(values)
     y = h * tc._sigmoid(h)
     assert np.isfinite(y).all()
@@ -969,7 +968,7 @@ def test_silu_of_finite_is_finite_and_no_larger(values):
 @given(st.lists(st.lists(_finite, min_size=6, max_size=6), min_size=1,
                 max_size=6))
 def test_softmax_of_finite_rows_is_finite(rows):
-    # why self_attention_kernel does not check its softmax
+    # why the self_attention kernel does not check its softmax
     z = np.array(rows)
     with np.errstate(over="ignore"):  # z - max may round to -inf: exp gives 0
         y = tc._softmax_rows(z)
@@ -983,7 +982,7 @@ def test_softmax_of_finite_rows_is_finite(rows):
 @given(st.lists(_finite, min_size=1, max_size=64),
        st.integers(min_value=1, max_value=4096))
 def test_scaled_finite_scores_stay_finite(values, C):
-    # why self_attention_kernel does not check its scaled scores
+    # why the self_attention kernel does not check its scaled scores
     a = np.array(values)
     a *= 1.0 / math.sqrt(C)
     assert np.isfinite(a).all()
