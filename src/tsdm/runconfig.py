@@ -56,8 +56,8 @@ class RunConfig:
 
     Bench: bench_repeats (timing repetitions per configuration).
 
-    General: seed (flows into every derived spec), checkpoint (model
-    file path), out_dir (artifact directory).
+    General: seed (a non-negative integer that flows into every derived
+    spec), checkpoint (model file path), out_dir (artifact directory).
     """
 
     n_steps: int = 100
@@ -117,6 +117,11 @@ class RunConfig:
     seed: int = 0
     checkpoint: str = "model.tsdm"
     out_dir: str = "out"
+
+    def __post_init__(self):
+        if self.seed < 0:  # numpy's generators refuse it only later
+            raise ValueError(f"bad value for seed: {self.seed!r} "
+                             "(expected a non-negative integer)")
 
 
 def _parse_typed(key: str, raw: str, default):

@@ -1,9 +1,10 @@
 """Acceptance gates: ten criteria, one test (one pass/fail line) each.
 
-Quantitative thresholds were pinned by the one-time calibration run
-(scripts/calibrate.py) against the committed steady-data fixture;
-seed-dependent checks state their pinned seeds inline. Wall-clock
-budgets from the criteria are asserted where specified.
+Quantitative thresholds were pinned against the committed steady-data
+fixture; scripts/quality.py prints every pinned figure beside the
+held-out quality table. Seed-dependent checks state their pinned seeds
+inline. Wall-clock budgets from the criteria are asserted where
+specified.
 """
 
 import hashlib

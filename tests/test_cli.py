@@ -210,6 +210,19 @@ def test_non_finite_config_value_is_runtime_failure(cli_env):
     assert not (cli_env / "x12").exists()
 
 
+@pytest.mark.parametrize("argv", [("--seed", "-1"), ("--config", "neg.cfg")],
+                         ids=["flag", "key"])
+def test_negative_seed_is_runtime_failure_before_any_directory(cli_env,
+                                                               argv):
+    (cli_env / "neg.cfg").write_text("seed = -3\n")
+    r = run_cli(*argv, "--out", "x13", "synth", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert "bad value for seed: -" in r.stderr
+    assert "expected a non-negative integer" in r.stderr
+    assert not (cli_env / "x13").exists()
+
+
 def test_unknown_flag_is_usage_error(cli_env):
     r = run_cli("--frobnicate", "synth", cwd=cli_env)
     assert r.returncode == 1

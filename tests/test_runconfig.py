@@ -165,3 +165,12 @@ def test_every_key_documented_and_defaulted():
     doc = rc.RunConfig.__doc__
     for f in dataclasses.fields(RunConfig):
         assert f.name in doc, f"key {f.name} undocumented"
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match=r"^bad value for seed: -3 "
+                       r"\(expected a non-negative integer\)$"):
+        parse_runconfig("seed=-3\n")
+    with pytest.raises(ValueError, match="^bad value for seed: -1 "):
+        RunConfig(seed=-1)
+    assert parse_runconfig("seed=0\n").seed == 0
