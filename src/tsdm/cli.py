@@ -156,8 +156,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _load_finite(path, what: str, shape=None) -> np.ndarray:
-    """The `what` matrix at `path` (the clean "truth" or a "recovered"
-    one): finite, and of `shape` if given. An error names the file."""
+    """The `what` matrix at `path` ("truth", "recovered" or a training
+    "window"): finite, and of `shape` if given. An error names the file."""
     x, _ = load_matrix_csv(path)
     if shape is not None and x.shape != shape:
         raise ValueError(f"{what} file {path} has shape {x.shape} but "
@@ -198,7 +198,9 @@ def cmd_train(cfg: RunConfig, args, out: Path) -> None:
     paths = sorted(Path(args.windows_dir).glob("*.csv"))
     if not paths:
         raise ValueError(f"no window CSV files in {args.windows_dir}")
-    data = np.stack([load_matrix_csv(p)[0] for p in paths])
+    first = _load_finite(paths[0], "window")
+    data = np.stack([first] + [_load_finite(p, "window", first.shape)
+                               for p in paths[1:]])
     mean = data.mean(axis=(0, 2))
     std = np.maximum(data.std(axis=(0, 2)), 1e-8)
     normed = (data - mean[:, None]) / std[:, None]

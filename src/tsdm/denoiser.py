@@ -563,7 +563,8 @@ def train(dataset, dcfg: DenoiserConfig, tcfg: TrainConfig,
     if data.ndim != 3 or data.shape[0] == 0:
         raise ValueError("dataset must be a nonempty stack of (M, T) windows")
     if data.shape[1] != dcfg.channels_in:
-        raise ValueError("dataset channel count does not match config")
+        raise ValueError(f"dataset has {data.shape[1]} channels but the "
+                         f"config takes {dcfg.channels_in}")
     dcfg.validate_window(data.shape[2])
     if sched is None:
         sched = _default_schedule()

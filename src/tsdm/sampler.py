@@ -45,22 +45,6 @@ from .schedule import Subsequence, VarianceSchedule
 
 
 @dataclass(frozen=True)
-class StepCoefficients:
-    a_prev: float
-    a_cur: float
-    gamma: float
-    sigma_bar: float  # or a (B, 1, 1) column, one value per window
-
-    def __post_init__(self):
-        if not self.a_prev > self.a_cur:
-            raise ValueError("a_prev must exceed a_cur (schedule monotonicity)")
-        if not math.isfinite(self.gamma):
-            raise ValueError("Gamma must be finite")
-        if np.any(self.sigma_bar < 0):
-            raise ValueError("sigma_bar must be nonnegative")
-
-
-@dataclass(frozen=True)
 class TraceRecord:
     tau: int
     sigma_bar: float
@@ -134,40 +118,40 @@ def capital_gamma(i: int, sched: VarianceSchedule, tau: Subsequence) -> float:
         1.0 - a_cur)
 
 
-def step_coefficients(i: int, sched: VarianceSchedule, tau: Subsequence,
-                      eps_pred: np.ndarray, sigma_bar=None) -> StepCoefficients:
-    """The coefficients of the jump tau_i -> tau_{i-1}. sigma_bar, a
-    scalar or a (B, 1, 1) column (sigma_bar_rows), defaults to the root
-    of eps_pred's optimal variance."""
+def _jump(i: int, sched: VarianceSchedule, tau: Subsequence,
+          eps_pred: np.ndarray, sigma_bar) -> tuple:
+    """(a_prev, a_cur, Gamma, sigma_bar) of the jump tau_i -> tau_{i-1};
+    the schedule guarantees a_prev > a_cur > 0. sigma_bar, a scalar or a
+    (B, 1, 1) column (sigma_bar_rows), defaults to the root of eps_pred's
+    optimal variance."""
     gamma = capital_gamma(i, sched, tau)
     a_prev = sched.alpha_bar_at(tau.level(i - 1))
     a_cur = sched.alpha_bar_at(tau.level(i))
     if sigma_bar is None:
         sigma_bar = math.sqrt(optimal_variance(eps_pred, tau.level(i), sched))
-    return StepCoefficients(a_prev=a_prev, a_cur=a_cur, gamma=gamma,
-                            sigma_bar=sigma_bar)
+    return a_prev, a_cur, gamma, sigma_bar
 
 
 def improved_step(x_cur: np.ndarray, eps_pred: np.ndarray, i: int,
                   sched: VarianceSchedule, tau: Subsequence,
                   eps_draw: np.ndarray, sigma_bar=None) -> np.ndarray:
     """One accelerated reverse update written through the x0 estimate;
-    sigma_bar as in step_coefficients."""
-    c = step_coefficients(i, sched, tau, eps_pred, sigma_bar)
+    sigma_bar as in _jump."""
+    a_prev, a_cur, gamma, sigma_bar = _jump(i, sched, tau, eps_pred, sigma_bar)
     mu = estimate_x0(x_cur, eps_pred, tau.level(i), sched)
-    lead = math.sqrt(1.0 - c.a_prev) / math.sqrt(1.0 - c.a_cur)
-    return lead * x_cur + c.gamma * mu + c.gamma * c.sigma_bar * eps_draw
+    lead = math.sqrt(1.0 - a_prev) / math.sqrt(1.0 - a_cur)
+    return lead * x_cur + gamma * mu + gamma * sigma_bar * eps_draw
 
 
 def detailed_step(x_cur: np.ndarray, eps_pred: np.ndarray, i: int,
                   sched: VarianceSchedule, tau: Subsequence,
                   eps_draw: np.ndarray, sigma_bar=None) -> np.ndarray:
     """The same update expanded directly in (x, eps_pred, eps_draw)."""
-    c = step_coefficients(i, sched, tau, eps_pred, sigma_bar)
-    x_coef = math.sqrt(c.a_prev) / math.sqrt(c.a_cur)
-    e_coef = math.sqrt(1.0 - c.a_prev) - math.sqrt(c.a_prev) * math.sqrt(
-        1.0 - c.a_cur) / math.sqrt(c.a_cur)
-    return x_coef * x_cur + c.gamma * c.sigma_bar * eps_draw + e_coef * eps_pred
+    a_prev, a_cur, gamma, sigma_bar = _jump(i, sched, tau, eps_pred, sigma_bar)
+    x_coef = math.sqrt(a_prev) / math.sqrt(a_cur)
+    e_coef = math.sqrt(1.0 - a_prev) - math.sqrt(a_prev) * math.sqrt(
+        1.0 - a_cur) / math.sqrt(a_cur)
+    return x_coef * x_cur + gamma * sigma_bar * eps_draw + e_coef * eps_pred
 
 
 def unconditional_sample(params: DenoiserParams, shape: tuple,

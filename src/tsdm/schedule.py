@@ -4,7 +4,9 @@ Indices follow the 1-based convention used throughout the samplers:
 step n runs from 1 to N, beta[n - 1] is the noise variance added at
 step n, and alpha_bar_at(n) is the cumulative signal ratio with the
 anchor alpha_bar_at(0) == 1 so single-jump updates to the clean signal
-are well-defined.
+are well-defined. from_betas refuses betas whose alpha_bar is not
+strictly decreasing and positive over steps 1..N, so every jump of a
+subsequence has a_prev > a_cur > 0.
 """
 
 from __future__ import annotations
@@ -34,6 +36,12 @@ class VarianceSchedule:
         if betas.size > 1 and np.any(np.diff(betas) <= 0):
             raise ValueError("betas must be strictly increasing")
         alpha_bar = np.cumprod(1.0 - betas)
+        bad = np.flatnonzero((alpha_bar == 0)
+                             | (np.diff(alpha_bar, prepend=np.inf) >= 0))
+        if bad.size:
+            n = int(bad[0]) + 1
+            how = "reaches 0" if alpha_bar[n - 1] == 0 else "stops decreasing"
+            raise ValueError(f"alpha_bar {how} at step {n} of {betas.size}")
         betas.flags.writeable = False
         alpha_bar.flags.writeable = False
         return cls(beta=betas, alpha_bar=alpha_bar)

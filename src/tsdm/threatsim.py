@@ -162,8 +162,11 @@ def make_loss_mask(M: int, T: int, spec: MaskSpec) -> np.ndarray:
             channels = rng.choice(M, size=max(k, 1), replace=False)
         else:
             channels = np.asarray(spec.channels)
-            if channels.size == 0 or channels.min() < 0 or channels.max() >= M:
-                raise ValueError("bad NM channel set")
+            if channels.size == 0:
+                raise ValueError("NM channel set is empty")
+            if channels.min() < 0 or channels.max() >= M:
+                raise ValueError(f"NM channels {channels.tolist()} "
+                                 f"outside 0..{M - 1}")
         mask[channels, ts:te] = 0.0
     else:
         frac = rng.gamma(spec.gamma_shape, spec.target_ratio / spec.gamma_shape, T)

@@ -374,6 +374,52 @@ def test_recover_checks_truth_before_recovering(cli_env):
         in r.stderr
 
 
+def _train_refusal(cli_env, name, cfg="tiny.cfg", bad=None):
+    """Run train into `name` on windows 00000-00002, window 00001 replaced
+    by bad(x) if given; returns the run after checking that it exits 2
+    with one stderr line and leaves no checkpoint."""
+    wdir = cli_env / f"{name}-windows"
+    wdir.mkdir()
+    for i in range(3):
+        x, _ = load_matrix_csv(cli_env / f"base/windows/{i:05d}.csv")
+        save_matrix_csv(wdir / f"{i:05d}.csv", bad(x) if bad and i == 1 else x)
+    r = run_cli("--config", cfg, "--out", name, "train", wdir.name,
+                cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert not (cli_env / name / "model.tsdm").exists()
+    return r
+
+
+def test_train_refuses_a_nonfinite_window(cli_env):
+    def nan(x):
+        x[2, 5] = np.nan
+        return x
+
+    r = _train_refusal(cli_env, "t1", bad=nan)
+    assert r.stderr == ("error: window file t1-windows/00001.csv has a "
+                        "non-finite entry\n")
+
+
+def test_train_refuses_a_window_of_another_shape(cli_env):
+    r = _train_refusal(cli_env, "t2", bad=lambda x: x[:, :-1])
+    assert r.stderr == ("error: window file t2-windows/00001.csv has shape "
+                        "(4, 15) but the input has (4, 16)\n")
+
+
+def test_train_refuses_windows_of_another_channel_count(cli_env):
+    cfg = write_config(cli_env / "ch3.cfg", channels=3)
+    r = _train_refusal(cli_env, "t3", cfg=cfg.name)
+    assert r.stderr == ("error: dataset has 4 channels but the config "
+                        "takes 3\n")
+
+
+def test_train_refuses_a_schedule_whose_alpha_bar_underflows(cli_env):
+    cfg = write_config(cli_env / "under.cfg", n_steps=2000, beta_end=0.99)
+    r = _train_refusal(cli_env, "t4", cfg=cfg.name)
+    assert r.stderr == "error: alpha_bar reaches 0 at step 1463 of 2000\n"
+
+
 def test_unknown_config_key_is_runtime_failure(cli_env, tmp_path):
     bad = cli_env / "bad.cfg"
     bad.write_text("not_a_real_key = 3\n")

@@ -721,9 +721,10 @@ def test_a_non_finite_training_step_changes_nothing(toy_model, sched100,
 def test_train_rejects_bad_dataset():
     sched = linear_schedule(10, 0.01, 0.2)
     tcfg = TrainConfig(epochs=1, batch_size=2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="nonempty stack"):
         train(np.zeros((0, 4, 16)), TOY_CFG, tcfg, sched)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^dataset has 3 channels but the config takes 4$"):
         train(np.zeros((4, 3, 16)), TOY_CFG, tcfg, sched)
 
 

@@ -11,14 +11,12 @@ from tsdm import sampler
 from tsdm.denoiser import SHARD_ROWS, predict_noise
 from tsdm.sampler import (
     SamplerTrace,
-    StepCoefficients,
     capital_gamma,
     detailed_step,
     estimate_x0,
     forward_diffuse,
     improved_step,
     optimal_variance,
-    step_coefficients,
     unconditional_sample,
 )
 from tsdm.schedule import (
@@ -151,24 +149,13 @@ def test_capital_gamma_requires_predecessor():
         capital_gamma(11, SCHED, TAU)
 
 
-def test_step_coefficients_invariants():
-    coeffs = step_coefficients(5, SCHED, TAU, np.zeros((2, 4)))
-    assert coeffs.a_prev > coeffs.a_cur
-    assert np.isfinite(coeffs.gamma)
-    assert coeffs.sigma_bar >= 0
-    with pytest.raises(ValueError):
-        StepCoefficients(a_prev=0.4, a_cur=0.5, gamma=1.0, sigma_bar=0.0)
-    with pytest.raises(ValueError):
-        StepCoefficients(a_prev=0.9, a_cur=0.5, gamma=1.0, sigma_bar=-0.1)
-
-
 _Z = np.zeros((2, 4))
 
 
 @pytest.mark.parametrize("call, message", [
     (lambda: capital_gamma(1, SCHED, TAU),
      "subsequence position 1 outside 2..10"),
-    (lambda: step_coefficients(1, SCHED, TAU, _Z),
+    (lambda: detailed_step(_Z, _Z, 1, SCHED, TAU, _Z),
      "subsequence position 1 outside 2..10"),
     (lambda: improved_step(_Z, _Z, 0, SCHED, TAU, _Z),
      "subsequence position 0 outside 2..10"),

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tsdm.schedule import (
@@ -46,6 +48,17 @@ def test_schedule_rejects_nonincreasing_betas():
         VarianceSchedule.from_betas(np.array([0.1, 0.1]))
     with pytest.raises(ValueError):
         VarianceSchedule.from_betas(np.array([0.0, 0.1]))
+
+
+
+def test_schedule_refuses_alpha_bar_that_underflows_or_stalls():
+    with pytest.raises(ValueError) as err:
+        linear_schedule(2000, 1e-4, 0.99)
+    assert str(err.value) == "alpha_bar reaches 0 at step 1463 of 2000"
+    # 1 - 1e-17 rounds to 1.0, so both steps give alpha_bar == 1.0
+    with pytest.raises(ValueError) as err:
+        VarianceSchedule.from_betas(np.array([1e-17, 2e-17]))
+    assert str(err.value) == "alpha_bar stops decreasing at step 2 of 2"
 
 
 def test_alpha_bar_product_identity_and_monotonicity():
@@ -168,6 +181,35 @@ def test_property_every_schedule_satisfies_invariants(n, start, spread):
     # the DDPM posterior variance stays below the previous level's noise
     posterior = (1.0 - ab[:-1]) / (1.0 - ab[1:]) * sched.beta[1:]
     assert np.all(posterior <= 1.0 - ab[:-1] + 1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5000),
+       ends=st.lists(st.floats(0.0, 0.999, exclude_min=True), min_size=2,
+                     max_size=2, unique=True).map(sorted))
+@example(n=2000, ends=[1e-4, 0.99])
+@example(n=2, ends=[1e-17, 2e-17])
+def test_property_schedule_constructs_or_names_the_first_bad_step(n, ends):
+    start, end = ends
+    betas = np.linspace(start, end, n)
+    assume(np.all(np.diff(betas) > 0))
+    ab = np.cumprod(1.0 - betas)
+    try:
+        sched = linear_schedule(n, start, end)
+    except ValueError as e:
+        m = re.fullmatch(r"alpha_bar (reaches 0|stops decreasing) "
+                         r"at step (\d+) of (\d+)", str(e))
+        assert m and int(m[3]) == n, str(e)
+        k = int(m[2])
+        assert np.all(ab[:k - 1] > 0) and np.all(np.diff(ab[:k - 1]) < 0)
+        if m[1] == "reaches 0":
+            assert ab[k - 1] == 0
+        else:
+            assert k >= 2 and 0 < ab[k - 2] <= ab[k - 1]
+    else:
+        assert np.all(sched.alpha_bar > 0)
+        assert np.all(np.diff(sched.alpha_bar) < 0)
+        np.testing.assert_array_equal(sched.alpha_bar, ab)
 
 
 @settings(max_examples=60, deadline=None)

@@ -203,6 +203,19 @@ def test_mask_reproducible_and_validated():
         MaskSpec(kind="patchy", target_ratio=0.5)
 
 
+
+@pytest.mark.parametrize("channels, message", [
+    ((1, 9), r"^NM channels \[1, 9\] outside 0..3$"),
+    ((-1,), r"^NM channels \[-1\] outside 0..3$"),
+    ((), "^NM channel set is empty$"),
+])
+def test_nm_mask_names_a_bad_channel_set(channels, message):
+    spec = MaskSpec(kind="nonrandom_missing", target_ratio=0.3,
+                    channels=channels)
+    with pytest.raises(ValueError, match=message):
+        make_loss_mask(4, 16, spec)
+
+
 # ----------------------------------------------------------------- synthesis
 
 def test_steady_windows_shape_and_determinism():
