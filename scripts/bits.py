@@ -6,10 +6,12 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
 - predict: predict_noise on each fixture at B 1, 5 and 33 and steps 1,
   37 and 100, memo cold then warm, and with a 2-D input; at B 1 and 33
   the failures of a conv weight scaled by 1e308, of a NaN norm gain in
-  an encoder and in a decoder block, and of attention's query and key
-  weights scaled by 1e200; and twice on the steady fixture with a
-  Fortran-ordered conv weight, which the model cannot keep a binding
-  of, so the binding is built anew on each call;
+  an encoder and in a decoder block, of attention's query and key
+  weights scaled by 1e200, and of a time projection that overflows (a
+  block's projection weight scaled by 1e300, one entry 1e308); and twice
+  on the steady fixture with a Fortran-ordered conv weight, which the
+  model cannot keep a binding of, so the binding is built anew on each
+  call;
 - adam: two Adam training steps per fixture config (each loss and every
   parameter after each step);
 - loss: diffusion_loss on a gradient tape on each fixture at B 1 and 8
@@ -153,8 +155,14 @@ def _overflow_attention(m):
     m["mid.attn.wk"].data *= 1e200
 
 
+def _overflow_projection(m):
+    w = m["mid.rb1.temb.w"].data
+    w *= 1e300
+    w[0] = 1e308
+
+
 BAD_EDITS = (_overflow_conv, _nan_encoder_gain, _nan_decoder_gain,
-             _overflow_attention)
+             _overflow_attention, _overflow_projection)
 
 
 def adam_cases(models):

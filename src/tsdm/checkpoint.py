@@ -5,9 +5,11 @@ length, UTF-8 JSON header (network config, per-channel normalization
 stats, tensor table with name/shape/byte offset and, from version 2, the
 payload's SHA-256), then the concatenated tensor payload as raw
 little-endian float64. Round-trips are bit-exact. Loading checks each
-header field's JSON type, the tensor table against the layout the
-config builds and a version 2 payload against its hash (version 1 files
-carry none); any fault is a one-line ValueError naming the file.
+header field's JSON type, the normalization stats against the config's
+channel count (finite, std positive), the tensor table against the
+layout the config builds and a version 2 payload against its hash
+(version 1 files carry none); any fault is a one-line ValueError naming
+the file.
 """
 
 from __future__ import annotations
@@ -93,6 +95,12 @@ def _parse(blob: bytes):
             for key in ("norm_mean", "norm_std")]
     if not all(n.ndim == 1 and np.isfinite(n).all() for n in norm):
         raise ValueError("norm_mean and norm_std must list finite numbers")
+    for key, n in zip(("norm_mean", "norm_std"), norm):
+        if n.size != cfg.channels_in:
+            raise ValueError(f"{key} has {n.size} entries but the config "
+                             f"takes {cfg.channels_in} channels")
+    if not (norm[1] > 0).all():
+        raise ValueError("norm_std must be positive")
     payload = blob[hend:]
     tensors = _read_tensors(_field(header, "tensors", list),
                             param_layout(cfg), payload)

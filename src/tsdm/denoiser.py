@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tc
-from .schedule import VarianceSchedule
+from .schedule import VarianceSchedule, linear_schedule
 from .tensor import GradTape, Tensor
 
 
@@ -334,8 +334,9 @@ def _step_tensor_names(cfg: DenoiserConfig) -> tuple:
 def _step_projections(p: DenoiserParams, n: int) -> dict:
     """Step n's time projections, {block name: (C, 1) projection}, from
     p's memo (step index -> projections); a step the memo lacks is
-    projected alone (_embed) and stored, unless that raises or gives a
-    NaN or an infinity, which raises FloatingPointError.
+    projected alone (_embed) and stored as computed, unchecked: a NaN or
+    an infinity in a projection reaches predict_noise's output check
+    through its block's add_time and group norm (inf - inf is NaN).
 
     The memo is valid for the exact bytes of the tensors it is computed
     from, so one comparison per call empties it after any edit of them,
@@ -347,11 +348,7 @@ def _step_projections(p: DenoiserParams, n: int) -> dict:
     if held is None or held[0] != key:
         held = p._step_memo = (key, {})
     if n not in held[1]:
-        time = {name: tv.data for name, tv in _embed(p, [n]).items()}
-        if not all(np.isfinite(v).all() for v in time.values()):
-            raise FloatingPointError("denoiser: non-finite time projection "
-                                     f"at step {n}")
-        held[1][n] = time
+        held[1][n] = {name: tv.data for name, tv in _embed(p, [n]).items()}
     return held[1][n]
 
 
@@ -432,12 +429,13 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
 
     Every failure to stay finite raises FloatingPointError("denoiser:
     non-finite output at step n"): a NaN or an infinity in the result,
-    which is checked once, and any FloatingPointError of a layer (from
-    attention's checks, or an np.errstate that raises), which it is
-    chained from. One check suffices, as every layer but attention, which
-    checks its own, carries a NaN or an infinity on to the output (0 *
-    inf, inf - inf and -inf * 0 are NaN; a stride-2 conv's skipped
-    positions reach it through the skip concat).
+    which is checked once, and any FloatingPointError of a layer or of
+    the step's projection (from an np.errstate that raises), which it is
+    chained from. One check suffices, as every layer carries a NaN or an
+    infinity on to the output (0 * inf, inf - inf and -inf * 0 are NaN;
+    a stride-2 conv's skipped positions reach it through the skip
+    concat; attention, whose softmax gives a -inf score weight 0, is a
+    residual, so its input reaches the output through the skip).
 
     A stack of B rows is cut into B / SHARD_ROWS contiguous shards,
     halves rounded up, at most one per usable core, so it splits from
@@ -460,11 +458,11 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     cfg.validate_window(xb.shape[2])
     n = _step_index(n)
     ops = _Ops(cfg, _bound(params), tc.kernels)
-    time = _step_projections(params, n)
     B = xb.shape[0]
     shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
     failed = f"denoiser: non-finite output at step {n}"
     try:
+        time = _step_projections(params, n)
         if shards < 2:
             out = _predict_rows(cfg, ops, xb, time)
         else:
@@ -590,6 +588,4 @@ def train(dataset, dcfg: DenoiserConfig, tcfg: TrainConfig,
 
 
 def _default_schedule() -> VarianceSchedule:
-    from .schedule import linear_schedule
-
     return linear_schedule(100)

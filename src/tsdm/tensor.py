@@ -33,10 +33,12 @@ from which it works out K and the padding, a bias or a norm's affine as
 a (C, 1) column) and checks no shape but the kernel width against the
 input length.
 
-Two places check finiteness: _attend its scores and its result, since
-its softmax can turn a -inf score into a weight of 0, and backward each
-leaf's gradient. Elsewhere a NaN or an infinity is carried on to the
-result, which its caller checks once (denoiser.predict_noise, training).
+No op or kernel checks finiteness, and backward only each leaf's
+gradient: a NaN or an infinity is carried on to the result, which its
+caller checks once (denoiser.predict_noise, training). Attention's
+softmax gives a -inf score beside a finite maximum weight 0, its IEEE
+limit, but the U-Net adds attention's result to its input, so a
+non-finite input reaches the output through that residual.
 """
 
 from __future__ import annotations
@@ -526,12 +528,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """Scaled dot-product attention of the (B, C, T) projections: the
     result and the (B, T, T) softmax weights, which the scale and the
     softmax build in place in the score array."""
-    a = _guard(np.einsum("bct,bcu->btu", q, k), "attn_scores")
-    # unguarded: a factor 1/sqrt(C) <= 1 keeps the checked scores finite
+    a = np.einsum("bct,bcu->btu", q, k)
     a *= 1.0 / math.sqrt(q.shape[-2])
-    # unguarded: finite rows give exp(z - max) in [0, 1] and a sum >= 1
     _softmax_rows(a, out=a)
-    return _guard(np.einsum("bcu,btu->bct", v, a), "attn_apply"), a
+    return np.einsum("bcu,btu->bct", v, a), a
 
 
 def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
@@ -571,8 +571,9 @@ def self_attention(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
 def _self_attention_kernel(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
                            wv: np.ndarray) -> np.ndarray:
     """Inference self_attention of the (B, C, T) x: the op's projections
-    and arithmetic, without recording. The projections go unchecked: a
-    non-finite one makes _attend's checked scores or result non-finite."""
+    and arithmetic, without recording or checking. A NaN or +inf score
+    gives its row all NaN; the U-Net adds the result to x, so a non-finite
+    x reaches predict_noise's output check through that residual."""
     q, k, v = (_channel_major(w, x) for w in (wq, wk, wv))
     return _attend(q, k, v)[0]
 

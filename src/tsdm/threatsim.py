@@ -208,10 +208,11 @@ def synth_dataset(spec: SynthSpec, count: int) -> list:
     standard normals (level, noise), and transient takes a uniform, a
     choice, a uniform and a normal. Ziggurat normals use a variable number
     of generator words, so the stream cannot skip ahead: window 2000 still
-    costs drawing windows 0..1999. The draws stay per window while the
-    arithmetic runs over up to `_CHUNK` windows at once, elementwise and in
-    the per-window operation order, so each window has the bits that a
-    one-window-at-a-time loop gives it. A count below 1 is a ValueError.
+    costs drawing windows 0..1999. Steady's draws stay per window while
+    its arithmetic runs over up to `_CHUNK` windows at once, elementwise
+    and in the per-window operation order, so each window has the bits
+    that a one-window-at-a-time loop gives it; transient runs one window
+    at a time. A count below 1 is a ValueError.
     """
     if count < 1:
         raise ValueError(f"synthesis count must be at least 1, got {count}")
@@ -275,21 +276,14 @@ def _transient_windows(spec: SynthSpec, count: int, rng) -> list:
     dt = np.arange(T)[spec.event_time :] - spec.event_time
     envelope = np.exp(-zeta * omega * dt)
     swing = omega_d * dt
-    bufs = _scratch((M, 1), (M, 1), (M, T), (M, dt.size), (M, dt.size), (M, T))
     windows = []
-    for first in range(0, count, _CHUNK):
-        n = min(_CHUNK, count - first)
-        amp, phase, noise, ring, wave, x = (buf[:n] for buf in bufs)
-        for i in range(n):
-            amp[i, :, 0] = rng.uniform(0.5, 1.5, M) * rng.choice([-1.0, 1.0], M)
-            phase[i, :, 0] = rng.uniform(0.2, np.pi - 0.2, M)
-            noise[i] = rng.normal(0.0, 1.0, (M, T))
-        # in place, in the per-window order: amp * envelope * sin(...)
-        np.multiply(amp, envelope, out=ring)
-        ring *= np.sin(np.add(swing, phase, out=wave), out=wave)
-        x[...] = level[:, None]
-        x[:, :, spec.event_time :] += ring
-        noise *= spec.noise_amp
-        x += noise
-        windows.extend(xi.copy() for xi in x)
+    for _ in range(count):
+        amp = rng.uniform(0.5, 1.5, M) * rng.choice([-1.0, 1.0], M)
+        phase = rng.uniform(0.2, np.pi - 0.2, M)
+        noise = rng.normal(0.0, 1.0, (M, T))
+        x = np.repeat(level[:, None], T, axis=1)
+        x[:, spec.event_time :] += (amp[:, None] * envelope
+                                    * np.sin(swing + phase[:, None]))
+        x += noise * spec.noise_amp
+        windows.append(x)
     return windows

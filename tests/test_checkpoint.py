@@ -139,6 +139,13 @@ def _set(key, value, part=lambda h: h):
     (_set("tensors", {}), "header field 'tensors' is not list"),
     (_set("norm_mean", [0.0, None, 0.0]), "must list finite numbers"),
     (_set("norm_std", "1,1,1"), "header field 'norm_std' is not list"),
+    (_set("norm_mean", [0.0, 0.0]),
+     "norm_mean has 2 entries but the config takes 3 channels"),
+    (_set("norm_std", [1.0, 1.0, 1.0, 1.0]),
+     "norm_std has 4 entries but the config takes 3 channels"),
+    (_set("norm_std", [1.0, -1.0, 1.0]), "norm_std must be positive"),
+    (_set("norm_std", [1.0, 1.0, 0.0]), "norm_std must be positive"),
+    (_set("norm_std", [1.0, 1.0, -0.0]), "norm_std must be positive"),
     (_set("dropout", 0.1, lambda h: h["config"]),
      "config has unknown keys ['dropout']"),
     (lambda h: h["config"].pop("channels_in"),

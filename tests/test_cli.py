@@ -14,6 +14,7 @@ import pytest
 
 from clirun import run_cli
 
+from tsdm.checkpoint import load_checkpoint, save_checkpoint
 from tsdm.dataio import load_mask_csv, load_matrix_csv, save_matrix_csv
 from tsdm.metrics import detection_metrics
 
@@ -268,6 +269,19 @@ def test_short_checkpoint_is_runtime_failure(cli_env):
     assert r.returncode == 2
     assert r.stderr.count("\n") == 1 and "short.tsdm" in r.stderr
     assert "shorter than the preamble" in r.stderr
+
+
+def test_checkpoint_stats_of_another_length_are_runtime_failure(cli_env):
+    params, mean, std = load_checkpoint(cli_env / "base/model.tsdm")
+    save_checkpoint(cli_env / "stats3.tsdm", params, mean[:3], std)
+    cfg = write_config(cli_env / "stats3.cfg",
+                       checkpoint=cli_env / "stats3.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "x14", "recover",
+                "base/windows/00004.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.count("\n") == 1
+    assert ("stats3.tsdm: norm_mean has 3 entries but the config takes 4 "
+            "channels") in r.stderr
 
 
 def test_channel_count_mismatch_is_runtime_failure(cli_env):

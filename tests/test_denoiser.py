@@ -209,18 +209,27 @@ def test_memo_sees_an_edit_after_deepcopy(toy_model):
 
 
 def test_overflowing_projection_raises_on_every_call(toy_model):
+    # the projection is not checked: its block's group norm turns the
+    # infinity into NaN, which the output check meets. Under a raising
+    # errstate the projection itself raises, and the step error is
+    # chained from that
     model = _copied(toy_model)
     x = np.random.default_rng(14).standard_normal((4, 16))
     predict_noise(model, x, 30)  # warms the memo
     w = model["mid.rb1.temb.w"].data
     w *= 1e300
     w[0] = 1e308
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="^denoiser: "
+                           "non-finite output at step 30$") as failed:
+            predict_noise(model, x, 30)
+    assert "overflow" in str(failed.value.__cause__)
     for _ in range(3):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(FloatingPointError, match="^denoiser: "
-                               "non-finite time projection at step 30$"):
+                               "non-finite output at step 30$") as failed:
                 predict_noise(model, x, 30)
-        assert model._step_memo[1] == {}  # never kept
+        assert failed.value.__cause__ is None
 
 
 def test_training_neither_reads_nor_fills_the_memo(toy_model, sched100):
@@ -400,20 +409,13 @@ _STEP_12 = "denoiser: non-finite output at step 12"
 
 
 @pytest.mark.parametrize("B", [1, 33])
-@pytest.mark.parametrize("edit, first_check", [
-    (_overflow_conv, "attn_scores: non-finite values in result"),
-    (_nan_gamma, "attn_scores: non-finite values in result"),
-    (_overflow_attention, "attn_scores: non-finite values in result"),
-    (_overflow_add_time, "attn_scores: non-finite values in result"),
-    (_overflow_residual, _STEP_12),
-])
-def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit,
-                                            first_check):
-    # only attention checks its results: an edit before it fails there on
-    # both paths, and one after it fails predict_noise's end check, which
-    # the Tensor ops leave to their caller: they return the rows
-    # non-finite. predict_noise names the step either way, chained from
-    # attention's error where that raised
+@pytest.mark.parametrize("edit", [_overflow_conv, _nan_gamma,
+                                  _overflow_attention, _overflow_add_time,
+                                  _overflow_residual])
+def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit):
+    # no layer checks its result: an edit before attention or after it
+    # fails predict_noise's end check alone, which the Tensor ops leave
+    # to their caller: they return the rows non-finite
     model = _copied(steady_fixture[0])
     edit(model)
     x = np.random.default_rng(23).standard_normal((B, 8, 64))
@@ -422,13 +424,9 @@ def test_bound_path_fails_as_the_tensor_ops(steady_fixture, B, edit,
             with pytest.raises(FloatingPointError,
                                match=f"^{_STEP_12}$") as failed:
                 predict_noise(model, x, 12)
-            cause = failed.value.__cause__
-            assert str(cause or failed.value) == first_check
-        tensor_ops = _outcome(lambda: _taped_rows(model, x, 12))
-    if cause is None:
-        assert not np.isfinite(np.frombuffer(tensor_ops)).all()
-    else:
-        assert tensor_ops == (FloatingPointError, first_check)
+            assert failed.value.__cause__ is None
+        tensor_ops = _taped_rows(model, x, 12)
+    assert not np.isfinite(tensor_ops).all()
 
 
 @pytest.mark.parametrize("B", [1, 33])
@@ -451,10 +449,10 @@ def test_a_failing_warm_step_records_nothing(steady_fixture, B):
 
 
 # ------------------------------------------ one check per predict_noise run
-# predict_noise runs its layers unchecked, attention's checks apart, and
-# checks the result once. So a NaN or an infinity that a bound kernel
-# alone puts in any one layer result of any one row, alone or in a shard
-# worker's rows, must make the call raise: no later layer may drop it.
+# predict_noise runs its layers unchecked and checks the result once. So
+# a NaN or an infinity that a bound kernel alone puts in any one layer
+# result of any one row, alone or in a shard worker's rows, must make the
+# call raise: no later layer may drop it.
 
 # each case: the kernel it poisons, its calls in one run, and whether it
 # poisons the kernel's first argument rather than its result. Each entry
@@ -700,7 +698,7 @@ def test_train_divergence_aborts():
 @pytest.mark.parametrize("layer", ["enc0.rb1.conv1.w", "dec0.rb1.conv1.w"])
 def test_a_non_finite_training_step_changes_nothing(toy_model, sched100,
                                                     layer):
-    # an encoder layer fails attention's check, a decoder layer the loss's
+    # an encoder layer and a decoder layer both fail the loss's check
     model = _copied(toy_model)
     model[layer].data *= 1e308
     opt = Adam(model, 1e-3)

@@ -945,6 +945,28 @@ def test_self_attention_gradients_match_prior_bits(shape):
                    (True,) * 4, rng)
 
 
+def test_attend_carries_non_finite_scores_and_never_raises():
+    # C = 2, T = 4. Stack 0: query 0 is NaN, so score row 0 is. Stack 1:
+    # key 0 is +inf in channel 0, so rows 0 and 2 (positive query) hold a
+    # +inf score and rows 1 and 3 a -inf one beside finite scores
+    q = np.array([[[np.nan, 0.5, -1.0, 2.0], [0.3, -0.6, 0.9, 0.1]],
+                  [[1.0, -1.0, 0.5, -2.0], [0.7, 0.2, -0.4, 1.1]]])
+    k = np.array([[[1.0, 2.0, 3.0, 4.0], [0.2, -0.1, 0.5, 0.3]],
+                  [[np.inf, 1.0, 2.0, 3.0], [0.3, -0.2, 0.1, 0.4]]])
+    v = np.random.default_rng(31).standard_normal((2, 2, 4))
+    with np.errstate(invalid="ignore"):
+        out, _ = tc._attend(q, k, v)
+    assert np.isnan(out[0, :, 0]).all()
+    assert np.isfinite(out[0, :, 1:]).all()
+    for t in (0, 2):
+        assert np.isnan(out[1, :, t]).all()
+    for t in (1, 3):  # weight 0 on key 0: attention over keys 1..3
+        z = q[1, :, t] @ k[1, :, 1:] / math.sqrt(2)
+        w = np.exp(z - z.max())
+        want = v[1, :, 1:] @ (w / w.sum())
+        assert np.abs(out[1, :, t] - want).max() <= 1e-12
+
+
 # ------------------------------------- off-tape results that go unchecked
 
 # the float extremes: the largest finite magnitude, the smallest
