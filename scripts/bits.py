@@ -32,7 +32,12 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   tau and sigma_bar) or failure text;
 - synth: synth_dataset's windows, steady seed 42 x 2256 at (8, 64) (the
   benchmark's draw), transient seed 7 x 300 at (8, 64), and both modes
-  at the odd shapes (1, 2) and (3, 5).
+  at the odd shapes (1, 2) and (3, 5);
+- cli: the acceptance suite's CLI chain (synth, train, attack, mask,
+  recover, eval, bench, sweep on a tiny config) run in a temporary
+  directory with relative paths, so every run writes the same manifests;
+  after each command its exit code and the SHA-256 of every file under
+  out/ except the wall-clock sidecars timing.txt and bench_timing.csv.
 
 A failure counts by its type and text. The last line, all-by-type, is
 one hash over all groups that counts a failure by its type alone (a
@@ -46,11 +51,14 @@ in its own process, from its repo root:
 
 import copy
 import hashlib
+import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from tsdm.checkpoint import load_checkpoint
+from tsdm.cli import main as tsdm_main
 from tsdm.denoiser import (Adam, diffusion_loss, init_params, predict_noise,
                            training_step)
 from tsdm.pipeline import TsdmConfig, recover, recover_batch
@@ -296,9 +304,49 @@ def synth_cases(models):
     return [synth_dataset(spec, count) for spec, count in specs]
 
 
+CLI_CONFIG = ("channels = 4\nwindow = 16\nbase_width = 8\ndepth = 2\n"
+              "time_embed_dim = 8\nepochs = 2\nsynth_count = 8\n"
+              "n_steps = 40\nsubseq_len = 5\nattack_channels = 0,2\n"
+              "attack_end = 16\nmask_channels = 1,3\nmask_start = 2\n"
+              "mask_end = 14\nsweep_values = 0.1,0.3\nbench_repeats = 1\n"
+              "seed = 7\n")
+CLI_CHAIN = (
+    ("synth",),
+    ("train", "out/windows"),
+    ("attack", "out/windows/00003.csv"),
+    ("mask", "out/windows/00003.csv"),
+    ("recover", "out/attacked.csv", "--truth", "out/windows/00003.csv",
+     "--mask", "out/loss_mask.csv"),
+    ("eval", "out/windows/00003.csv", "out/recovered.csv",
+     "--loss-mask", "out/loss_mask.csv"),
+    ("bench",),
+    ("sweep", "out/windows/00004.csv"),
+)
+
+
+def cli_cases(models):
+    out = []
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("tiny.cfg").write_text(CLI_CONFIG)
+            for cmd in CLI_CHAIN:
+                code = tsdm_main(["--config", "tiny.cfg", "--out", "out",
+                                  *cmd])
+                out.append((cmd, code, {
+                    str(p): hashlib.sha256(p.read_bytes()).hexdigest()
+                    for p in sorted(Path("out").rglob("*")) if p.is_file()
+                    and p.name not in ("timing.txt", "bench_timing.csv")}))
+        finally:
+            os.chdir(home)
+    return out
+
+
 GROUPS = {"predict": predict_cases, "adam": adam_cases, "loss": loss_cases,
           "recover_batch": recover_batch_cases, "recover": recover_cases,
-          "lockstep": lockstep_cases, "synth": synth_cases}
+          "lockstep": lockstep_cases, "synth": synth_cases,
+          "cli": cli_cases}
 
 
 def main():

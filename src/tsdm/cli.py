@@ -47,22 +47,6 @@ SWEEP_DEFAULTS = {
     "repeats": (1.0, 2.0, 3.0),
 }
 
-# Positional inputs per subcommand, recorded in the manifest.
-_POSITIONALS = {
-    "synth": (),
-    "attack": ("input",),
-    "mask": ("input",),
-    "train": ("windows_dir",),
-    "recover": ("input",),
-    "eval": ("truth", "recovered"),
-    "bench": (),
-    "sweep": ("truth",),
-}
-_OPTIONS = {
-    "recover": ("truth", "mask"),
-    "eval": ("loss_mask", "flagged", "corrupt"),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -78,41 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config output directory")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="COMMAND")
-
-    sub.add_parser("synth", help="emit a synthetic window dataset")
-
-    p = sub.add_parser("attack", help="inject false data into a window")
-    p.add_argument("input", help="CSV measurement matrix to corrupt")
-
-    p = sub.add_parser("mask", help="knock out entries of a window")
-    p.add_argument("input", help="CSV measurement matrix to mask")
-
-    p = sub.add_parser("train", help="train the noise predictor")
-    p.add_argument("windows_dir", help="directory of window CSV files")
-
-    p = sub.add_parser("recover", help="run the two-stage recovery")
-    p.add_argument("input", help="CSV window to recover")
-    p.add_argument("--truth", metavar="PATH",
-                   help="clean reference; adds quality metrics to the report")
-    p.add_argument("--mask", metavar="PATH",
-                   help="observability mask CSV (1=observed)")
-
-    p = sub.add_parser("eval", help="score a recovery against the truth")
-    p.add_argument("truth", help="clean reference CSV")
-    p.add_argument("recovered", help="recovered CSV")
-    p.add_argument("--loss-mask", dest="loss_mask", metavar="PATH",
-                   help="observability mask; adds missing-entry RMSE")
-    p.add_argument("--flagged", metavar="PATH",
-                   help="flag mask (1=flagged); with --corrupt adds "
-                        "precision/recall")
-    p.add_argument("--corrupt", metavar="PATH",
-                   help="ground-truth corruption mask (1=corrupted)")
-
-    sub.add_parser("bench", help="time sampling at reduced step counts")
-
-    p = sub.add_parser("sweep", help="grid a hyperparameter, one CSV row "
-                                     "per value")
-    p.add_argument("truth", help="clean window the scenario corrupts")
+    for name, (_, help_, inputs, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for dest, text in inputs.items():
+            p.add_argument(dest, help=text)
+        for dest, text in options.items():
+            p.add_argument("--" + dest.replace("_", "-"), metavar="PATH",
+                           help=text)
     return parser
 
 
@@ -133,21 +89,19 @@ def _checkpoint_path(cfg: RunConfig, out: Path) -> Path:
 def _write_manifest(out: Path, args, cfg: RunConfig) -> None:
     text = format_runconfig(cfg)
     (out / "config.resolved.txt").write_text(text)
-    options = {name: getattr(args, name)
-               for name in _OPTIONS.get(args.command, ())
-               if getattr(args, name) is not None}
+    _, _, inputs, options = COMMANDS[args.command]
     manifest = {
         "command": args.command,
-        "inputs": [getattr(args, n) for n in _POSITIONALS[args.command]],
-        "options": options,
+        "inputs": [getattr(args, name) for name in inputs],
+        "options": {name: getattr(args, name) for name in options
+                    if getattr(args, name) is not None},
         "config_sha256": hashlib.sha256(text.encode()).hexdigest(),
         "seed": cfg.seed,
         "versions": {"python": platform.python_version(),
                      "numpy": np.__version__,
                      "tsdm": __version__},
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_json(out / "manifest.json", manifest)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -246,6 +200,9 @@ def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
 
 
 def cmd_eval(cfg: RunConfig, args, out: Path) -> None:
+    for flag, partner in (("flagged", "corrupt"), ("corrupt", "flagged")):
+        if getattr(args, flag) is not None and getattr(args, partner) is None:
+            raise ValueError(f"--{flag} needs --{partner}")
     recovered = _load_finite(args.recovered, "recovered")
     truth = _load_finite(args.truth, "truth", recovered.shape)
     metrics = {"weighted_rmse": weighted_rmse(
@@ -253,7 +210,7 @@ def cmd_eval(cfg: RunConfig, args, out: Path) -> None:
     if args.loss_mask:
         metrics["masked_rmse"] = masked_rmse(truth, recovered,
                                              load_mask_csv(args.loss_mask))
-    if args.flagged and args.corrupt:
+    if args.flagged is not None:
         precision, recall = detection_metrics(load_mask_csv(args.flagged),
                                               load_mask_csv(args.corrupt))
         metrics["detection_precision"] = precision
@@ -320,15 +277,32 @@ def cmd_sweep(cfg: RunConfig, args, out: Path) -> None:
     (out / "sweep.csv").write_text("\n".join(rows) + "\n")
 
 
-HANDLERS = {
-    "synth": cmd_synth,
-    "attack": cmd_attack,
-    "mask": cmd_mask,
-    "train": cmd_train,
-    "recover": cmd_recover,
-    "eval": cmd_eval,
-    "bench": cmd_bench,
-    "sweep": cmd_sweep,
+# Each subcommand once: (handler, help, {input: help}, {option: help}).
+# An option's flag is --name with "_" as "-", so argparse's dest is the
+# key. The manifest records the inputs in this order and the options
+# that were given.
+COMMANDS = {
+    "synth": (cmd_synth, "emit a synthetic window dataset", {}, {}),
+    "attack": (cmd_attack, "inject false data into a window",
+               {"input": "CSV measurement matrix to corrupt"}, {}),
+    "mask": (cmd_mask, "knock out entries of a window",
+             {"input": "CSV measurement matrix to mask"}, {}),
+    "train": (cmd_train, "train the noise predictor",
+              {"windows_dir": "directory of window CSV files"}, {}),
+    "recover": (cmd_recover, "run the two-stage recovery",
+                {"input": "CSV window to recover"},
+                {"truth": "clean reference; adds quality metrics to the "
+                          "report",
+                 "mask": "observability mask CSV (1=observed)"}),
+    "eval": (cmd_eval, "score a recovery against the truth",
+             {"truth": "clean reference CSV", "recovered": "recovered CSV"},
+             {"loss_mask": "observability mask; adds missing-entry RMSE",
+              "flagged": "flag mask (1=flagged); with --corrupt adds "
+                         "precision/recall",
+              "corrupt": "ground-truth corruption mask (1=corrupted)"}),
+    "bench": (cmd_bench, "time sampling at reduced step counts", {}, {}),
+    "sweep": (cmd_sweep, "grid a hyperparameter, one CSV row per value",
+              {"truth": "clean window the scenario corrupts"}, {}),
 }
 
 
@@ -342,7 +316,7 @@ def main(argv=None) -> int:
         cfg = _resolve_config(args)
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        HANDLERS[args.command](cfg, args, out)
+        COMMANDS[args.command][0](cfg, args, out)
         _write_manifest(out, args, cfg)
     except Exception as e:  # single runtime-failure boundary for the CLI
         print(f"error: {e}", file=sys.stderr)

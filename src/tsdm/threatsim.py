@@ -105,7 +105,9 @@ def inject_fdia(x: np.ndarray, spec: AttackSpec, std_ref: np.ndarray | None = No
     """Apply one attack; returns (corrupted, boolean mask of modified entries).
 
     std_ref optionally replaces the per-channel std of x as the amplitude
-    unit (useful when stds must refer to a whole dataset, not one window).
+    unit (useful when stds must refer to a whole dataset, not one window);
+    without it, a channel with missing (NaN) entries takes the std of its
+    observed ones. An entry NaN before and after counts as unmodified.
     """
     x = np.asarray(x, dtype=np.float64)
     M, T = x.shape
@@ -114,8 +116,12 @@ def inject_fdia(x: np.ndarray, spec: AttackSpec, std_ref: np.ndarray | None = No
     for c in spec.channels:
         if not 0 <= c < M:
             raise ValueError(f"attack channel {c} outside 0..{M - 1}")
+        if std_ref is None and np.isnan(x[c]).all():
+            raise ValueError(f"attack channel {c} has no observed entry")
     if std_ref is None:
         std = x.std(axis=1)
+        gaps = [c for c in spec.channels if np.isnan(std[c])]
+        std[gaps] = np.nanstd(x[gaps], axis=1)
     else:
         std = np.asarray(std_ref, dtype=np.float64)
         if std.shape != (M,):
@@ -143,7 +149,7 @@ def inject_fdia(x: np.ndarray, spec: AttackSpec, std_ref: np.ndarray | None = No
             y[c, seg] = np.roll(x[c, seg], shift)
         elif spec.kind == "amplitude_scale":
             y[c, seg] = x[c, seg] * (1.0 + spec.magnitude)
-    return y, y != x
+    return y, (y != x) & ~(np.isnan(y) & np.isnan(x))
 
 
 # --------------------------------------------------------------- loss masks

@@ -15,7 +15,8 @@ import pytest
 from clirun import run_cli
 
 from tsdm.checkpoint import load_checkpoint, save_checkpoint
-from tsdm.dataio import load_mask_csv, load_matrix_csv, save_matrix_csv
+from tsdm.dataio import (load_mask_csv, load_matrix_csv, save_mask_csv,
+                         save_matrix_csv)
 from tsdm.metrics import detection_metrics
 
 TINY = {
@@ -101,6 +102,25 @@ def test_mask_pokes_nans_exactly_at_missing_entries(cli_env):
     assert np.array_equal(masked[lm == 1.0], x[lm == 1.0])
 
 
+def test_attack_on_a_masked_window_flags_exactly_what_it_changed(cli_env):
+    """mask, then attack its output: channel 1 is masked over t 2-13 and
+    attacked, channel 3 only masked. Every NaN stays where mask put it,
+    and the truth mask flags the observed entries of channels 0 and 1."""
+    cfg = write_config(cli_env / "ma.cfg", attack_channels="0,1")
+    for cmd in (("mask", "base/windows/00003.csv"),
+                ("attack", "ma/masked.csv")):
+        r = run_cli("--config", cfg.name, "--out", "ma", *cmd, cwd=cli_env)
+        assert r.returncode == 0, r.stderr
+    masked, _ = load_matrix_csv(cli_env / "ma/masked.csv")
+    y, _ = load_matrix_csv(cli_env / "ma/attacked.csv")
+    gt = load_mask_csv(cli_env / "ma/attack_truth_mask.csv") == 1.0
+    observed = ~np.isnan(masked)
+    assert np.array_equal(np.isnan(y), ~observed)
+    assert np.array_equal(gt, observed & (y != masked))
+    assert np.array_equal(gt, observed & (np.arange(4) < 2)[:, None])
+    assert gt.sum() == 16 + 4
+
+
 def test_recover_emits_artifacts_and_metrics(cli_env):
     cfg = write_config(cli_env / "rec.cfg",
                        checkpoint=cli_env / "base/model.tsdm")
@@ -147,6 +167,19 @@ def test_eval_matches_library_metrics(cli_env):
     gt = load_mask_csv(cli_env / "atk/attack_truth_mask.csv")
     assert (metrics["detection_precision"],
             metrics["detection_recall"]) == detection_metrics(gt, gt) == (1, 1)
+
+
+@pytest.mark.parametrize("given, missing", [("flagged", "corrupt"),
+                                            ("corrupt", "flagged")])
+def test_eval_needs_flagged_and_corrupt_together(cli_env, given, missing):
+    save_mask_csv(cli_env / "ones_mask.csv",
+                  np.ones((TINY["channels"], TINY["window"])))
+    r = run_cli("--config", "tiny.cfg", "--out", f"pair-{given}", "eval",
+                "base/windows/00003.csv", "base/windows/00004.csv",
+                f"--{given}", "ones_mask.csv", cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr == f"error: --{given} needs --{missing}\n"
+    assert not (cli_env / f"pair-{given}" / "metrics.json").exists()
 
 
 def test_bench_emits_timing_table(cli_env):

@@ -154,6 +154,83 @@ def test_mask_is_exact_diff_for_every_kind():
         np.testing.assert_array_equal(mask, y != x)
 
 
+ALL_KINDS = ("step", "ramp", "random", "replay", "phase_shift",
+             "amplitude_scale")
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_mask_skips_entries_missing_before_and_after(kind):
+    """NaN != NaN, so a plain diff would flag every untouched missing
+    entry; channel 1 is missing over the span and never attacked."""
+    x = _sine_matrix(m=3, t=64, period=16.0)
+    x[1, 20:40] = np.nan
+    spec = AttackSpec(kind=kind, channels=(0, 2), t_start=32, t_end=48,
+                      magnitude=0.8, seed=5)
+    y, mask = inject_fdia(x, spec)
+    assert np.array_equal(np.isnan(y), np.isnan(x))
+    assert not mask[1].any()
+    finite = np.isfinite(x)
+    np.testing.assert_array_equal(mask[finite], (y != x)[finite])
+
+
+@pytest.mark.parametrize("kind", ("step", "ramp", "random",
+                                  "amplitude_scale"))
+def test_attacked_channel_keeps_nan_only_where_it_had_nan(kind):
+    x = _sine_matrix(m=3, t=64, period=16.0)
+    x[0, [3, 35, 40]] = np.nan
+    spec = AttackSpec(kind=kind, channels=(0, 2), t_start=32, t_end=48,
+                      magnitude=0.8, seed=5)
+    y, mask = inject_fdia(x, spec)
+    assert np.array_equal(np.isnan(y), np.isnan(x))
+    np.testing.assert_array_equal(mask, np.isfinite(x) & (y != x))
+    assert mask[0, 33:48][np.isfinite(x[0, 33:48])].all()
+    assert not mask[0, [35, 40]].any()
+
+
+@pytest.mark.parametrize("kind", ("step", "ramp", "random"))
+def test_amplitude_unit_is_std_of_observed_entries(kind):
+    """A channel with missing entries scales by the std of its observed
+    ones; a finite channel keeps the amplitude it had, bit for bit."""
+    clean = _sine_matrix(m=3, t=64, period=16.0)
+    x = clean.copy()
+    x[0, [3, 35, 40]] = np.nan
+    spec = AttackSpec(kind=kind, channels=(0, 2), t_start=32, t_end=48,
+                      magnitude=0.8, seed=5)
+    y, _ = inject_fdia(x, spec)
+    observed = np.isfinite(x[0])
+    ref = np.array([x[0, observed].std(), 1.0, clean[2].std()])
+    y_ref, _ = inject_fdia(x, spec, std_ref=ref)
+    np.testing.assert_array_equal(y, y_ref)
+    assert np.array_equal(y[2], inject_fdia(clean, spec)[0][2])
+
+
+def test_replay_carries_missing_history_into_the_span():
+    x = np.arange(40, dtype=float).reshape(1, 40)
+    x[0, [12, 15, 25]] = np.nan  # t 22 turns NaN, t 25 stays NaN
+    spec = AttackSpec(kind="replay", channels=(0,), t_start=20, t_end=30,
+                      magnitude=0.0)
+    y, mask = inject_fdia(x, spec)
+    np.testing.assert_array_equal(y[0, 20:30], x[0, 10:20])
+    want = np.zeros_like(mask)
+    want[0, 20:30] = True
+    want[0, 25] = False
+    np.testing.assert_array_equal(mask, want)
+
+
+@pytest.mark.parametrize("kind", ("step", "ramp", "random", "replay",
+                                  "amplitude_scale"))
+def test_attacked_channel_with_no_observed_entry_is_refused(kind):
+    x = _sine_matrix(m=3, t=64, period=16.0)
+    x[2] = np.nan
+    spec = AttackSpec(kind=kind, channels=(0, 2), t_start=32, t_end=48,
+                      magnitude=0.8, seed=5)
+    with pytest.raises(ValueError, match="attack channel 2 has no observed "
+                                         "entry"):
+        inject_fdia(x, spec)
+    y, mask = inject_fdia(x, spec, std_ref=np.ones(3))
+    assert np.isnan(y[2]).all() and not mask[2].any()
+
+
 # -------------------------------------------------------------- loss masks
 
 def test_nm_mask_exact_fraction_full_span():
