@@ -8,10 +8,13 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   the failures of a conv weight scaled by 1e308, of a NaN norm gain in
   an encoder and in a decoder block, of attention's query and key
   weights scaled by 1e200, and of a time projection that overflows (a
-  block's projection weight scaled by 1e300, one entry 1e308); and twice
-  on the steady fixture with a Fortran-ordered conv weight, which the
-  model cannot keep a binding of, so the binding is built anew on each
-  call;
+  block's projection weight scaled by 1e300, one entry 1e308); twice on
+  the steady fixture with a Fortran-ordered conv weight, whose float64
+  layout view is a copy the model cannot keep, so its views are made
+  anew on each call; twice on one steady model with an in-place edit of
+  a conv weight between the calls, which the second call's float32 cast
+  must see; and on a steady stack whose last row holds a finite 1e39,
+  which the float32 cast makes infinite, at B 1 and 33;
 - adam: two Adam training steps per fixture config (each loss and every
   parameter after each step);
 - loss: diffusion_loss on a gradient tape on each fixture at B 1 and 8
@@ -143,6 +146,15 @@ def predict_cases(models):
         out.append(outcome(lambda: predict_noise(fortran, x, 37)))
         if fortran._binding is not None:
             raise SystemExit("the model kept a binding that holds a copy")
+    edited = copy.deepcopy(models["steady"][0])
+    out.append(outcome(lambda: predict_noise(edited, x, 37)))
+    edited["enc0.rb1.conv1.w"].data[0, 0, 0] += 0.5
+    out.append(outcome(lambda: predict_noise(edited, x, 37)))
+    x = np.random.default_rng(list(b"1e39")).standard_normal((33, 8, 64))
+    for B in (1, 33):
+        big = x[:B].copy()
+        big[-1, 3, 17] = 1e39
+        out.append(outcome(lambda: predict_noise(edited, big, 37)))
     return out
 
 

@@ -253,40 +253,57 @@ def _bound_names(cfg: DenoiserConfig) -> tuple:
     return tuple(k for k in param_layout(cfg) if k not in step)
 
 
+@functools.lru_cache(maxsize=None)
+def _bound_slices(cfg: DenoiserConfig) -> tuple:
+    """(name, slice of the flat float32 binding, shape in the kernels'
+    layout) of each tensor of _bound_names, in its order."""
+    layout, at, out = param_layout(cfg), 0, []
+    for name in _bound_names(cfg):
+        rows, cols = layout[name][0], math.prod(layout[name][1:])
+        out.append((name, slice(at, at + rows * cols), (rows, cols)))
+        at += rows * cols
+    return tuple(out)
+
+
 _data = operator.attrgetter("data")
 
 
 def _bound(p: DenoiserParams) -> dict:
-    """p's binding: name -> array of each tensor of _bound_names, in the
-    layout tc.kernels read, each a view of p's array where a reshape
-    gives one: a conv weight as its (Cout, Cin*K) matrix, a bias or a
-    norm's affine as a (C, 1) column, attention's projections as they
-    are. An array whose shape is not its layout's is a ValueError that
-    names it.
+    """p's binding for one predict_noise call: name -> float32 array of
+    each tensor of _bound_names, in the layout tc.kernels read: a conv
+    weight as its (Cout, Cin*K) matrix, a bias or a norm's affine as a
+    (C, 1) column, attention's projections as they are. An array whose
+    shape is not its layout's is a ValueError that names it.
 
-    p keeps its binding, with the arrays it bound, unless a reshape
-    copied, as a non-contiguous conv weight's does, since a copy misses
-    in-place edits. A kept binding is used until any bound tensor's array
-    is not the one it bound (`is`, and the binding keeps the arrays, so
-    an id cannot be reused); in-place edits are seen through its views.
-    predict_noise calls it in the calling thread, never in a shard.
+    p keeps a memo of float64 views of its arrays in that layout, unless
+    a reshape copied, as a non-contiguous conv weight's does, since a
+    copy misses in-place edits. The memo is used until any bound tensor's
+    array is not the one it viewed (`is`, and the memo keeps the arrays,
+    so an id cannot be reused). Every call casts the views into one fresh
+    float32 array, sliced back into the layout, so an in-place edit is
+    seen and no float32 copy outlives the call; a cast that overflows
+    is governed by the caller's np.errstate. predict_noise calls it in
+    the calling thread, never in a shard.
     """
     held = p._binding
     names = _bound_names(p.config)
     arrays = list(map(_data, map(p.tensors.__getitem__, names)))
     if (held is not None and held[0] is names
             and all(map(operator.is_, arrays, held[1]))):
-        return held[2]
-    layout = param_layout(p.config)
-    bound = {}
-    for name, arr in zip(names, arrays):
-        if arr.shape != layout[name]:
-            raise ValueError(f"parameter {name} has shape {arr.shape}, "
-                             f"the config's layout has {layout[name]}")
-        bound[name] = arr.reshape(len(arr), -1)
-    if all(map(np.may_share_memory, bound.values(), arrays)):
-        p._binding = names, arrays, bound
-    return bound
+        views = held[2]
+    else:
+        layout = param_layout(p.config)
+        views = []
+        for name, arr in zip(names, arrays):
+            if arr.shape != layout[name]:
+                raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                                 f"the config's layout has {layout[name]}")
+            views.append(arr.reshape(len(arr), -1))
+        if all(map(np.may_share_memory, views, arrays)):
+            p._binding = names, arrays, views
+    flat = np.concatenate([v.ravel() for v in views], dtype=np.float32)
+    return {name: flat[span].reshape(shape)
+            for name, span, shape in _bound_slices(p.config)}
 
 
 def _resblock(ops, name: str, x, time: dict):
@@ -332,11 +349,12 @@ def _step_tensor_names(cfg: DenoiserConfig) -> tuple:
 
 
 def _step_projections(p: DenoiserParams, n: int) -> dict:
-    """Step n's time projections, {block name: (C, 1) projection}, from
-    p's memo (step index -> projections); a step the memo lacks is
-    projected alone (_embed) and stored as computed, unchecked: a NaN or
-    an infinity in a projection reaches predict_noise's output check
-    through its block's add_time and group norm (inf - inf is NaN).
+    """Step n's time projections, {block name: (C, 1) float32 projection},
+    from p's memo (step index -> projections); a step the memo lacks is
+    projected alone (_embed, in float64), cast to float32 and stored
+    unchecked: a NaN or an infinity in a projection, or a finite one the
+    cast overflows, reaches predict_noise's output check through its
+    block's add_time and group norm (inf - inf is NaN).
 
     The memo is valid for the exact bytes of the tensors it is computed
     from, so one comparison per call empties it after any edit of them,
@@ -348,7 +366,8 @@ def _step_projections(p: DenoiserParams, n: int) -> dict:
     if held is None or held[0] != key:
         held = p._step_memo = (key, {})
     if n not in held[1]:
-        held[1][n] = {name: tv.data for name, tv in _embed(p, [n]).items()}
+        held[1][n] = {name: tv.data.astype(np.float32)
+                      for name, tv in _embed(p, [n]).items()}
     return held[1][n]
 
 
@@ -377,12 +396,16 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
 
 # Rows per shard of a stacked predict_noise call: a stack of B rows runs
 # in B / SHARD_ROWS shards, halves rounded up, so it splits from 24 rows.
-# Two-way split against one call (steady fixture, 2 cores, four runs):
-# 1.40-2.10x the time at 2 rows a shard, 0.90-1.04x at 8, 0.60-1.05x at
-# 16, 0.52-0.68x at 32. A whole stage 2 (R 2, s 10), unsplit -> split,
-# read medians 239 -> 263 ms on 17 rows (8.5 a shard), 437 -> 327 on 24
-# and 511 -> 399 on 31: with few rows a shard the GIL serialises numpy's
-# per-op overhead.
+# Two-way split against one call (steady fixture, 2 cores, two sets of
+# four runs), with the float32 kernels: 1.43-1.60x the time at 2 rows a
+# shard, 1.14-1.25x at 8, 0.69-1.04x at 16, 0.89-1.10x at 32. A whole
+# stage 2 (R 2, s 10), unsplit -> split, read medians 108-123 -> 128-147
+# ms on 17 rows (8.5 a shard), 158-191 -> 177-197 on 24 and 202-218 ->
+# 219-236 on 31: with few rows a shard the GIL serialises numpy's per-op
+# overhead, and float32 halved the arithmetic the split shares out. The
+# same runs with the float64 kernels read 0.66-0.79x at 8, 0.48-0.60x at
+# 16 and 0.42-0.53x at 32, and stage 2 187 -> 144, 249 -> 190 and
+# 332 -> 262 ms.
 SHARD_ROWS = 16
 
 
@@ -395,8 +418,10 @@ def _usable_cores() -> int:
 
 def _predict_rows(cfg: DenoiserConfig, ops: _Ops, x: np.ndarray,
                   time: dict, err=None) -> np.ndarray:
-    """_unet over the rows x, under the np.errstate `err` (a worker thread
-    does not inherit the caller's)."""
+    """_unet over the float64 rows x, under the np.errstate `err` (a
+    worker thread does not inherit the caller's): float32 rows. The stem
+    conv casts x to float32 as it borders it, so a cast that overflows is
+    governed like any layer's arithmetic."""
     with np.errstate(**(err or {})):
         return _unet(cfg.depth, ops, x, time)
 
@@ -422,10 +447,14 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     projections are read from its memo (_step_projections): the first
     call at a step projects it, and an edit of the embedding or
     projection weights is seen on the next call. The layers then run
-    tc.kernels over the binding and never record, on a tape or off; each
-    row gets the bits _forward gives it alone. A tensor whose shape is
-    not its config's is a ValueError that names it, and so is an empty
-    stack.
+    tc.kernels in float32 over the binding and the projections, both
+    cast from the model's float64 tensors on this call, and never
+    record, on a tape or off; the result is returned as float64. Each
+    row gets the bits it gets alone, and matches _forward, the float64
+    function training differentiates, to about 1e-6: the largest gap on
+    the committed fixtures (B 1, 5 and 33; steps 1, 12, 61 and 100) was
+    2.6e-6, against a noise RMS near 1. A tensor whose shape is not its
+    config's is a ValueError that names it, and so is an empty stack.
 
     Every failure to stay finite raises FloatingPointError("denoiser:
     non-finite output at step n"): a NaN or an infinity in the result,
@@ -457,14 +486,14 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
                          "no window to predict")
     cfg.validate_window(xb.shape[2])
     n = _step_index(n)
-    ops = _Ops(cfg, _bound(params), tc.kernels)
     B = xb.shape[0]
     shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
     failed = f"denoiser: non-finite output at step {n}"
     try:
+        ops = _Ops(cfg, _bound(params), tc.kernels)
         time = _step_projections(params, n)
         if shards < 2:
-            out = _predict_rows(cfg, ops, xb, time)
+            parts = [_predict_rows(cfg, ops, xb, time)]
         else:
             cut = [B * s // shards for s in range(shards + 1)]
             err = np.geterr()
@@ -473,9 +502,10 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
                 rest = [pool.submit(_predict_rows, cfg, ops, xb[lo:hi], time,
                                     err) for lo, hi in zip(cut[1:-1], cut[2:])]
                 first = _predict_rows(cfg, ops, xb[:cut[1]], time)
-            out = np.concatenate([first] + [f.result() for f in rest])
+            parts = [first] + [f.result() for f in rest]
     except FloatingPointError as e:
         raise FloatingPointError(failed) from e
+    out = np.concatenate(parts, dtype=np.float64)
     if not np.isfinite(out).all():
         raise FloatingPointError(failed)
     return out[0] if squeeze else out

@@ -31,7 +31,10 @@ array); affine steps in place. A kernel takes each parameter in the
 layout its arithmetic reads (a conv weight as its (Cout, Cin*K) matrix,
 from which it works out K and the padding, a bias or a norm's affine as
 a (C, 1) column) and checks no shape but the kernel width against the
-input length.
+input length. A kernel runs in its inputs' dtype: the denoiser binds
+float32 parameters, so its kernels run in float32, and conv1d's
+zero-bordered input takes the weights' dtype, which casts the float64
+rows the stem conv is given.
 
 No op or kernel checks finiteness, and backward only each leaf's
 gradient: a NaN or an infinity is carried on to the result, which its
@@ -359,7 +362,9 @@ def _conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2: np.ndarray,
     """Inference conv1d of the (B, Cin, T) x, or with silu set of silu(x),
     which is written straight into the zero-bordered input: w2 is the
     (Cout, Cin*K) weight matrix, from which K and the padding follow, and
-    b2 the (Cout, 1) bias.
+    b2 the (Cout, 1) bias. The zero-bordered input takes w2's dtype, so
+    x is cast to it there: the denoiser's stem casts its float64 rows to
+    float32 this way.
 
     One product per sample, since the bits of a single product over all
     B*T' columns can depend on B and a sample must get the same bits in a
@@ -369,7 +374,7 @@ def _conv1d_kernel(x: np.ndarray, w2: np.ndarray, b2: np.ndarray,
     K = w2.shape[1] // Cin
     P = (K - 1) // 2
     Tp = _out_len(T, K, stride)
-    xp = np.zeros((B, Cin, T + 2 * P))
+    xp = np.zeros((B, Cin, T + 2 * P), w2.dtype)
     if silu:
         np.multiply(x, _sigmoid(x), out=xp[:, :, P : P + T])
     else:

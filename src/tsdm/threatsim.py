@@ -108,6 +108,8 @@ def inject_fdia(x: np.ndarray, spec: AttackSpec, std_ref: np.ndarray | None = No
     unit (useful when stds must refer to a whole dataset, not one window);
     without it, a channel with missing (NaN) entries takes the std of its
     observed ones. An entry NaN before and after counts as unmodified.
+    phase_shift refuses an attacked channel with any NaN entry, whose
+    period it cannot find.
     """
     x = np.asarray(x, dtype=np.float64)
     M, T = x.shape
@@ -118,6 +120,11 @@ def inject_fdia(x: np.ndarray, spec: AttackSpec, std_ref: np.ndarray | None = No
             raise ValueError(f"attack channel {c} outside 0..{M - 1}")
         if std_ref is None and np.isnan(x[c]).all():
             raise ValueError(f"attack channel {c} has no observed entry")
+        if spec.kind == "phase_shift" and np.isnan(x[c]).any():
+            # a NaN makes the channel's mean and every autocorrelation NaN
+            missing = ", ".join(map(str, np.flatnonzero(np.isnan(x[c]))))
+            raise ValueError(f"phase_shift: attack channel {c} has missing "
+                             f"entries at t {missing}")
     if std_ref is None:
         std = x.std(axis=1)
         gaps = [c for c in spec.channels if np.isnan(std[c])]

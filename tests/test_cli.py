@@ -121,6 +121,20 @@ def test_attack_on_a_masked_window_flags_exactly_what_it_changed(cli_env):
     assert gt.sum() == 16 + 4
 
 
+def test_phase_shift_on_a_missing_entry_is_runtime_failure(cli_env):
+    x = np.sin(2 * np.pi * np.arange(16) / 4) * np.ones((4, 1))
+    x[2, 5] = np.nan
+    save_matrix_csv(cli_env / "gap.csv", x)
+    cfg = write_config(cli_env / "ps.cfg", attack_kind="phase_shift",
+                       attack_start=4, attack_end=12)
+    r = run_cli("--config", cfg.name, "--out", "ps", "attack", "gap.csv",
+                cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr == ("error: phase_shift: attack channel 2 has missing "
+                        "entries at t 5\n")
+    assert not (cli_env / "ps" / "attacked.csv").exists()
+
+
 def test_recover_emits_artifacts_and_metrics(cli_env):
     cfg = write_config(cli_env / "rec.cfg",
                        checkpoint=cli_env / "base/model.tsdm")

@@ -128,6 +128,19 @@ def test_phase_shift_without_periodicity_errors():
         inject_fdia(x, spec)
 
 
+@pytest.mark.parametrize("std_ref", [None, np.ones(2)], ids=["own", "ref"])
+def test_phase_shift_names_a_channels_missing_entries(std_ref):
+    # a NaN makes every autocorrelation NaN, so no period can be found:
+    # the refusal names the missing entries, not a missing peak
+    x = _sine_matrix(m=2, t=64, period=16.0)
+    x[1, [5, 50]] = np.nan
+    spec = AttackSpec(kind="phase_shift", channels=(0, 1), t_start=16,
+                      t_end=48, magnitude=0.5)
+    with pytest.raises(ValueError, match=r"^phase_shift: attack channel 1 "
+                                         r"has missing entries at t 5, 50$"):
+        inject_fdia(x, spec, std_ref=std_ref)
+
+
 def test_amplitude_scale_multiplies_segment():
     x = _sine_matrix(m=2, t=32)
     spec = AttackSpec(kind="amplitude_scale", channels=(1,), t_start=4, t_end=12, magnitude=0.5)
