@@ -97,6 +97,41 @@ class DenoiserParams:
     def items(self):
         return self.tensors.items()
 
+    def bind(self) -> BoundModel:
+        """This model as it is now, bound for one predict_noise call."""
+        return BoundModel(self).bind()
+
+
+class BoundModel:
+    """params as predict_noise reads it, taken once and kept: the float32
+    binding (_bound) and the time projections of the steps `levels`
+    (_step_projections), so a later edit of params is not seen. bind()
+    takes them the first time it succeeds and returns this model; a bind
+    that fails (a misshapen tensor, a cast or a projection that
+    overflows under a raising np.errstate) keeps nothing, so the next
+    call fails in the same way. A step outside `levels` is projected at
+    its first call."""
+
+    def __init__(self, params: DenoiserParams, levels=()):
+        self.config = params.config
+        self.params = params
+        self.levels = tuple(levels)
+        self.weights = self.time = None
+
+    def bind(self) -> BoundModel:
+        if self.weights is None:
+            weights = _bound(self.params)
+            self.time = (_step_projections(self.params, self.levels)
+                         if self.levels else {})
+            self.weights = weights
+        return self
+
+    def projections(self, n: int) -> dict:
+        """Step n's time projections, {block name: (C, 1) projection}."""
+        if n not in self.time:
+            self.time[n] = _step_projections(self.params, [n])[n]
+        return self.time[n]
+
 
 def time_embed(n: int, dim: int) -> np.ndarray:
     """Sinusoidal step embedding: interleaved (sin, cos) pairs over
@@ -269,7 +304,7 @@ _data = operator.attrgetter("data")
 
 
 def _bound(p: DenoiserParams) -> dict:
-    """p's binding for one predict_noise call: name -> float32 array of
+    """p's binding for a BoundModel: name -> float32 array of
     each tensor of _bound_names, in the layout tc.kernels read: a conv
     weight as its (Cout, Cin*K) matrix, a bias or a norm's affine as a
     (C, 1) column, attention's projections as they are. An array whose
@@ -280,10 +315,10 @@ def _bound(p: DenoiserParams) -> dict:
     copy misses in-place edits. The memo is used until any bound tensor's
     array is not the one it viewed (`is`, and the memo keeps the arrays,
     so an id cannot be reused). Every call casts the views into one fresh
-    float32 array, sliced back into the layout, so an in-place edit is
-    seen and no float32 copy outlives the call; a cast that overflows
-    is governed by the caller's np.errstate. predict_noise calls it in
-    the calling thread, never in a shard.
+    float32 array, sliced back into the layout, so the binding holds the
+    values of this call and p keeps no float32 copy; a cast that
+    overflows is governed by the caller's np.errstate. BoundModel.bind
+    calls it in the calling thread, never in a shard.
     """
     held = p._binding
     names = _bound_names(p.config)
@@ -348,13 +383,14 @@ def _step_tensor_names(cfg: DenoiserConfig) -> tuple:
                  if k.startswith("temb.") or ".temb." in k)
 
 
-def _step_projections(p: DenoiserParams, n: int) -> dict:
-    """Step n's time projections, {block name: (C, 1) float32 projection},
-    from p's memo (step index -> projections); a step the memo lacks is
-    projected alone (_embed, in float64), cast to float32 and stored
-    unchecked: a NaN or an infinity in a projection, or a finite one the
-    cast overflows, reaches predict_noise's output check through its
-    block's add_time and group norm (inf - inf is NaN).
+def _step_projections(p: DenoiserParams, levels) -> dict:
+    """The time projections of the steps `levels`, {step: {block name:
+    (C, 1) float32 projection}}, from p's memo (step index ->
+    projections); a step the memo lacks is projected alone (_embed, in
+    float64), cast to float32 and stored unchecked: a NaN or an infinity
+    in a projection, or a finite one the cast overflows, reaches
+    predict_noise's output check through its block's add_time and group
+    norm (inf - inf is NaN).
 
     The memo is valid for the exact bytes of the tensors it is computed
     from, so one comparison per call empties it after any edit of them,
@@ -365,10 +401,12 @@ def _step_projections(p: DenoiserParams, n: int) -> dict:
     held = p._step_memo
     if held is None or held[0] != key:
         held = p._step_memo = (key, {})
-    if n not in held[1]:
-        held[1][n] = {name: tv.data.astype(np.float32)
-                      for name, tv in _embed(p, [n]).items()}
-    return held[1][n]
+    memo = held[1]
+    for n in levels:
+        if n not in memo:
+            memo[n] = {name: tv.data.astype(np.float32)
+                       for name, tv in _embed(p, [n]).items()}
+    return {n: memo[n] for n in levels}
 
 
 def _embed(p: DenoiserParams, levels) -> dict:
@@ -396,16 +434,12 @@ def _forward(p: DenoiserParams, x: Tensor, levels: np.ndarray) -> Tensor:
 
 # Rows per shard of a stacked predict_noise call: a stack of B rows runs
 # in B / SHARD_ROWS shards, halves rounded up, so it splits from 24 rows.
-# Two-way split against one call (steady fixture, 2 cores, two sets of
-# four runs), with the float32 kernels: 1.43-1.60x the time at 2 rows a
-# shard, 1.14-1.25x at 8, 0.69-1.04x at 16, 0.89-1.10x at 32. A whole
-# stage 2 (R 2, s 10), unsplit -> split, read medians 108-123 -> 128-147
-# ms on 17 rows (8.5 a shard), 158-191 -> 177-197 on 24 and 202-218 ->
-# 219-236 on 31: with few rows a shard the GIL serialises numpy's per-op
-# overhead, and float32 halved the arithmetic the split shares out. The
-# same runs with the float64 kernels read 0.66-0.79x at 8, 0.48-0.60x at
-# 16 and 0.42-0.53x at 32, and stage 2 187 -> 144, 249 -> 190 and
-# 332 -> 262 ms.
+# The split pays end to end with the float32 kernels: perfbench's
+# impute-batch (32-row calls, R 8; 2 cores, 4 alternating 20-s runs a
+# side) read op_ms 34.5-37.0 ms with it and 45.6-48.3 ms with no split.
+# Timing one call alone says otherwise (a two-way split took 1.14-1.25x
+# the time of one call at 8 rows a shard, 0.69-1.04x at 16 and
+# 0.89-1.10x at 32), so judge a change to the split end to end.
 SHARD_ROWS = 16
 
 
@@ -438,17 +472,19 @@ def _step_index(n) -> int:
     return int(float(n))
 
 
-def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
+def predict_noise(params: DenoiserParams | BoundModel, x: np.ndarray,
+                  n) -> np.ndarray:
     """Predicted noise for x at step n; accepts (M,T) or a (B,M,T) batch.
 
     n is one step for every row, as in a reverse step; anything but one
-    finite integer is a ValueError before any work. In the calling
-    thread, the model's binding is fetched (_bound) and step n's time
-    projections are read from its memo (_step_projections): the first
-    call at a step projects it, and an edit of the embedding or
-    projection weights is seen on the next call. The layers then run
-    tc.kernels in float32 over the binding and the projections, both
-    cast from the model's float64 tensors on this call, and never
+    finite integer is a ValueError before any work. params is bound
+    (params.bind()) in the calling thread: a DenoiserParams on every
+    call, so every call sees an edit made before it; a BoundModel at its
+    first call, keeping what it took, so reverse_lockstep binds once per
+    loop and an edit made during a loop is seen by the next loop. The
+    layers then run tc.kernels in float32 over the binding and step n's
+    time projections (_step_projections: the first call at a step
+    projects it), both cast from the model's float64 tensors, and never
     record, on a tape or off; the result is returned as float64. Each
     row gets the bits it gets alone, and matches _forward, the float64
     function training differentiates, to about 1e-6: the largest gap on
@@ -490,8 +526,9 @@ def predict_noise(params: DenoiserParams, x: np.ndarray, n) -> np.ndarray:
     shards = min((2 * B + SHARD_ROWS) // (2 * SHARD_ROWS), _usable_cores())
     failed = f"denoiser: non-finite output at step {n}"
     try:
-        ops = _Ops(cfg, _bound(params), tc.kernels)
-        time = _step_projections(params, n)
+        model = params.bind()
+        ops = _Ops(cfg, model.weights, tc.kernels)
+        time = model.projections(n)
         if shards < 2:
             parts = [_predict_rows(cfg, ops, xb, time)]
         else:

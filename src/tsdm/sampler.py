@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .denoiser import DenoiserParams, predict_noise
+from .denoiser import BoundModel, DenoiserParams, predict_noise
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -190,7 +190,7 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     pass steps the stack x of the windows still running, whose indices
     are `rows`:
 
-        eps = predict_noise(params, x, tau_i)
+        eps = predict_noise(model, x, tau_i)
         eps = guide(rows, x, eps, i)             # if a guide is given
         x = update(rows, x, eps, sigma_bar, i, r, draw)
 
@@ -199,6 +199,15 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     from rngs[rows[k]], so every window draws in the order a one-window
     run does. The default update is the improved step, closed by
     estimate_x0.
+
+    model is params bound once for the loop (denoiser.BoundModel): its
+    first predict_noise call casts the weights and takes the time
+    projections of every step of tau, and every later call of the loop
+    reuses them. So an edit of params made during the loop, in a guide
+    or an update, is not seen until the next loop, and an edit made
+    between two loops is seen by the second. A bind that fails keeps
+    nothing: the next call, a replay's included, binds again and fails
+    in the same way.
 
     A pass raises RuntimeError("non-finite latent at step tau=...") when
     it leaves any latent non-finite. A pass that raises anywhere is
@@ -232,6 +241,7 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     traces = [SamplerTrace() for _ in rngs]
     passes = [(i, r) for i in range(tau.s, 0, -1)
               for r in range(1, (R if i > 1 else 1) + 1)]
+    model = BoundModel(params, [tau.level(i) for i in range(tau.s, 0, -1)])
     for i, r in passes:
         if not rows:
             break
@@ -251,7 +261,7 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
 
         eps = None
         try:
-            eps = predict_noise(params, x, t_cur)
+            eps = predict_noise(model, x, t_cur)
             x_new, col = run(rows, x, eps)
         except Exception as e:  # noqa: BLE001 - find the windows that fail alone
             x_new, col = np.full_like(x, np.nan), np.zeros((len(rows), 1, 1))
@@ -261,7 +271,7 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
                 for k, b in enumerate(rows):
                     rngs[b].bit_generator.state = states[k]
                     try:
-                        eps_k = (predict_noise(params, x[k:k + 1], t_cur)
+                        eps_k = (predict_noise(model, x[k:k + 1], t_cur)
                                  if eps is None else eps[k:k + 1])
                         x_new[k], col[k] = run([b], x[k:k + 1], eps_k)
                     except Exception as e:  # noqa: BLE001 - per window

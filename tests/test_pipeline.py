@@ -5,9 +5,12 @@ test_acceptance.py; these tests pin the structural contracts with the
 small toy net, so they stay fast and fixture-independent.
 """
 
+import copy
+
 import numpy as np
 import pytest
 
+from tsdm import denoiser as dn
 from tsdm import sampler
 from tsdm.denoiser import predict_noise
 from tsdm.pipeline import (STAGE1_ONLY, STAGE1_PLUS_STAGE2, RecoveryResult,
@@ -219,6 +222,23 @@ def test_a_failing_one_window_pass_runs_once(steady_fixture, monkeypatch):
     assert calls == [100]
 
 
+def test_an_edit_between_two_recovers_is_seen_by_the_second(toy_model):
+    # each reverse loop binds the model anew, so an in-place edit of a
+    # layer weight and of a time projection weight reaches the next call
+    model = copy.deepcopy(toy_model)
+    y0 = toy_window(40)
+    mask = np.ones((4, 16))
+    mask[1, 3:9] = 0.0
+    first = recover(model, y0, mask, make_cfg())
+    assert first.stage_taken == STAGE1_PLUS_STAGE2
+    model["mid.rb0.conv1.w"].data[0, 0, 0] += 0.5
+    model["dec0.rb1.temb.b"].data[0] += 0.5
+    second = recover(model, y0, mask, make_cfg())
+    want = recover(copy.deepcopy(model), y0, mask, make_cfg())
+    assert second.x_tilde.tobytes() == want.x_tilde.tobytes()
+    assert second.x_tilde.tobytes() != first.x_tilde.tobytes()
+
+
 # ------------------------------------------------------------- recover_batch
 
 
@@ -228,6 +248,25 @@ def test_batch_of_one_matches_single_call(toy_model):
     batch = recover_batch(toy_model, [y0], make_cfg(seed=5))
     assert np.array_equal(batch[0].x_tilde, single.x_tilde)
     assert batch[0].stage_taken == single.stage_taken
+
+
+def test_a_misshapen_tensor_fails_each_window_of_a_batch(toy_model,
+                                                        monkeypatch):
+    # the loop binds inside its first denoiser call and keeps only a bind
+    # that succeeds, so the stacked call and each window's replay bind
+    # again and fail alone, and no exception leaves the loop
+    model = copy.deepcopy(toy_model)
+    w = model["stem.w"].data
+    model["stem.w"].data = w.reshape(w.shape[0], 1, -1)
+    casts = []
+    bound = dn._bound
+    monkeypatch.setattr(dn, "_bound", lambda p: casts.append(p) or bound(p))
+    batch = recover_batch(model, [toy_window(k) for k in range(3)],
+                          make_cfg())
+    message = ("parameter stem.w has shape (16, 1, 12), "
+               "the config's layout has (16, 4, 3)")
+    assert batch == [WindowFailure(index=k, error=message) for k in range(3)]
+    assert len(casts) == 4
 
 
 def test_batch_isolates_per_window_failures(toy_model):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tsdm import denoiser as dn
 from tsdm import sampler
 from tsdm.denoiser import SHARD_ROWS, predict_noise
 from tsdm.sampler import (
@@ -775,3 +776,96 @@ def test_a_replayed_window_takes_its_draws_again(toy_model, sched100):
     assert str(stacked[1]) == "seed 13 fails at i = 2"
     for b, seed in enumerate([11, 13, 17]):
         _assert_same_outcome(stacked[b], run([seed])[0])
+
+
+# ------------------------------------------------------ one bind per loop
+
+def _count_binds(monkeypatch):
+    """Count the loop's float32 casts (_bound calls) and the steps it
+    asks the step memo for (_step_projections)."""
+    casts, projected = [], []
+    bound, step_projections = dn._bound, dn._step_projections
+
+    def counting_bound(p):
+        casts.append(p)
+        return bound(p)
+
+    def counting_projections(p, levels):
+        projected.extend(levels)
+        return step_projections(p, levels)
+
+    monkeypatch.setattr(dn, "_bound", counting_bound)
+    monkeypatch.setattr(dn, "_step_projections", counting_projections)
+    return casts, projected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_stage1_loop_casts_once_and_projects_each_step_once(
+        toy_model, sched100, monkeypatch):
+    # _loop_windows' 1e308 window fails in sigma_bar and its NaN window
+    # leaves a non-finite latent, so passes are replayed; the replays
+    # reuse the stacked prediction and the loop's one bind
+    y0, _ = _loop_windows(6, 51)
+    tau = make_subsequence(100, 10)
+    casts, projected = _count_binds(monkeypatch)
+    out = stage1_recover(toy_model, y0, GuidanceConfig(tau=tau), sched100,
+                         seeds=[5 ^ b for b in range(6)])
+    assert [isinstance(o, Exception) for o in out] == [False, False, True,
+                                                        True, False, False]
+    assert casts == [toy_model]
+    assert sorted(projected) == sorted(tau.level(i) for i in range(1, 11))
+
+
+def test_a_replayed_stage2_pass_reuses_the_loops_bind(toy_model, sched100,
+                                                      monkeypatch):
+    # The 1e308 observed entry makes the stacked denoiser call's output
+    # non-finite, so that pass calls predict_noise again once per window
+    y0, mask = _loop_windows(5, 52)
+    rows = [0, 1, 2, 4]
+    tau = make_subsequence(100, 4)
+    calls = []
+
+    def predict(params, x, n):
+        calls.append(len(x))
+        return predict_noise(params, x, n)
+
+    monkeypatch.setattr(sampler, "predict_noise", predict)
+    casts, projected = _count_binds(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = stage2_impute(toy_model, y0[rows], mask[rows],
+                            ImputeConfig(tau=tau, R=2), sched100,
+                            seeds=[7 ^ b for b in rows])
+    assert str(out[2]).startswith("denoiser: non-finite output at step ")
+    assert 1 in calls[1:]  # a replay called the denoiser
+    assert casts == [toy_model]
+    assert sorted(projected) == sorted(tau.level(i) for i in range(1, 5))
+
+
+def _editing_loop(model, sched, tau, seed, edit):
+    """A one-window reverse_lockstep whose update, when edit, adds 0.5 to
+    a layer weight and to a step-embedding weight of model in place at
+    its first pass."""
+
+    def update(rows, x, eps, sigma_bar, i, r, draw):
+        if edit and i == tau.s:
+            model["enc0.rb1.conv2.w"].data += 0.5
+            model["temb.fc1.w"].data += 0.5
+        if i == 1:
+            return x - 0.1 * eps
+        return 0.5 * x + 0.1 * eps + sigma_bar * draw()
+
+    return sampler.reverse_lockstep(model, np.random.default_rng(seed),
+                                    (4, 16), sched, tau, update, trace=True)
+
+
+def test_an_edit_made_during_a_loop_is_seen_by_the_next_loop(toy_model,
+                                                             sched100):
+    model = copy.deepcopy(toy_model)
+    tau = make_subsequence(100, 5)
+    during = _editing_loop(model, sched100, tau, 8, edit=True)
+    _assert_same_outcome(during, _editing_loop(copy.deepcopy(toy_model),
+                                               sched100, tau, 8, edit=False))
+    after = _editing_loop(model, sched100, tau, 8, edit=False)
+    _assert_same_outcome(after, _editing_loop(copy.deepcopy(model), sched100,
+                                              tau, 8, edit=False))
+    assert during[0].tobytes() != after[0].tobytes()
