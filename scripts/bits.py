@@ -17,8 +17,9 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   which the float32 cast makes infinite, at B 1 and 33;
 - adam: two Adam training steps per fixture config (each loss and every
   parameter after each step);
-- loss: diffusion_loss on a gradient tape on each fixture at B 1 and 8
-  (the loss and every gradient);
+- loss: diffusion_loss on a gradient tape on each fixture at B 1 and 8,
+  and on the steady fixture at training's B 32 (the loss and every
+  gradient);
 - recover_batch: 17 steady windows (clean, step-attacked, with a NaN
   block, and one of 1e308) under omega 1, R 2 and under omega 0.5, R 4,
   and 33 under omega 1, R 2, enough for two shards a denoiser call on 2
@@ -209,7 +210,7 @@ def loss_cases(models):
         M = model.config.channels_in
         T = 64 if tag == "steady" else 16
         rng = np.random.default_rng(list(tag.encode()) + [1])
-        for B in (1, 8):
+        for B in (1, 8) + ((32,) if tag == "steady" else ()):
             x0, eps = rng.standard_normal((2, B, M, T))
             n_vec = rng.integers(1, sched.N + 1, size=B)
             with GradTape() as tape:

@@ -303,6 +303,20 @@ def test_backward_composed_network_vs_fd():
 
     _check_against_fd(build, x, k, gamma, beta)
 
+    # norm_silu_conv records one op with a backward of its own, checked
+    # here without the three-op chain, on a batch and on one (C, T) matrix
+    probe = Tensor(np.linspace(0.5, 1.5, 2 * 3 * 8).reshape(2, 3, 8))
+    for xs, K in (((2, 4, 8), 3), ((4, 8), 5)):
+        xx0 = rng.uniform(-2, 2, xs)
+        w = rng.uniform(-1, 1, (3, 4, K))
+        c = rng.uniform(-0.5, 0.5, 3)
+        wt = Tensor(probe.data[0]) if len(xs) == 2 else probe
+
+        def fused(xx, gg, bb, ww, cc, wt=wt):
+            return tc.mul(tc.norm_silu_conv(xx, gg, bb, 2, ww, cc), wt)
+
+        _check_against_fd(fused, xx0, gamma, beta, w, c)
+
 
 def test_chain_rule_scalar_probe():
     # d/dx silu(sqrt(x))^2 at x0 equals product of the pieces
@@ -445,6 +459,8 @@ _RECORDED_OPS = {
     "group_norm": (lambda x, g, b: tc.group_norm(x, g, b, 3),
                    [(3, 6, 16), (6,), (6,)]),
     "silu": (tc.silu, [(3, 6, 16)]),
+    "norm_silu_conv": (lambda x, g, b, w, c: tc.norm_silu_conv(x, g, b, 3, w, c),
+                       [(3, 6, 16), (6,), (6,), (5, 6, 3), (5,)]),
     "self_attention": (tc.self_attention, [(3, 8, 16)] + [(8, 8)] * 3),
     "matmul": (tc.matmul, [(16, 16), (16, 4)]),  # 4 columns
     "add_bias": (tc.add_bias, [(3, 6, 16), (6,)]),
@@ -791,10 +807,11 @@ def _prior_norm_silu_conv(xd, gd_, bd, wd, cb, groups, g):
     return out, (dx, dgd, dbd, dw, dcb)
 
 
-def _fused_inputs(rng, B, C, T):
-    return (3.0 + 2.0 * rng.standard_normal((B, C, T)),
+def _fused_inputs(rng, B, C, T, K=3):
+    """x (B, C, T), or (C, T) for B None, gamma, beta, w (C, C, K), b."""
+    return (3.0 + 2.0 * rng.standard_normal((C, T) if B is None else (B, C, T)),
             rng.uniform(0.5, 1.5, C), rng.uniform(-1, 1, C),
-            rng.standard_normal((C, C, 3)) / np.sqrt(3 * C),
+            rng.standard_normal((C, C, K)) / np.sqrt(K * C),
             rng.uniform(-1, 1, C))
 
 
@@ -808,18 +825,33 @@ def _chain(x, gamma, beta, w, b):
     return tc.norm_silu_conv(x, gamma, beta, 8, w, b)
 
 
-@pytest.mark.parametrize("B", [1, 16, 33])
-@pytest.mark.parametrize("T", [16, 64])
-@pytest.mark.parametrize("C", [16, 24, 48])
-def test_norm_silu_conv_matches_prior_bits(B, T, C):
-    rng = np.random.default_rng([B, T, C])
-    ins = _fused_inputs(rng, B, C, T)
+_ALL, _X_ONLY = (True,) * 5, (True,) + (False,) * 4
+_FUSED_CASES = [pytest.param(B, T, C, 3, _ALL, id=f"{C}-{T}-{B}")
+                for C in (16, 24, 48) for T in (16, 64) for B in (1, 16, 33)] + [
+    pytest.param(None, 16, 16, 3, _ALL, id="CT"),  # one (C, T) matrix
+    pytest.param(None, 64, 24, 5, _ALL, id="CT-K5"),
+    pytest.param(3, 16, 16, 1, _ALL, id="K1"),
+    pytest.param(3, 64, 24, 5, _ALL, id="K5"),
+    # only x takes a gradient, as under frozen weights
+    pytest.param(16, 64, 24, 3, _X_ONLY, id="x-only"),
+    pytest.param(None, 16, 16, 5, _X_ONLY, id="CT-K5-x-only"),
+    # the norm's gain alone, and the conv's weights alone
+    pytest.param(3, 16, 16, 3, (False, True, False, False, False), id="gamma-only"),
+    pytest.param(3, 16, 16, 3, (False,) * 3 + (True,) * 2, id="conv-only"),
+]
+
+
+@pytest.mark.parametrize("B, T, C, K, grad", _FUSED_CASES)
+def test_norm_silu_conv_matches_prior_bits(B, T, C, K, grad):
+    rng = np.random.default_rng([0 if B is None else B, T, C] + [K] * (K != 3))
+    ins = _fused_inputs(rng, B, C, T, K)
 
     def prior(xx, gg, bb, ww, cc, g):
         return _prior_norm_silu_conv(xx, gg, bb, ww, cc, 8, g)
 
-    _assert_same_bits(_fused_kernels(*ins), prior(*ins, g=None)[0])
-    _against_prior(_chain, prior, ins, (True,) * 5, rng, off_tape=False)
+    batch = (ins[0][None] if B is None else ins[0],) + ins[1:]
+    _assert_same_bits(_fused_kernels(*batch), prior(*batch, g=None)[0])
+    _against_prior(_chain, prior, ins, grad, rng, off_tape=False)
 
 
 def _outcome(fn):
