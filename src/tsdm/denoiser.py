@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -70,7 +69,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0 or self.grad_clip <= 0:
+        # `not 0 < x < inf` also refuses a NaN, which every comparison fails
+        if not (0 < self.learning_rate < math.inf
+                and 0 < self.grad_clip < math.inf):
             raise ValueError("learning_rate and grad_clip must be positive")
 
 
@@ -84,12 +85,6 @@ class DenoiserParams:
             if not np.all(np.isfinite(t.data)):
                 raise ValueError(f"parameter {name} contains non-finite values")
         self._step_memo = None  # (key, memo); see _step_projections
-        self._binding = None  # see _bound
-
-    def __getstate__(self):
-        # a copy's tensors hold new arrays, which the binding's views do
-        # not read, so a copy (deepcopy, pickle) binds its own
-        return {**self.__dict__, "_binding": None}
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -103,8 +98,9 @@ class DenoiserParams:
 
 
 class BoundModel:
-    """params as predict_noise reads it, taken once and kept: the float32
-    binding (_bound) and the time projections of the steps `levels`
+    """params as predict_noise reads it, taken once and kept here: the
+    float32 binding (_bound, a cast of params' arrays as they are at that
+    moment) and the time projections of the steps `levels`
     (_step_projections), so a later edit of params is not seen. bind()
     takes them the first time it succeeds and returns this model; a bind
     that fails (a misshapen tensor, a cast or a projection that
@@ -281,64 +277,44 @@ class _Ops:
 
 
 @functools.lru_cache(maxsize=None)
-def _bound_names(cfg: DenoiserConfig) -> tuple:
-    """The tensors a binding reads: all but the step tensors, which the
-    step memo covers."""
-    step = _step_tensor_names(cfg)
-    return tuple(k for k in param_layout(cfg) if k not in step)
-
-
-@functools.lru_cache(maxsize=None)
-def _bound_slices(cfg: DenoiserConfig) -> tuple:
-    """(name, slice of the flat float32 binding, shape in the kernels'
-    layout) of each tensor of _bound_names, in its order."""
-    layout, at, out = param_layout(cfg), 0, []
-    for name in _bound_names(cfg):
-        rows, cols = layout[name][0], math.prod(layout[name][1:])
-        out.append((name, slice(at, at + rows * cols), (rows, cols)))
-        at += rows * cols
+def _bound_layout(cfg: DenoiserConfig) -> tuple:
+    """(name, shape, slice of the flat float32 binding, shape in the
+    kernels' layout) of each tensor a binding reads, in param_layout's
+    order: all but the step tensors, which the step memo covers."""
+    step, at, out = _step_tensor_names(cfg), 0, []
+    for name, shape in param_layout(cfg).items():
+        if name not in step:
+            rows, cols = shape[0], math.prod(shape[1:])
+            out.append((name, shape, slice(at, at + rows * cols), (rows, cols)))
+            at += rows * cols
     return tuple(out)
 
 
-_data = operator.attrgetter("data")
-
-
 def _bound(p: DenoiserParams) -> dict:
-    """p's binding for a BoundModel: name -> float32 array of
-    each tensor of _bound_names, in the layout tc.kernels read: a conv
-    weight as its (Cout, Cin*K) matrix, a bias or a norm's affine as a
-    (C, 1) column, attention's projections as they are. An array whose
-    shape is not its layout's is a ValueError that names it.
+    """p's binding for a BoundModel: name -> float32 array of each tensor
+    of _bound_layout, in the layout tc.kernels read: a conv weight as its
+    (Cout, Cin*K) matrix, a bias or a norm's affine as a (C, 1) column,
+    attention's projections as they are. An array whose shape is not its
+    config's is a ValueError that names it.
 
-    p keeps a memo of float64 views of its arrays in that layout, unless
-    a reshape copied, as a non-contiguous conv weight's does, since a
-    copy misses in-place edits. The memo is used until any bound tensor's
-    array is not the one it viewed (`is`, and the memo keeps the arrays,
-    so an id cannot be reused). Every call casts the views into one fresh
-    float32 array, sliced back into the layout, so the binding holds the
-    values of this call and p keeps no float32 copy; a cast that
-    overflows is governed by the caller's np.errstate. BoundModel.bind
-    calls it in the calling thread, never in a shard.
+    Every call casts p's arrays as they are now, in C order whatever
+    their memory order, into one fresh float32 array, sliced back into
+    the layout, so the binding holds the values of this call and p keeps
+    nothing of it; a cast that overflows is governed by the caller's
+    np.errstate. BoundModel.bind calls it in the calling thread, never in
+    a shard.
     """
-    held = p._binding
-    names = _bound_names(p.config)
-    arrays = list(map(_data, map(p.tensors.__getitem__, names)))
-    if (held is not None and held[0] is names
-            and all(map(operator.is_, arrays, held[1]))):
-        views = held[2]
-    else:
-        layout = param_layout(p.config)
-        views = []
-        for name, arr in zip(names, arrays):
-            if arr.shape != layout[name]:
-                raise ValueError(f"parameter {name} has shape {arr.shape}, "
-                                 f"the config's layout has {layout[name]}")
-            views.append(arr.reshape(len(arr), -1))
-        if all(map(np.may_share_memory, views, arrays)):
-            p._binding = names, arrays, views
-    flat = np.concatenate([v.ravel() for v in views], dtype=np.float32)
-    return {name: flat[span].reshape(shape)
-            for name, span, shape in _bound_slices(p.config)}
+    table = _bound_layout(p.config)
+    arrays = []
+    for name, shape, _, _ in table:
+        arr = p.tensors[name].data
+        if arr.shape != shape:
+            raise ValueError(f"parameter {name} has shape {arr.shape}, "
+                             f"the config's layout has {shape}")
+        arrays.append(arr.ravel())
+    flat = np.concatenate(arrays, dtype=np.float32)
+    return {name: flat[span].reshape(kernel_shape)
+            for name, _, span, kernel_shape in table}
 
 
 def _resblock(ops, name: str, x, time: dict):
@@ -484,13 +460,14 @@ def predict_noise(params: DenoiserParams | BoundModel, x: np.ndarray,
     loop and an edit made during a loop is seen by the next loop. The
     layers then run tc.kernels in float32 over the binding and step n's
     time projections (_step_projections: the first call at a step
-    projects it), both cast from the model's float64 tensors, and never
-    record, on a tape or off; the result is returned as float64. Each
-    row gets the bits it gets alone, and matches _forward, the float64
-    function training differentiates, to about 1e-6: the largest gap on
-    the committed fixtures (B 1, 5 and 33; steps 1, 12, 61 and 100) was
-    2.6e-6, against a noise RMS near 1. A tensor whose shape is not its
-    config's is a ValueError that names it, and so is an empty stack.
+    projects it), both cast from the model's float64 tensors as they
+    are at the bind, and never record, on a tape or off; the result is
+    returned as float64. Each row gets the bits it gets alone, and
+    matches _forward, the float64 function training differentiates, to
+    about 1e-6: the largest gap on the committed fixtures (B 1, 5 and 33;
+    steps 1, 12, 61 and 100) was 2.6e-6, against a noise RMS near 1. A
+    tensor whose shape is not its config's is a ValueError that names it,
+    and so is an empty stack.
 
     Every failure to stay finite raises FloatingPointError("denoiser:
     non-finite output at step n"): a NaN or an infinity in the result,

@@ -30,8 +30,13 @@ class GuidanceConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise ValueError("guidance scale omega must be nonnegative")
+        _check_omega(self.omega)
+
+
+def _check_omega(omega: float) -> None:
+    # `not 0 <= omega < inf` also refuses a NaN, which every comparison fails
+    if not 0 <= omega < np.inf:
+        raise ValueError("guidance scale omega must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,7 @@ def corrected_noise(eps_pred: np.ndarray, y_noisy: np.ndarray,
                     x_cur: np.ndarray, i: int, omega: float,
                     sched: VarianceSchedule, tau: Subsequence) -> np.ndarray:
     """Guidance-corrected noise; omega=0 returns the prediction unchanged."""
-    if omega < 0:
-        raise ValueError("guidance scale omega must be nonnegative")
+    _check_omega(omega)
     eps_pred = np.asarray(eps_pred, dtype=np.float64)
     if omega == 0.0:
         return eps_pred

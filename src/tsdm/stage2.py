@@ -39,8 +39,9 @@ class ImputeConfig:
     rescale_observed: bool = False
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ValueError("resampling count R must be at least 1")
+        if not isinstance(self.R, (int, np.integer)) or self.R < 1:
+            raise ValueError(f"resampling count R must be an integer of at "
+                             f"least 1, got {self.R!r}")
 
 
 def diffuse_known(y0: np.ndarray, i: int, sched: VarianceSchedule,

@@ -113,6 +113,18 @@ def test_corrected_noise_rejects_negative_omega():
         corrected_noise(z, z, z, 2, -1.0, SCHED, TAU)
 
 
+@pytest.mark.parametrize("omega", [np.nan, np.inf, -1.0])
+def test_omega_must_be_finite_and_nonnegative(omega):
+    # a NaN omega used to pass (nan < 0 is False) and fail every window
+    # later as a non-finite latent
+    message = "^guidance scale omega must be finite and nonnegative$"
+    with pytest.raises(ValueError, match=message):
+        GuidanceConfig(tau=TAU, omega=omega)
+    z = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=message):
+        corrected_noise(z, z, z, 2, omega, SCHED, TAU)
+
+
 # -------------------------------------------------------- stage1_recover
 
 

@@ -36,6 +36,14 @@ def test_impute_config_rejects_nonpositive_R():
         ImputeConfig(tau=TAU, R=0)
 
 
+@pytest.mark.parametrize("R", [2.5, 2.0])
+def test_impute_config_rejects_a_non_integer_R(R):
+    # a float R used to fail in recover_batch, after stage 1 had run
+    with pytest.raises(ValueError, match="^resampling count R must be an "
+                                         f"integer of at least 1, got {R}$"):
+        ImputeConfig(tau=TAU, R=R)
+
+
 # ---------------------------------------------------------- diffuse_known
 
 
