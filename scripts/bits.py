@@ -20,19 +20,20 @@ Two checkouts whose hashes agree give the same outputs bit for bit on:
   and on the steady fixture at training's B 32 (the loss and every
   gradient);
 - recover_batch: 17 steady windows (clean, step-attacked, with a NaN
-  block, and one of 1e308) under omega 1, R 2 and under omega 0.5, R 4,
-  and 33 under omega 1, R 2, enough for two shards a denoiser call on 2
-  or more cores, with the 1e308 window and a NaN-block window in
-  different shards; each result (with its traces' tau and sigma_bar) or
-  failure text;
-- recover: the failure text of one 1e308 window;
-- lockstep: stage1_recover and stage2_impute stacks of 6 windows on the
-  steady fixture, reaching every way a window leaves a reverse pass: a
-  1e308 observed entry that fails in stage 1's sigma_bar and inside
-  stage 2's stacked denoiser call, a NaN observed entry that turns stage
-  1's latent non-finite and fails stage 2 up front, and a guidance
-  overflow under errstate(over="raise"); each result (with its trace's
+  block, and one of 1e308, refused up front) under omega 1, R 2 and
+  under omega 0.5, R 4, and 33 under omega 1, R 2, enough for two shards
+  a denoiser call on 2 or more cores, with the 1e308 window and a
+  NaN-block window in different shards; each result (with its traces'
   tau and sigma_bar) or failure text;
+- recover: the failure texts of one 1e308 window, refused up front, and
+  of one window on a model whose output head overflows, which fails in
+  stage 1;
+- lockstep: stage1_recover and stage2_impute stacks of 6 windows on the
+  steady fixture, each result with its trace's tau and sigma_bar; the
+  refusal text of each stack with a 1e308 or a NaN observed entry in
+  one window, refused before the loop; and the failure text of each
+  stack on a model whose output head overflows, which fails the whole
+  stack;
 - synth: synth_dataset's windows, steady seed 42 x 2256 at (8, 64) (the
   benchmark's draw), transient seed 7 x 300 at (8, 64), and both modes
   at the odd shapes (1, 2) and (3, 5);
@@ -270,9 +271,20 @@ def recover_batch_cases(models):
     return out
 
 
+def faulty(params):
+    """A copy of params whose output head overflows float32 at every step."""
+    bad = copy.deepcopy(params)
+    bad["head.conv.b"].data += 1e200
+    return bad
+
+
 def recover_cases(models):
     params, mean, std = models["steady"]
+    y0 = np.asarray(synth_dataset(SynthSpec(mode="steady", M=8, T=64,
+                                            seed=42), 2001)[2000])
     return [outcome(lambda: recover(params, np.full((8, 64), 1e308), None,
+                                    pipeline_cfg(1.0, 2), mean, std)),
+            outcome(lambda: recover(faulty(params), y0, None,
                                     pipeline_cfg(1.0, 2), mean, std))]
 
 
@@ -283,26 +295,26 @@ def lockstep_cases(models):
     y0 = rng.standard_normal((6, 8, 64))
     mask = (rng.random((6, 8, 64)) > 0.3).astype(np.float64)
     mask[5] = rng.random((8, 64)) > 0.6
-    mask[[1, 3], 1, 5] = 1.0
-    y0[1, 1, 5], y0[3, 1, 5] = 1e308, np.nan
-    guided = rng.standard_normal((6, 8, 64))
-    guided[1, 2, 7] = 1.7e308
-    with np.errstate(over="ignore", invalid="ignore"):
-        stacks = [
-            stage1_recover(params, y0, GuidanceConfig(tau=TAU, omega=1.0,
-                                                      seed=7), sched),
-            stage2_impute(params, np.where(mask == 1.0, y0, np.nan), mask,
-                          ImputeConfig(tau=TAU, R=2, seed=7), sched)]
-    with np.errstate(over="raise"):
-        stacks.append(stage1_recover(params, guided, GuidanceConfig(
-            tau=make_subsequence(100, 2), omega=1e10, seed=5), sched))
+    guide = GuidanceConfig(tau=TAU, omega=1.0, seed=7)
+    impute = ImputeConfig(tau=TAU, R=2, seed=7)
+
+    def stacks(model, y0, mask):
+        return [outcome(lambda: stage1_recover(model, y0, guide, sched)),
+                outcome(lambda: stage2_impute(
+                    model, np.where(mask == 1.0, y0, np.nan), mask, impute,
+                    sched))]
+
     out = []
-    for results in stacks:
-        for res in results:  # x0, (x0', trace) or the failure
+    for results in stacks(params, y0, mask):
+        for res in results:  # x0 or (x0', trace)
             if isinstance(res, tuple):
                 res = (res[0], [(r.tau, r.sigma_bar) for r in res[1].records])
             out.append(res)
-    return out
+    for b, value in ((1, 1e308), (3, np.nan)):
+        y, m = y0.copy(), mask.copy()
+        y[b, 1, 5], m[b, 1, 5] = value, 1.0
+        out += stacks(params, y, m)
+    return out + stacks(faulty(params), y0, mask)
 
 
 def synth_cases(models):

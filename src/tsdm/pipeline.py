@@ -8,8 +8,8 @@ estimate is returned; otherwise stage 2 re-imputes the flagged entries
 with the trusted ones pinned.
 
 A batch runs in lockstep: one denoiser call per reverse step for every
-window still running, each result bit-identical to the window's
-one-window recovery. `recover` is a batch of one.
+window, each result bit-identical to the window's one-window recovery.
+`recover` is a batch of one.
 
 All model arithmetic runs in normalized units (per-channel mean/std from
 the training checkpoint); outputs are denormalized.
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import DenoiserParams
+from .sampler import check_observed
 from .schedule import (DEFAULT_BETA_END, DEFAULT_BETA_START,
                        VarianceSchedule, linear_schedule)
 from .stage1 import GuidanceConfig, detect_outliers, stage1_recover
@@ -71,8 +72,9 @@ def recover(params: DenoiserParams, y0: np.ndarray, known_mask,
             cfg: TsdmConfig, norm_mean=None, norm_std=None) -> RecoveryResult:
     """Run the two-stage recovery on one measurement window: a batch of
     one, whose failure is raised. A window with another channel count
-    than the model's, a length the model cannot take, or no observed
-    entry is a ValueError."""
+    than the model's, a length the model cannot take, no observed entry,
+    or an observed entry that sampler.check_observed refuses once
+    normalized is a ValueError, raised before any denoiser call."""
     out = _recover_windows(params, [y0], [known_mask], cfg, norm_mean,
                            norm_std)[0]
     if isinstance(out, Exception):
@@ -85,13 +87,14 @@ def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig, *,
     """Recover many windows; order-preserving, seeds derived seed^index.
 
     The windows run in lockstep: each reverse step makes one denoiser
-    call on the stack of every window still running, first through
-    stage 1 and then through stage 2 for the windows that branch. Each
-    result is bit-identical to `recover` of that window alone with seeds
-    seed^index. Failures are reported per index as WindowFailure entries
-    without aborting the remaining windows. A stacked denoiser call is
-    split across the usable cores, a count taken from the process's CPU
-    affinity (see denoiser.predict_noise), with the same bits.
+    call on their stack, first through stage 1 and then through stage 2
+    for the windows that branch. Each result is bit-identical to
+    `recover` of that window alone with seeds seed^index. A window
+    `recover` refuses fails alone, as a WindowFailure at its index; a
+    stage that raises fails each window of its stack, tagged with the
+    stage. A stacked denoiser call is split across the usable cores, a
+    count taken from the process's CPU affinity (see
+    denoiser.predict_noise), with the same bits.
     """
     windows = [np.asarray(w, dtype=np.float64) for w in windows]
     if windows and any(w.shape != windows[0].shape for w in windows):
@@ -136,8 +139,10 @@ def _normalize(y0, known_mask, config, norm_mean, norm_std):
     if not known.any():
         raise ValueError("window has no observed entries: every entry is "
                          "missing")
-    yn = (y0 - mean[:, None]) / std[:, None]
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        yn = (y0 - mean[:, None]) / std[:, None]
     yn = np.where(known == 1.0, yn, 0.0)  # placeholder = channel mean
+    check_observed(yn)
     return yn, known, mean, std
 
 
@@ -167,15 +172,15 @@ def _recover_windows(params, windows, known_masks, cfg, norm_mean,
         return outs
     sched = cfg.schedule()
     ids = list(ready)
-    stage1 = stage1_recover(
-        params, np.stack([ready[k][0] for k in ids]), cfg.guidance, sched,
-        seeds=[cfg.guidance.seed ^ k for k in ids])
+    try:
+        stage1 = stage1_recover(
+            params, np.stack([ready[k][0] for k in ids]), cfg.guidance,
+            sched, seeds=[cfg.guidance.seed ^ k for k in ids])
+    except Exception as e:  # noqa: BLE001 - fails every window of the stack
+        error = _tagged("stage1", e)
+        return [error if k in ready else out for k, out in enumerate(outs)]
     branch = []
-    for k, out in zip(ids, stage1):
-        if isinstance(out, Exception):
-            outs[k] = _tagged("stage1", out)
-            continue
-        x0p, trace1 = out
+    for k, (x0p, trace1) in zip(ids, stage1):
         yn, known, mean, std = ready[k]
         mask = detect_outliers(x0p, yn).mask * known  # force-flag missing
         fraction = float(1.0 - mask.mean())
@@ -189,14 +194,15 @@ def _recover_windows(params, windows, known_masks, cfg, norm_mean,
             branch.append(k)
     if not branch:
         return outs
-    stage2 = stage2_impute(
-        params, np.stack([ready[k][0] for k in branch]),
-        np.stack([outs[k].outlier_mask for k in branch]), cfg.impute, sched,
-        seeds=[cfg.impute.seed ^ k for k in branch])
+    try:
+        stage2 = stage2_impute(
+            params, np.stack([ready[k][0] for k in branch]),
+            np.stack([outs[k].outlier_mask for k in branch]), cfg.impute,
+            sched, seeds=[cfg.impute.seed ^ k for k in branch])
+    except Exception as e:  # noqa: BLE001 - fails every window of the stack
+        error = _tagged("stage2", e)
+        return [error if k in branch else out for k, out in enumerate(outs)]
     for k, out in zip(branch, stage2):
-        if isinstance(out, Exception):
-            outs[k] = _tagged("stage2", out)
-            continue
         _, _, mean, std = ready[k]
         outs[k] = dataclasses.replace(
             outs[k], x_tilde=out * std[:, None] + mean[:, None],

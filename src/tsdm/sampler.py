@@ -21,15 +21,11 @@ reverse_lockstep is the one reverse loop: unconditional sampling, stage
 1 and stage 2 each run it with their own update, a stack of windows in
 lockstep with one predict_noise call and one stacked update per pass.
 Each window still draws from its own generator and gets its own
-sigma_bar, so it ends with the bits of a one-window run. A window fails
-one way: a pass that raises anywhere (denoiser, guide, sigma_bar, update,
-or a latent left non-finite) is replayed window by window, and each
-window that raises alone leaves with its own error. The replay restores
-each window's generator state from the start of the pass and reuses its
-row of the pass's prediction when predict_noise returned, so a failure
-after the network costs no extra denoiser call. That rests on two
-conditions: guides and updates never write into eps, and each window has
-its own generator, shared with no other window.
+sigma_bar, so it ends with the bits of a one-window run. A pass that
+raises fails the whole stack with its exception. Inputs that would make
+one window fail are refused before the loop by check_observed, so a
+failure inside the loop is a model fault, which fails every window
+alike.
 """
 
 from __future__ import annotations
@@ -42,6 +38,10 @@ import numpy as np
 
 from .denoiser import BoundModel, DenoiserParams, predict_noise
 from .schedule import Subsequence, VarianceSchedule
+
+# The largest magnitude of an observed entry, in normalized units (training
+# stds from the channel mean); the loop overflows only from some 1e30 on.
+MAX_OBSERVED = 1e6
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,20 @@ def window_rngs(y0: np.ndarray, seed: int, seeds=None):
     return [np.random.default_rng(s) for s in seeds]
 
 
+def check_observed(y: np.ndarray) -> None:
+    """Refuse a window or stack y (normalized, missing entries zero-filled)
+    with an entry not finite or beyond MAX_OBSERVED: a ValueError naming
+    its channel and time step, and window for a stack."""
+    bad = np.argwhere(~(np.abs(y) <= MAX_OBSERVED))
+    if len(bad):
+        *window, m, t = bad[0]
+        where = f"window {window[0]}, " if window else ""
+        raise ValueError(
+            f"observed entry at {where}channel {m}, step {t} is "
+            f"{float(y[tuple(bad[0])])} in normalized units, not a finite "
+            f"value within {MAX_OBSERVED:g}")
+
+
 def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
                      sched: VarianceSchedule, tau: Subsequence, update=None,
                      guide=None, R: int = 1, trace: bool = False):
@@ -187,17 +201,16 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
 
     Window b starts from rngs[b].standard_normal(shape). It takes R
     passes at each position i = s..2 and one closing pass at i = 1. A
-    pass steps the stack x of the windows still running, whose indices
-    are `rows`:
+    pass steps the stack x of all windows:
 
         eps = predict_noise(model, x, tau_i)
-        eps = guide(rows, x, eps, i)             # if a guide is given
-        x = update(rows, x, eps, sigma_bar, i, r, draw)
+        eps = guide(x, eps, i)  # if a guide is given
+        x = update(x, eps, sigma_bar, i, r, draw)
 
     where sigma_bar is sigma_bar_rows' column over eps (0.0 at the
-    close) and draw() a fresh stack of standard normals, row k drawn
-    from rngs[rows[k]], so every window draws in the order a one-window
-    run does. The default update is the improved step, closed by
+    close) and draw() a fresh stack of standard normals, row b drawn
+    from rngs[b], so every window draws in the order a one-window run
+    does. The default update is the improved step, closed by
     estimate_x0.
 
     model is params bound once for the loop (denoiser.BoundModel): its
@@ -205,94 +218,50 @@ def reverse_lockstep(params: DenoiserParams, rngs, shape: tuple,
     projections of every step of tau, and every later call of the loop
     reuses them. So an edit of params made during the loop, in a guide
     or an update, is not seen until the next loop, and an edit made
-    between two loops is seen by the second. A bind that fails keeps
-    nothing: the next call, a replay's included, binds again and fails
-    in the same way.
+    between two loops is seen by the second.
 
     A pass raises RuntimeError("non-finite latent at step tau=...") when
-    it leaves any latent non-finite. A pass that raises anywhere is
-    replayed window by window, so only the windows that fail alone leave,
-    each with the exception it raises alone; a pass over one window is
-    not replayed, as it already ran alone. Each replay first restores the
-    window's generator to its state at the start of the pass, so it draws
-    again what it took, and steps on its row of the stacked prediction
-    when predict_noise returned, as predict_noise gives each row the bits
-    it gives it alone; only a pass that raised inside predict_noise calls
-    it again, once per window. So guides and updates must never write
-    into eps, and no generator may appear twice in rngs. With trace, a
-    window's result is (x0, SamplerTrace), holding its sigma_bar at each
-    pass.
+    it leaves any latent non-finite. A pass that raises anywhere fails
+    the whole call with its exception. With trace, a window's result is
+    (x0, SamplerTrace), holding its sigma_bar at each pass.
 
-    Returns per window its result or the exception it failed with. A
-    lone Generator for rngs is a one-window call: it returns that
-    window's result and raises its failure.
+    Returns the list of the windows' results. A lone Generator for rngs
+    is a one-window call: it returns that window's result.
     """
     one = isinstance(rngs, np.random.Generator)
     rngs = [rngs] if one else rngs
     if update is None:
-        def update(rows, x, eps, sigma_bar, i, r, draw):
+        def update(x, eps, sigma_bar, i, r, draw):
             if i == 1:
                 return estimate_x0(x, eps, tau.level(1), sched)
             return improved_step(x, eps, i, sched, tau, draw(), sigma_bar)
 
-    outs = {}  # window -> its result or its exception
-    rows = list(range(len(rngs)))
-    x = _normals(rngs, rows, shape)
+    x = _normals(rngs, shape)
     traces = [SamplerTrace() for _ in rngs]
-    passes = [(i, r) for i in range(tau.s, 0, -1)
-              for r in range(1, (R if i > 1 else 1) + 1)]
     model = BoundModel(params, [tau.level(i) for i in range(tau.s, 0, -1)])
-    for i, r in passes:
-        if not rows:
-            break
-        t0 = time.perf_counter()
+    for i in range(tau.s, 0, -1):
         t_cur = tau.level(i)
-        states = [rngs[b].bit_generator.state for b in rows]
-
-        def run(rows, x, eps):
+        for r in range(1, (R if i > 1 else 1) + 1):
+            t0 = time.perf_counter()
+            eps = predict_noise(model, x, t_cur)
             if guide is not None:
-                eps = guide(rows, x, eps, i)
+                eps = guide(x, eps, i)
             col = sigma_bar_rows(eps, t_cur, sched) if i > 1 else 0.0
-            x = update(rows, x, eps, col, i, r,
-                       lambda: _normals(rngs, rows, shape))
+            x = update(x, eps, col, i, r, lambda: _normals(rngs, shape))
             if not np.isfinite(x).all():
                 raise RuntimeError(f"non-finite latent at step tau={t_cur}")
-            return x, col
-
-        eps = None
-        try:
-            eps = predict_noise(model, x, t_cur)
-            x_new, col = run(rows, x, eps)
-        except Exception as e:  # noqa: BLE001 - find the windows that fail alone
-            x_new, col = np.full_like(x, np.nan), np.zeros((len(rows), 1, 1))
-            if len(rows) == 1:  # a lone window has already failed alone
-                outs[rows[0]] = e
-            else:
-                for k, b in enumerate(rows):
-                    rngs[b].bit_generator.state = states[k]
-                    try:
-                        eps_k = (predict_noise(model, x[k:k + 1], t_cur)
-                                 if eps is None else eps[k:k + 1])
-                        x_new[k], col[k] = run([b], x[k:k + 1], eps_k)
-                    except Exception as e:  # noqa: BLE001 - per window
-                        outs[b] = e
-        keep = [k for k, b in enumerate(rows) if b not in outs]
-        if trace:
-            elapsed_ms = (time.perf_counter() - t0) * 1e3
-            sigmas = np.broadcast_to(col, (len(rows), 1, 1)).ravel()
-            for k in keep:
-                traces[rows[k]].add(t_cur, sigmas[k], elapsed_ms)
-        rows, x = [rows[k] for k in keep], x_new[keep]
-    for b, xb in zip(rows, x):
-        outs[b] = (xb, traces[b]) if trace else xb
-    if one and isinstance(outs[0], Exception):
-        raise outs[0]
-    return outs[0] if one else [outs[b] for b in range(len(rngs))]
+            if trace:
+                elapsed_ms = (time.perf_counter() - t0) * 1e3
+                sigmas = np.broadcast_to(col, (len(rngs), 1, 1)).ravel()
+                for rec, sigma in zip(traces, sigmas):
+                    rec.add(t_cur, sigma, elapsed_ms)
+    outs = list(zip(x, traces)) if trace else list(x)
+    return outs[0] if one else outs
 
 
-def _normals(rngs, rows, shape) -> np.ndarray:
-    """A fresh stack of standard normals, row k drawn from rngs[rows[k]]."""
-    out = np.empty((len(rows),) + tuple(shape))
-    for k, b in enumerate(rows):
-        rngs[b].standard_normal(out=out[k])
+def _normals(rngs, shape) -> np.ndarray:
+    """A fresh stack of standard normals, row b drawn from rngs[b]."""
+    out = np.empty((len(rngs),) + tuple(shape))
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=out[b])
     return out

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import DenoiserParams
-from .sampler import forward_diffuse, reverse_lockstep, window_rngs
+from .sampler import (check_observed, forward_diffuse, reverse_lockstep,
+                      window_rngs)
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -76,17 +77,20 @@ def stage1_recover(params: DenoiserParams, y0: np.ndarray,
     per pass; window b draws from its own
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to recovering
-    it alone with that seed. For a stack the result is a list holding,
-    per window, (x0', trace) or the exception that window failed with.
+    it alone with that seed. For a stack the result is the list of each
+    window's (x0', trace), or a raise that fails the whole stack. An
+    entry of y0 that sampler.check_observed refuses is its ValueError,
+    before any denoiser call.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     if y0.ndim not in (2, 3):
         raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
     rngs = window_rngs(y0, cfg.seed, seeds)
+    check_observed(y0)
     windows, tau = y0.reshape((-1,) + y0.shape[-2:]), cfg.tau
 
-    def guide(rows, x, eps_pred, i):
-        y_noisy = condition_noisy(windows[rows], eps_pred, i, sched, tau)
+    def guide(x, eps_pred, i):
+        y_noisy = condition_noisy(windows, eps_pred, i, sched, tau)
         return corrected_noise(eps_pred, y_noisy, x, i, cfg.omega, sched,
                                tau)
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import DenoiserParams
-from .sampler import (detailed_step, estimate_x0, forward_diffuse,
-                      reverse_lockstep, window_rngs)
+from .sampler import (check_observed, detailed_step, estimate_x0,
+                      forward_diffuse, reverse_lockstep, window_rngs)
 from .schedule import Subsequence, VarianceSchedule
 
 
@@ -79,9 +79,10 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
     as one array per pass; window b draws from its own
     default_rng(seeds[b]), by default cfg.seed ^ b, in the order a
     one-window call draws, so its result is bit-identical to imputing it
-    alone with that seed. For a stack the result is a list holding, per
-    window, the imputed window or the exception that window failed with,
-    a ValueError in its first pass if an observed entry is not finite.
+    alone with that seed. For a stack the result is the list of the
+    imputed windows, or a raise that fails the whole stack. An observed
+    entry that sampler.check_observed refuses is its ValueError, before
+    any denoiser call.
     """
     y0 = np.asarray(y0, dtype=np.float64)
     mask = np.asarray(mask, dtype=np.float64)
@@ -93,25 +94,23 @@ def stage2_impute(params: DenoiserParams, y0: np.ndarray, mask: np.ndarray,
         raise ValueError(f"expected (M, T) or (B, M, T), got {y0.shape}")
     rngs = window_rngs(y0, cfg.seed, seeds)
     shape, tau = y0.shape[-2:], cfg.tau
-    observed = mask.reshape((-1,) + shape) == 1.0
     # Missing entries are never read; zero-fill keeps arithmetic finite
     # even when they arrive as NaN sentinels.
-    y0 = np.where(observed, y0.reshape(observed.shape), 0.0)
-    finite = np.isfinite(y0).all(axis=(1, 2))
+    y0 = np.where(mask == 1.0, y0, 0.0)
+    check_observed(y0)
+    y0 = y0.reshape((-1,) + shape)
+    observed = mask.reshape(y0.shape) == 1.0
     a1 = sched.alpha_bar_at(tau.level(1))
 
-    def update(rows, x, eps_pred, sigma_bar, i, r, draw):
-        if not finite[rows].all():
-            raise ValueError("observed entries must be finite")
-        y, obs = y0[rows], observed[rows]
+    def update(x, eps_pred, sigma_bar, i, r, draw):
         if i == 1:
             mu = estimate_x0(x, eps_pred, tau.level(1), sched)
-            known = y if cfg.rescale_observed else np.sqrt(a1) * y
-            return np.where(obs, known, mu)
-        known = diffuse_known(y, i, sched, tau, draw())
+            known = y0 if cfg.rescale_observed else np.sqrt(a1) * y0
+            return np.where(observed, known, mu)
+        known = diffuse_known(y0, i, sched, tau, draw())
         generated = detailed_step(x, eps_pred, i, sched, tau, draw(),
                                   sigma_bar)
-        x = np.where(obs, known, generated)
+        x = np.where(observed, known, generated)
         if r < cfg.R:  # keeps a non-finite x non-finite for the check
             x = renoise_to_level(x, i, sched, tau, draw())
         return x

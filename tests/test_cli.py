@@ -374,6 +374,24 @@ def test_all_missing_window_is_runtime_failure(cli_env):
     assert not (cli_env / "x5" / "recovered.csv").exists()
 
 
+def test_out_of_range_entry_is_runtime_failure(cli_env):
+    x, _ = load_matrix_csv(cli_env / "base/windows/00004.csv")
+    x[2, 7] = 1e300
+    save_matrix_csv(cli_env / "huge.csv", x)
+    cfg = write_config(cli_env / "huge.cfg",
+                       checkpoint=cli_env / "base/model.tsdm")
+    r = run_cli("--config", cfg.name, "--out", "huge", "recover", "huge.csv",
+                cwd=cli_env)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: observed entry at channel 2, step 7 "
+                               "is ")
+    assert r.stderr.count("\n") == 1
+    assert r.stderr.endswith(" in normalized units, not a finite value "
+                             "within 1e+06\n")
+    for artifact in ("recovered.csv", "report.json"):
+        assert not (cli_env / "huge" / artifact).exists()
+
+
 def _nan_truth(cli_env):
     """A copy of window 00003 with one NaN entry, as a truth file."""
     x, _ = load_matrix_csv(cli_env / "base/windows/00003.csv")

@@ -9,12 +9,15 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsdm import denoiser as dn
-from tsdm import sampler
+from tsdm import pipeline, sampler
 from tsdm.denoiser import predict_noise
 from tsdm.pipeline import (STAGE1_ONLY, STAGE1_PLUS_STAGE2, RecoveryResult,
                            TsdmConfig, WindowFailure, recover, recover_batch)
+from tsdm.sampler import MAX_OBSERVED
 from tsdm.schedule import make_subsequence
 from tsdm.stage1 import GuidanceConfig
 from tsdm.stage2 import ImputeConfig
@@ -195,17 +198,43 @@ def test_non_finite_normalization_stats_fail_before_the_denoiser(
     assert calls == []
 
 
-def test_stage_errors_carry_stage_tag(toy_model):
-    y0 = np.full((4, 16), 1e308)
-    with pytest.raises(RuntimeError, match="stage1"):
-        recover(toy_model, y0, None, make_cfg())
+def _model_fault(model):
+    """A copy of model whose output head overflows float32 at every step."""
+    bad = copy.deepcopy(model)
+    bad["head.conv.b"].data += 1e200
+    return bad
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_stage_errors_carry_stage_tag(toy_model, monkeypatch):
+    # a model fault fails stage 1's stack, and so every window of it
+    text = "stage1: denoiser: non-finite output at step 100"
+    with pytest.raises(RuntimeError, match=f"^{text}$"):
+        recover(_model_fault(toy_model), toy_window(1), None, make_cfg())
+    windows = _mixed_windows()
+    assert recover_batch(_model_fault(toy_model), windows, make_cfg()) == [
+        WindowFailure(index=k, error=text) for k in range(6)]
+    # a stage-2 stack that raises fails each window that branched to it;
+    # the windows of stage 1 alone keep their results
+    ref = recover_batch(toy_model, windows, make_cfg())
+
+    def raising(*args, **kwargs):
+        raise FloatingPointError("overflow encountered in multiply")
+
+    monkeypatch.setattr(pipeline, "stage2_impute", raising)
+    hit = recover_batch(toy_model, windows, make_cfg())
+    for k, (got, want) in enumerate(zip(hit, ref)):
+        if want.stage_taken == STAGE1_PLUS_STAGE2:
+            assert got == WindowFailure(
+                index=k, error="stage2: overflow encountered in multiply")
+        else:
+            assert got.x_tilde.tobytes() == want.x_tilde.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_failing_one_window_pass_runs_once(steady_fixture, monkeypatch):
-    # The 1e308 entry overflows stage 1's sigma_bar in the first pass, at
-    # tau = 100. A pass over one window is not replayed, so the denoiser
-    # runs once.
+    # A model fault fails the first pass, at tau = 100, so the denoiser
+    # runs once; a 1e308 entry is refused before it runs at all.
     params, mean, std, spec = steady_fixture
     calls = []
 
@@ -215,11 +244,17 @@ def test_a_failing_one_window_pass_runs_once(steady_fixture, monkeypatch):
 
     monkeypatch.setattr(sampler, "predict_noise", predict)
     y0 = np.asarray(synth_dataset(spec, 1)[0])
-    y0[3, 10] = 1e308
     with pytest.raises(RuntimeError) as failed:
-        recover(params, y0, None, make_cfg(), mean, std)
-    assert str(failed.value) == "stage1: overflow encountered in square"
+        recover(_model_fault(params), y0, None, make_cfg(), mean, std)
+    assert str(failed.value) == ("stage1: denoiser: non-finite output at "
+                                 "step 100")
     assert calls == [100]
+    calls.clear()
+    y0[3, 10] = 1e308
+    with pytest.raises(ValueError, match="^observed entry at channel 3, "
+                       "step 10 is "):
+        recover(params, y0, None, make_cfg(), mean, std)
+    assert calls == []
 
 
 def test_an_edit_between_two_recovers_is_seen_by_the_second(toy_model):
@@ -252,9 +287,8 @@ def test_batch_of_one_matches_single_call(toy_model):
 
 def test_a_misshapen_tensor_fails_each_window_of_a_batch(toy_model,
                                                         monkeypatch):
-    # the loop binds inside its first denoiser call and keeps only a bind
-    # that succeeds, so the stacked call and each window's replay bind
-    # again and fail alone, and no exception leaves the loop
+    # the loop binds inside its first denoiser call; the bind fails, and
+    # with it the stack, so each window gets its error and none escapes
     model = copy.deepcopy(toy_model)
     w = model["stem.w"].data
     model["stem.w"].data = w.reshape(w.shape[0], 1, -1)
@@ -266,18 +300,50 @@ def test_a_misshapen_tensor_fails_each_window_of_a_batch(toy_model,
     message = ("parameter stem.w has shape (16, 1, 12), "
                "the config's layout has (16, 4, 3)")
     assert batch == [WindowFailure(index=k, error=message) for k in range(3)]
-    assert len(casts) == 4
+    assert len(casts) == 1
 
 
-def test_batch_isolates_per_window_failures(toy_model):
-    windows = [toy_window(30), toy_window(31), np.full((4, 16), 1e308),
-               toy_window(32)]
-    results = recover_batch(toy_model, windows, make_cfg())
-    assert isinstance(results[2], WindowFailure)
-    assert results[2].index == 2
-    assert "stage1" in results[2].error
+def _refusal(m, t, value):
+    return (f"observed entry at channel {m}, step {t} is {float(value)} in "
+            "normalized units, not a finite value within 1e+06")
+
+
+def _recover_with_entry(model, monkeypatch, value):
+    """Window 2 of a batch with one observed entry set to value: within
+    the bound it recovers; beyond it, it is refused before any denoiser
+    call, alone or in the batch, whose other windows keep their bits."""
+    windows = [toy_window(30), toy_window(31), toy_window(2), toy_window(32)]
+    ref = recover_batch(model, windows, make_cfg())
+    windows[2][1, 9] = value
+    results = recover_batch(model, windows, make_cfg())
     for k in (0, 1, 3):
-        assert isinstance(results[k], RecoveryResult)
+        assert results[k].x_tilde.tobytes() == ref[k].x_tilde.tobytes()
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args) or predict_noise(
+                            *args))
+    if abs(value) <= MAX_OBSERVED:
+        assert isinstance(results[2], RecoveryResult)
+        assert np.isfinite(recover(model, windows[2], None,
+                                   make_cfg(seed=2)).x_tilde).all()
+        assert calls
+        return
+    assert results[2] == WindowFailure(index=2, error=_refusal(1, 9, value))
+    with pytest.raises(ValueError) as refused:
+        recover(model, windows[2], None, make_cfg(seed=2))
+    assert str(refused.value) == _refusal(1, 9, value)
+    assert calls == []
+
+
+def test_batch_isolates_per_window_failures(toy_model, monkeypatch):
+    _recover_with_entry(toy_model, monkeypatch, 1e308)
+
+
+@pytest.mark.parametrize("value", [
+    MAX_OBSERVED, -MAX_OBSERVED, np.nextafter(MAX_OBSERVED, np.inf),
+    np.nextafter(-MAX_OBSERVED, -np.inf)])
+def test_an_observed_entry_at_the_bound(toy_model, monkeypatch, value):
+    _recover_with_entry(toy_model, monkeypatch, value)
 
 
 def test_batch_failure_index_follows_input_position(toy_model):
@@ -323,8 +389,7 @@ def test_bad_window_leaves_batch_bitwise(toy_model):
     ref = recover_batch(toy_model, windows, make_cfg(seed=12))
     windows[3] = np.full((4, 16), 1e308)
     hit = recover_batch(toy_model, windows, make_cfg(seed=12))
-    assert isinstance(hit[3], WindowFailure) and hit[3].index == 3
-    assert "stage1" in hit[3].error
+    assert hit[3] == WindowFailure(index=3, error=_refusal(0, 0, 1e308))
     for k in (0, 1, 2, 4, 5):
         assert np.array_equal(hit[k].x_tilde, ref[k].x_tilde)
         assert hit[k].stage_taken == ref[k].stage_taken
@@ -372,3 +437,35 @@ def test_length_zero_window_names_its_length(toy_model):
     batch = recover_batch(toy_model, [np.zeros((4, 0))] * 2, make_cfg())
     assert batch == [WindowFailure(index=0, error=message),
                      WindowFailure(index=1, error=message)]
+
+
+# Under a norm_std of 0.5 a raw entry beyond 5e5 is beyond the bound once
+# normalized, and one beyond 8.99e307 normalizes to an infinity.
+_STATS = {"norm_mean": np.zeros(4), "norm_std": np.full(4, 0.5)}
+
+
+@pytest.fixture(scope="module")
+def clean_batch(toy_model):
+    return recover_batch(toy_model, _mixed_windows(), make_cfg(seed=3),
+                         **_STATS)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.dictionaries(st.integers(0, 5), st.tuples(
+    st.sampled_from([0, 2, 3]), st.integers(0, 15),  # channel 1 has NaNs
+    st.floats(min_value=5e5, max_value=1.7e308, exclude_min=True),
+    st.sampled_from([1.0, -1.0]))))
+def test_out_of_range_windows_fail_alone(toy_model, clean_batch, bad):
+    windows = _mixed_windows()
+    for k, (m, t, value, sign) in bad.items():
+        windows[k][m, t] = sign * value
+    results = recover_batch(toy_model, windows, make_cfg(seed=3), **_STATS)
+    for k, (got, want) in enumerate(zip(results, clean_batch)):
+        if k in bad:
+            m, t, value, sign = bad[k]
+            assert got == WindowFailure(
+                index=k, error=_refusal(m, t, sign * value / 0.5))
+        else:
+            assert got.x_tilde.tobytes() == want.x_tilde.tobytes()
+            assert got.outlier_mask.tobytes() == want.outlier_mask.tobytes()
+            assert got.stage_taken == want.stage_taken

@@ -313,75 +313,6 @@ def test_unconditional_sample_rejects_other_shapes_up_front(
     assert calls == []
 
 
-def test_lockstep_isolates_a_failing_denoiser_call(toy_model, sched100,
-                                                   monkeypatch):
-    # The update leaves seed 13's latent at 1e300, so the next stacked
-    # predict_noise overflows inside the network and raises; the pass is
-    # replayed window by window, so only that window leaves and the others
-    # keep their one-window bits and traces.
-    tau = make_subsequence(100, 4)
-    raised = []
-
-    def predict(params, x, n):
-        try:
-            return predict_noise(params, x, n)
-        except FloatingPointError:
-            raised.append(len(x))
-            raise
-
-    monkeypatch.setattr(sampler, "predict_noise", predict)
-
-    def run(seeds):
-        rngs = [np.random.default_rng(s) for s in seeds]
-
-        def update(rows, x, eps, sigma_bar, i, r, draw):
-            if i == 1:
-                return x - 0.1 * eps
-            x = 0.5 * x + 0.1 * eps + sigma_bar * draw()
-            if i == 3:
-                x[[seeds[b] == 13 for b in rows]] = 1e300
-            return x
-
-        return sampler.reverse_lockstep(toy_model, rngs, (4, 16), sched100,
-                                        tau, update, trace=True)
-
-    with np.errstate(over="ignore"):
-        stacked = run([11, 13, 17])
-        assert raised == [3, 1]
-        assert isinstance(stacked[1], FloatingPointError)
-        for b, seed in enumerate([11, 13, 17]):
-            _assert_same_outcome(stacked[b], run([seed])[0])
-
-
-def test_lockstep_fails_only_the_window_whose_latent_turns_non_finite(
-        toy_model, sched100):
-    # The update leaves seed 13's latent NaN at i = 3, so that pass raises
-    # "non-finite latent" and is replayed window by window: only that
-    # window leaves, and the others keep their one-window bits and traces.
-    tau = make_subsequence(100, 4)
-
-    def run(seeds):
-        rngs = [np.random.default_rng(s) for s in seeds]
-
-        def update(rows, x, eps, sigma_bar, i, r, draw):
-            if i == 1:
-                return x - 0.1 * eps
-            x = 0.5 * x + 0.1 * eps + sigma_bar * draw()
-            if i == 3:
-                x[[seeds[b] == 13 for b in rows]] = np.nan
-            return x
-
-        return sampler.reverse_lockstep(toy_model, rngs, (4, 16), sched100,
-                                        tau, update, trace=True)
-
-    stacked = run([11, 13, 17])
-    assert isinstance(stacked[1], RuntimeError)
-    assert str(stacked[1]) == "non-finite latent at step tau=75"
-    for b, seed in enumerate([11, 13, 17]):
-        _assert_same_outcome(stacked[b], run([seed])[0])
-    assert [r.tau for r in stacked[0][1].records] == [100, 75, 50, 25]
-
-
 @pytest.mark.parametrize("seeds", [[1, 2], [1, 2, 3, 4]])
 @pytest.mark.parametrize("stage", ["stage1", "stage2"])
 def test_a_seed_list_of_the_wrong_length_is_refused_up_front(
@@ -399,6 +330,30 @@ def test_a_seed_list_of_the_wrong_length_is_refused_up_front(
                           ImputeConfig(tau=TAU), sched100, seeds=seeds)
     assert str(err.value) == f"{len(seeds)} seeds for 3 windows"
     assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_a_raising_pass_fails_the_whole_stack(zeros_model, sched100,
+                                              monkeypatch):
+    # A model fault fails the first pass's denoiser call, so a stack fails
+    # with the exception one window fails with, after that one call.
+    bad = copy.deepcopy(zeros_model)
+    bad["head.conv.b"].data += 1e200
+    calls = []
+
+    def predict(params, x, n):
+        calls.append(len(x))
+        return predict_noise(params, x, n)
+
+    monkeypatch.setattr(sampler, "predict_noise", predict)
+    cfg = GuidanceConfig(tau=TAU, seed=3)
+    alone = _outcome(lambda: stage1_recover(bad, np.zeros((4, 16)), cfg,
+                                            sched100))
+    stacked = _outcome(lambda: stage1_recover(bad, np.zeros((3, 4, 16)), cfg,
+                                              sched100))
+    _assert_same_outcome(stacked, alone)
+    assert str(stacked) == "denoiser: non-finite output at step 100"
+    assert calls == [1, 3]
 
 
 # ------------------------------------------- reverse loops against the prior
@@ -523,17 +478,35 @@ def _assert_same_outcome(got, want):
 
 
 def _loop_windows(B, seed):
-    """B windows of the toy shape; for B > 1 window 2 holds a 1e308
-    entry (stage 1 overflows) and window 3 a NaN (stage 2 refuses it),
-    each among observed entries, and window 4 a 40% missing mask."""
+    """B windows of the toy shape; for B > 1 window 4 has a 40% missing
+    mask."""
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal((B, 4, 16))
     mask = (rng.random((B, 4, 16)) > 0.3).astype(np.float64)
     if B > 1:
-        mask[2:4, 1, 5] = 1.0
-        y0[2, 1, 5], y0[3, 1, 5] = 1e308, np.nan
         mask[4] = (rng.random((4, 16)) > 0.4)
     return y0, mask
+
+
+_BAD_ENTRIES = ((1e308, "1e+308"), (np.nan, "nan"), (-np.inf, "-inf"))
+
+
+def _assert_refused_up_front(monkeypatch, y0, mask, b, call):
+    """call(y, m) on copies of (y0, mask) with one observed entry of
+    window b, (1, 5), set to each of _BAD_ENTRIES raises check_observed's
+    ValueError naming it, before any denoiser call."""
+    calls = []
+    monkeypatch.setattr(sampler, "predict_noise",
+                        lambda *args: calls.append(args))
+    for value, text in _BAD_ENTRIES:
+        y, m = y0.copy(), mask.copy()
+        y[b, 1, 5], m[b, 1, 5] = value, 1.0
+        with pytest.raises(ValueError) as err:
+            call(y, m)
+        assert str(err.value) == (
+            f"observed entry at window {b}, channel 1, step 5 is {text} in "
+            "normalized units, not a finite value within 1e+06")
+    assert calls == []
 
 
 @pytest.mark.parametrize("s", [1, 2, 10])
@@ -562,8 +535,9 @@ def test_unconditional_sample_failure_matches_prior(zeros_model, sched100):
 @pytest.mark.parametrize("s", [1, 2, 10])
 @pytest.mark.parametrize("omega", [0.0, 1.0])
 @pytest.mark.parametrize("B", [1, 5])
-def test_stage1_matches_prior_bits(toy_model, sched100, s, omega, B):
-    y0, _ = _loop_windows(B, 30 + s)
+def test_stage1_matches_prior_bits(toy_model, sched100, monkeypatch, s,
+                                   omega, B):
+    y0, mask = _loop_windows(B, 30 + s)
     cfg = GuidanceConfig(tau=make_subsequence(100, s), omega=omega, seed=9)
     seeds = [9 ^ b for b in range(B)]
     want = _prior_stage1_stack(toy_model, y0, cfg, sched100, seeds)
@@ -575,16 +549,17 @@ def test_stage1_matches_prior_bits(toy_model, sched100, s, omega, B):
         _assert_same_outcome(
             _outcome(lambda: stage1_recover(toy_model, y0[b], alone,
                                             sched100)), want[b])
-    if B > 1 and omega > 0 and s > 1:  # guidance carries the 1e308 in
-        assert isinstance(got[2], FloatingPointError)
+    if B > 1:
+        _assert_refused_up_front(monkeypatch, y0, mask, 2, lambda y, m: (
+            stage1_recover(toy_model, y, cfg, sched100)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("s", [1, 2, 10])
 @pytest.mark.parametrize("R", [1, 3])
 @pytest.mark.parametrize("rescale", [False, True])
 @pytest.mark.parametrize("B", [1, 5])
-def test_stage2_matches_prior_bits(toy_model, sched100, s, R, rescale, B):
+def test_stage2_matches_prior_bits(toy_model, sched100, monkeypatch, s, R,
+                                   rescale, B):
     y0, mask = _loop_windows(B, 40 + s)
     y0 = np.where(mask == 1.0, y0, np.nan)  # missing entries are never read
     cfg = ImputeConfig(tau=make_subsequence(100, s), R=R, seed=4,
@@ -601,7 +576,8 @@ def test_stage2_matches_prior_bits(toy_model, sched100, s, R, rescale, B):
             _outcome(lambda: stage2_impute(toy_model, y0[b], mask[b], alone,
                                            sched100)), want[b])
     if B > 1:
-        assert isinstance(got[3], ValueError)
+        _assert_refused_up_front(monkeypatch, y0, mask, 3, lambda y, m: (
+            stage2_impute(toy_model, y, m, cfg, sched100)))
 
 
 # ------------------------------------------------ the stacked update's parts
@@ -640,22 +616,16 @@ def test_sigma_bar_rows_is_optimal_variance_row_by_row():
 
 
 def _sharded_windows(seed):
-    """2 * SHARD_ROWS + 1 windows of the toy shape: window 2 holds a
-    1e308 entry and window 20 a NaN, each among observed entries, so a
-    two-shard predict_noise call has one of them in each shard."""
+    """2 * SHARD_ROWS + 1 windows of the toy shape, enough for a
+    two-shard predict_noise call."""
     B = 2 * SHARD_ROWS + 1
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal((B, 4, 16))
     mask = (rng.random((B, 4, 16)) > 0.3).astype(np.float64)
-    mask[[2, 20], 1, 5] = 1.0
-    y0[2, 1, 5], y0[20, 1, 5] = 1e308, np.nan
-    assert 2 < B // 2 <= 20
     return y0, mask
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_sharded_stacks_match_prior_bits(toy_model, sched100):
+def test_sharded_stacks_match_prior_bits(toy_model, sched100, monkeypatch):
     y0, mask = _sharded_windows(50)
     B = len(y0)
     tau = make_subsequence(100, 10)
@@ -680,102 +650,13 @@ def test_sharded_stacks_match_prior_bits(toy_model, sched100):
         for b in range(B):
             _assert_same_outcome(got[b], want[b])
             _assert_same_outcome(_outcome(lambda: alone(b)), want[b])
-    (stage1, _, _), (stage2, _, _) = cases
-    # stage 1 overflows in sigma_bar and turns the NaN window non-finite;
-    # in stage 2 the 1e308 window fails inside its shard's denoiser call
-    # and the NaN window up front
-    assert isinstance(stage1[2], FloatingPointError)
-    assert isinstance(stage1[20], RuntimeError)
-    assert isinstance(stage2[2], FloatingPointError)
-    assert isinstance(stage2[20], ValueError)
-    assert sum(isinstance(out, Exception) for out in stage1 + stage2) == 4
-
-
-def test_a_raising_pass_fails_only_the_window_that_raises_alone(
-        toy_model, sched100):
-    # Under over="raise" the guidance of the 1.7e308 window overflows for
-    # the whole stack; the pass is replayed one window at a time on the
-    # draws each took, so that window alone fails, with its own error.
-    y0 = np.random.default_rng(60).standard_normal((3, 4, 16))
-    y0[1, 2, 7] = 1.7e308
-    cfg = GuidanceConfig(tau=make_subsequence(100, 2), omega=1e10, seed=5)
-    with np.errstate(over="raise"):
-        got = stage1_recover(toy_model, y0, cfg, sched100)
-        want = _prior_stage1_stack(toy_model, y0, cfg, sched100,
-                                   [5 ^ b for b in range(3)])
-        alone = [_outcome(lambda: stage1_recover(
-            toy_model, y0[b], GuidanceConfig(tau=cfg.tau, omega=1e10,
-                                             seed=5 ^ b), sched100))
-                 for b in range(3)]
-    for b in range(3):
-        _assert_same_outcome(got[b], want[b])
-        _assert_same_outcome(alone[b], want[b])
-    assert str(got[1]) == "overflow encountered in multiply"
-    assert not isinstance(got[0], Exception)
-    assert not isinstance(got[2], Exception)
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-@pytest.mark.parametrize("stage, bad, error", [
-    ("stage1", 2, "overflow encountered in square"),
-    ("stage2", 3, "observed entries must be finite")])
-def test_a_failure_after_the_network_costs_no_denoiser_call(
-        toy_model, sched100, monkeypatch, stage, bad, error):
-    # _loop_windows' 1e308 window fails stage 1 in sigma_bar and its NaN
-    # window fails stage 2 in the update, both after the stacked
-    # predict_noise returned. The replay steps each window on its row of
-    # that prediction, so the stack makes as many denoiser calls as it
-    # does without the failing window, and the others keep their bits.
-    y0, mask = _loop_windows(5, 50)
-    tau = make_subsequence(100, 4)
-    calls = []
-
-    def predict(params, x, n):
-        calls.append(len(x))
-        return predict_noise(params, x, n)
-
-    monkeypatch.setattr(sampler, "predict_noise", predict)
-
-    def run(rows):
-        calls.clear()
-        seeds = [3 ^ b for b in rows]
-        if stage == "stage1":
-            out = stage1_recover(toy_model, y0[rows], GuidanceConfig(tau=tau),
-                                 sched100, seeds=seeds)
-        else:
-            out = stage2_impute(toy_model, y0[rows], mask[rows],
-                                ImputeConfig(tau=tau), sched100, seeds=seeds)
-        return dict(zip(rows, out)), len(calls)
-
-    failing, failing_calls = run(sorted([0, 1, 4, bad]))
-    clean, clean_calls = run([0, 1, 4])
-    assert str(failing.pop(bad)) == error
-    assert failing_calls == clean_calls
-    for b in clean:
-        _assert_same_outcome(failing[b], clean[b])
-
-
-def test_a_replayed_window_takes_its_draws_again(toy_model, sched100):
-    # The pass at i = 2 raises after every window drew; in the replay the
-    # windows that pass alone must step with the draws they took.
-    tau = make_subsequence(100, 3)
-
-    def run(seeds):
-        rngs = [np.random.default_rng(s) for s in seeds]
-
-        def update(rows, x, eps, sigma_bar, i, r, draw):
-            noise = draw()
-            if i == 2 and any(seeds[b] == 13 for b in rows):
-                raise ValueError("seed 13 fails at i = 2")
-            return 0.5 * x + 0.1 * eps + noise
-
-        return sampler.reverse_lockstep(toy_model, rngs, (4, 16), sched100,
-                                        tau, update)
-
-    stacked = run([11, 13, 17])
-    assert str(stacked[1]) == "seed 13 fails at i = 2"
-    for b, seed in enumerate([11, 13, 17]):
-        _assert_same_outcome(stacked[b], run([seed])[0])
+    # a bad entry in either shard fails the stack before any shard runs
+    for b in (2, 20):
+        _assert_refused_up_front(monkeypatch, y0, mask, b, lambda y, m: (
+            stage1_recover(toy_model, y, g, sched100)))
+        _assert_refused_up_front(monkeypatch, y0, mask, b, lambda y, m: (
+            stage2_impute(toy_model, np.where(m == 1.0, y, np.nan), m, i,
+                          sched100)))
 
 
 # ------------------------------------------------------ one bind per loop
@@ -799,44 +680,27 @@ def _count_binds(monkeypatch):
     return casts, projected
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_a_stage1_loop_casts_once_and_projects_each_step_once(
         toy_model, sched100, monkeypatch):
-    # _loop_windows' 1e308 window fails in sigma_bar and its NaN window
-    # leaves a non-finite latent, so passes are replayed; the replays
-    # reuse the stacked prediction and the loop's one bind
     y0, _ = _loop_windows(6, 51)
     tau = make_subsequence(100, 10)
     casts, projected = _count_binds(monkeypatch)
     out = stage1_recover(toy_model, y0, GuidanceConfig(tau=tau), sched100,
                          seeds=[5 ^ b for b in range(6)])
-    assert [isinstance(o, Exception) for o in out] == [False, False, True,
-                                                        True, False, False]
+    assert len(out) == 6
     assert casts == [toy_model]
     assert sorted(projected) == sorted(tau.level(i) for i in range(1, 11))
 
 
-def test_a_replayed_stage2_pass_reuses_the_loops_bind(toy_model, sched100,
-                                                      monkeypatch):
-    # The 1e308 observed entry makes the stacked denoiser call's output
-    # non-finite, so that pass calls predict_noise again once per window
+def test_a_stage2_loop_casts_once_and_projects_each_step_once(
+        toy_model, sched100, monkeypatch):
+    # R = 2 passes a position call the denoiser twice at each step
     y0, mask = _loop_windows(5, 52)
-    rows = [0, 1, 2, 4]
     tau = make_subsequence(100, 4)
-    calls = []
-
-    def predict(params, x, n):
-        calls.append(len(x))
-        return predict_noise(params, x, n)
-
-    monkeypatch.setattr(sampler, "predict_noise", predict)
     casts, projected = _count_binds(monkeypatch)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = stage2_impute(toy_model, y0[rows], mask[rows],
-                            ImputeConfig(tau=tau, R=2), sched100,
-                            seeds=[7 ^ b for b in rows])
-    assert str(out[2]).startswith("denoiser: non-finite output at step ")
-    assert 1 in calls[1:]  # a replay called the denoiser
+    out = stage2_impute(toy_model, y0, mask, ImputeConfig(tau=tau, R=2),
+                        sched100, seeds=[7 ^ b for b in range(5)])
+    assert len(out) == 5
     assert casts == [toy_model]
     assert sorted(projected) == sorted(tau.level(i) for i in range(1, 5))
 
@@ -846,7 +710,7 @@ def _editing_loop(model, sched, tau, seed, edit):
     a layer weight and to a step-embedding weight of model in place at
     its first pass."""
 
-    def update(rows, x, eps, sigma_bar, i, r, draw):
+    def update(x, eps, sigma_bar, i, r, draw):
         if edit and i == tau.s:
             model["enc0.rb1.conv2.w"].data += 0.5
             model["temb.fc1.w"].data += 0.5
