@@ -34,7 +34,7 @@ from .dataio import (load_mask_csv, load_matrix_csv, save_mask_csv,
                      save_matrix_csv)
 from .denoiser import train
 from .metrics import detection_metrics, masked_rmse, weighted_rmse
-from .pipeline import recover
+from .pipeline import observed_mask, recover
 from .runconfig import (RunConfig, format_runconfig, load_runconfig,
                         make_attack_spec, make_denoiser_config,
                         make_mask_spec, make_schedule, make_synth_spec,
@@ -182,13 +182,15 @@ def cmd_recover(cfg: RunConfig, args, out: Path) -> None:
         "outlier_fraction": res.outlier_fraction,
     }
     if truth is not None:
-        missing = np.ones_like(y0) if known is None else known.copy()
-        missing[~np.isfinite(y0)] = 0.0
+        observed = observed_mask(y0, known)
         # Empty missing set: nothing was imputed, so the error there is 0.
-        m_rmse = (masked_rmse(truth, res.x_tilde, missing)
-                  if np.any(missing == 0.0) else 0.0)
-        corrupt = np.isfinite(y0) & (y0 != truth)
-        precision, recall = detection_metrics(1.0 - res.outlier_mask, corrupt)
+        m_rmse = (masked_rmse(truth, res.x_tilde, observed)
+                  if np.any(observed == 0.0) else 0.0)
+        # outlier_mask force-flags the known-missing entries, so flags
+        # and corruption are scored over the observed entries only
+        seen = observed == 1.0
+        precision, recall = detection_metrics(res.outlier_mask[seen] == 0.0,
+                                              (y0 != truth)[seen])
         weights = make_weights(cfg, y0.shape[0])
         report.update(weighted_rmse=weighted_rmse(truth, res.x_tilde, weights),
                       masked_rmse=m_rmse, detection_precision=precision,

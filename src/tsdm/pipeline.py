@@ -106,6 +106,23 @@ def recover_batch(params: DenoiserParams, windows, cfg: TsdmConfig, *,
             for k, out in enumerate(outs)]
 
 
+def observed_mask(y0, known_mask=None) -> np.ndarray:
+    """The float64 mask of y0's observed entries (1 = observed): an entry
+    is missing where known_mask is 0 or y0 is NaN. An infinite reading
+    counts as observed, so sampler.check_observed refuses it. A mask of
+    another shape than y0, or not binary, is a ValueError."""
+    y0 = np.asarray(y0, dtype=np.float64)
+    known = 1.0
+    if known_mask is not None:
+        known = np.asarray(known_mask, dtype=np.float64)
+        if known.shape != y0.shape:
+            raise ValueError(
+                f"mask shape {known.shape} does not match {y0.shape}")
+        if not np.all((known == 0.0) | (known == 1.0)):
+            raise ValueError("mask must be binary (0/1)")
+    return np.where(np.isnan(y0), 0.0, known)
+
+
 def _normalize(y0, known_mask, config, norm_mean, norm_std):
     """(normalized window, known mask, mean, std) of one input window for
     a model of DenoiserConfig `config`."""
@@ -125,17 +142,7 @@ def _normalize(y0, known_mask, config, norm_mean, norm_std):
             or not np.all((std > 0) & (std < np.inf))):
         raise ValueError("normalization stats must be finite per-channel, "
                          "std positive")
-    if known_mask is None:
-        known = np.ones_like(y0)
-    else:
-        known = np.asarray(known_mask, dtype=np.float64)
-        if known.shape != y0.shape:
-            raise ValueError(
-                f"mask shape {known.shape} does not match {y0.shape}")
-        if not np.all((known == 0.0) | (known == 1.0)):
-            raise ValueError("mask must be binary (0/1)")
-        known = known.copy()
-    known[~np.isfinite(y0)] = 0.0  # NaN sentinels count as missing
+    known = observed_mask(y0, known_mask)
     if not known.any():
         raise ValueError("window has no observed entries: every entry is "
                          "missing")

@@ -8,8 +8,6 @@ are guaranteed bit-identical.
 
 from __future__ import annotations
 
-import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,20 +192,9 @@ def make_loss_mask(M: int, T: int, spec: MaskSpec) -> np.ndarray:
 # ---------------------------------------------------------------- synthesis
 
 # windows whose arithmetic runs as one stacked array operation; at M=8,
-# T=64 the scratch is then about 100 KB (32 windows were a little faster
-# but read about 0.3 MB more peak RSS in short benchmark runs)
+# T=64 the chunk buffers are then about 100 KB (32 windows were a little
+# faster but read about 0.3 MB more peak RSS in short benchmark runs)
 _CHUNK = 8
-
-
-def _scratch(*shapes) -> list:
-    """One (_CHUNK, *shape) float64 array per shape, each in its own
-    anonymous memory map. Chunk temporaries on the malloc heap would be
-    freed among the windows and leave holes there, which changed where a
-    caller's later large arrays fit and raised the benchmark's peak RSS by
-    up to 8 MB."""
-    return [np.frombuffer(mmap.mmap(-1, 8 * _CHUNK * math.prod(shape)),
-                          dtype=np.float64).reshape(_CHUNK, *shape)
-            for shape in shapes]
 
 
 def synth_dataset(spec: SynthSpec, count: int) -> list:
@@ -247,7 +234,8 @@ def _steady_windows(spec: SynthSpec, count: int, rng) -> list:
     week = day / 7.0
     ramp = t / T - 0.5
     r = spec.ramp_rate
-    bufs = _scratch((3 * k,), (k + M * T,), (k, T), (k, T), (M, T))
+    bufs = [np.empty((_CHUNK,) + shape)
+            for shape in ((3 * k,), (k + M * T,), (k, T), (k, T), (M, T))]
     windows = []
     for first in range(0, count, _CHUNK):
         n = min(_CHUNK, count - first)

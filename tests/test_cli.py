@@ -156,6 +156,29 @@ def test_recover_emits_artifacts_and_metrics(cli_env):
     assert (cli_env / "rec/timing.txt").read_text().startswith("runtime_ms=")
 
 
+def test_recover_scores_detection_over_observed_entries(cli_env):
+    """recover --mask --truth on a masked, then attacked window: the
+    force-flagged missing entries are neither false nor true flags."""
+    cfg = write_config(cli_env / "mar.cfg", attack_channels="0,1",
+                       checkpoint=cli_env / "base/model.tsdm")
+    for cmd in (("mask", "base/windows/00003.csv"),
+                ("attack", "mar/masked.csv"),
+                ("recover", "mar/attacked.csv", "--mask", "mar/loss_mask.csv",
+                 "--truth", "base/windows/00003.csv")):
+        r = run_cli("--config", cfg.name, "--out", "mar", *cmd, cwd=cli_env)
+        assert r.returncode == 0, r.stderr
+    truth, _ = load_matrix_csv(cli_env / "base/windows/00003.csv")
+    y, _ = load_matrix_csv(cli_env / "mar/attacked.csv")
+    seen = load_mask_csv(cli_env / "mar/loss_mask.csv") == 1.0
+    flags = load_mask_csv(cli_env / "mar/outlier_mask.csv") == 0.0
+    assert flags[~seen].all()
+    report = json.loads((cli_env / "mar/report.json").read_text())
+    precision, recall = detection_metrics(flags[seen], (y != truth)[seen])
+    assert (report["detection_precision"],
+            report["detection_recall"]) == (precision, recall)
+    assert recall > 0  # a true flag, so missing entries would cut precision
+
+
 def test_recover_clean_input_reports_stage1_only(cli_env):
     cfg = write_config(cli_env / "clean.cfg",
                        checkpoint=cli_env / "base/model.tsdm",

@@ -308,13 +308,14 @@ def _refusal(m, t, value):
             "normalized units, not a finite value within 1e+06")
 
 
-def _recover_with_entry(model, monkeypatch, value):
-    """Window 2 of a batch with one observed entry set to value: within
-    the bound it recovers; beyond it, it is refused before any denoiser
-    call, alone or in the batch, whose other windows keep their bits."""
+def _recover_with_entry(model, monkeypatch, value, m=1, t=9):
+    """Window 2 of a batch with its observed entry (m, t) set to value:
+    within the bound it recovers; beyond it or infinite, it is refused
+    before any denoiser call, alone or in the batch, whose other windows
+    keep their bits."""
     windows = [toy_window(30), toy_window(31), toy_window(2), toy_window(32)]
     ref = recover_batch(model, windows, make_cfg())
-    windows[2][1, 9] = value
+    windows[2][m, t] = value
     results = recover_batch(model, windows, make_cfg())
     for k in (0, 1, 3):
         assert results[k].x_tilde.tobytes() == ref[k].x_tilde.tobytes()
@@ -328,10 +329,10 @@ def _recover_with_entry(model, monkeypatch, value):
                                    make_cfg(seed=2)).x_tilde).all()
         assert calls
         return
-    assert results[2] == WindowFailure(index=2, error=_refusal(1, 9, value))
+    assert results[2] == WindowFailure(index=2, error=_refusal(m, t, value))
     with pytest.raises(ValueError) as refused:
         recover(model, windows[2], None, make_cfg(seed=2))
-    assert str(refused.value) == _refusal(1, 9, value)
+    assert str(refused.value) == _refusal(m, t, value)
     assert calls == []
 
 
@@ -344,6 +345,24 @@ def test_batch_isolates_per_window_failures(toy_model, monkeypatch):
     np.nextafter(-MAX_OBSERVED, -np.inf)])
 def test_an_observed_entry_at_the_bound(toy_model, monkeypatch, value):
     _recover_with_entry(toy_model, monkeypatch, value)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_an_infinite_observed_entry_is_refused_not_imputed(
+        toy_model, monkeypatch, value):
+    _recover_with_entry(toy_model, monkeypatch, value, m=2, t=5)
+
+
+def test_observed_mask_marks_nan_and_masked_entries_missing():
+    y0 = toy_window(34)
+    y0[0, 1], y0[1, 2], y0[2, 3] = np.nan, np.inf, -np.inf
+    observed = np.ones((4, 16))
+    observed[0, 1] = 0.0  # only the NaN: an infinity counts as observed
+    assert np.array_equal(pipeline.observed_mask(y0), observed)
+    known = np.ones((4, 16))
+    known[3, 4] = 0.0
+    observed[3, 4] = 0.0
+    assert np.array_equal(pipeline.observed_mask(y0, known), observed)
 
 
 def test_batch_failure_index_follows_input_position(toy_model):
